@@ -545,18 +545,9 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 	grad := w.grad
 	vecmath.Zero(grad)
 
-	out := e.rowOut(w, ctx)
-	dot := vecmath.Dot(vin, out)
-	if dot != dot {
-		// A non-finite row slipped through (diverged pair); skip rather
-		// than poison the rest of the model.
-		return grad
-	}
-	g := (1 - vecmath.Sigmoid(dot)) * lr
-	vecmath.Axpy(g, out, grad)
-	vecmath.Axpy(g, vin, out)
-
-	if w.noise == nil {
+	// A false return is a non-finite row that slipped through (diverged
+	// pair): skip it rather than poison the rest of the model.
+	if !vecmath.PairStep(vin, e.rowOut(w, ctx), grad, 1, lr) || w.noise == nil {
 		return grad
 	}
 	for n := 0; n < w.opt.Negatives; n++ {
@@ -566,14 +557,7 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 		}
 		// Negatives come from the local partition ∪ Q, so the row is
 		// always locally writable.
-		out := e.rowOut(w, t)
-		dot := vecmath.Dot(vin, out)
-		if dot != dot {
-			continue
-		}
-		g := (0 - vecmath.Sigmoid(dot)) * lr
-		vecmath.Axpy(g, out, grad)
-		vecmath.Axpy(g, vin, out)
+		vecmath.PairStep(vin, e.rowOut(w, t), grad, 0, lr)
 	}
 	return grad
 }
@@ -600,15 +584,9 @@ func (w *worker) degradePair(vin []float32, ctx int32) {
 	if t == ctx {
 		return
 	}
-	out := e.rowOut(w, t)
-	dot := vecmath.Dot(vin, out)
-	if dot != dot {
-		return
+	if vecmath.PairStep(vin, e.rowOut(w, t), grad, 0, w.lr) {
+		vecmath.Add(grad, vin)
 	}
-	g := (0 - vecmath.Sigmoid(dot)) * w.lr
-	vecmath.Axpy(g, out, grad)
-	vecmath.Axpy(g, vin, out)
-	vecmath.Add(grad, vin)
 }
 
 // remoteCall ships in(v_i) to the owner of v_j and waits for the gradient,

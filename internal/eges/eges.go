@@ -288,19 +288,13 @@ func (st *trainerState) trainPair(item, ctx int32) {
 	st.aggregate(item)
 	vecmath.Zero(st.dh)
 
-	step := func(c int32, label float32) {
-		out := m.Out.Row(c)
-		g := (label - vecmath.Sigmoid(vecmath.Dot(st.h, out))) * st.lr
-		vecmath.Axpy(g, out, st.dh)
-		vecmath.Axpy(g, st.h, out)
-	}
-	step(ctx, 1)
+	vecmath.PairStep(st.h, m.Out.Row(ctx), st.dh, 1, st.lr)
 	for n := 0; n < opt.Negatives; n++ {
 		t := int32(st.noise.Sample(st.r))
 		if t == ctx {
 			continue
 		}
-		step(t, 0)
+		vecmath.PairStep(st.h, m.Out.Row(t), st.dh, 0, st.lr)
 	}
 
 	// Backprop dh into the item vector, SI vectors and attention logits:

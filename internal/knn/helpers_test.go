@@ -20,3 +20,19 @@ func queryBatchT(ix *Index, qs [][]float32, opts Options) [][]Result {
 	}
 	return rs
 }
+
+// overlap counts how many of got's ids appear in truth — the numerator of
+// recall@k against a flat-scan ground truth.
+func overlap(truth, got []Result) int {
+	in := make(map[int32]bool, len(truth))
+	for _, r := range truth {
+		in[r.ID] = true
+	}
+	n := 0
+	for _, r := range got {
+		if in[r.ID] {
+			n++
+		}
+	}
+	return n
+}

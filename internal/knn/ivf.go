@@ -8,10 +8,11 @@
 // under the engine's canonical total order — approximation decides which
 // rows are *considered*, never what score a served row carries.
 //
-// Determinism: the build is a pure function of the matrix — centroids seed
-// from evenly spaced rows (no RNG), Lloyd iterations assign ties to the
-// lowest centroid id, and posting lists are ascending row ids — and the
-// query path selects under the total order, so IVF results are reproducible
+// Determinism: the build is a pure function of the matrix and, for a
+// warm start (BuildIVF), the centroids it was handed — centroids seed from
+// evenly spaced rows (no RNG), Lloyd iterations assign ties to the lowest
+// centroid id, and posting lists are ascending row ids — and the query
+// path selects under the total order, so IVF results are reproducible
 // across runs, platforms, and Parallelism settings. The degenerate case
 // NProbe >= nlist enumerates every row and is bit-identical to the flat
 // scan (locked down by TestIVFExhaustiveBitIdenticalToFlat).
@@ -29,9 +30,15 @@ import (
 )
 
 const (
-	// kmeansIters bounds the Lloyd iterations of the coarse quantizer.
-	// Convergence beyond ~10 iterations moves recall by noise only.
+	// kmeansIters bounds the Lloyd iterations of a cold build of the
+	// coarse quantizer. Convergence beyond ~10 iterations moves recall by
+	// noise only.
 	kmeansIters = 10
+	// warmKmeansIters is the budget of a build seeded with the centroids
+	// of the previous generation of the same matrix: the rows moved by one
+	// publish interval of SGD, so the old centroids are already near a
+	// fixed point and two iterations re-centre them.
+	warmKmeansIters = 2
 	// rerankFactor and rerankMin size the exact-re-rank shortlist the
 	// quantized pre-screen keeps: max(rerankFactor*K, rerankMin)
 	// candidates survive to float32 scoring.
@@ -52,12 +59,43 @@ type ivfIndex struct {
 	scales    []float32 // per-row quantization scale
 }
 
-// ivfLayer returns the IVF layer, building it on first use. The build is
-// deterministic and guarded by a sync.Once, so concurrent first queries
-// are safe and agree.
+// ivfLayer returns the IVF layer, building it cold on first use unless
+// BuildIVF already ran. The build is deterministic and guarded by a
+// sync.Once, so concurrent first queries are safe and agree.
 func (ix *Index) ivfLayer() *ivfIndex {
-	ix.ivfOnce.Do(func() { ix.ivf = buildIVF(ix) })
-	return ix.ivf
+	ix.BuildIVF(nil)
+	return ix.ivf.Load()
+}
+
+// BuildIVF builds the IVF layer now, on the caller's goroutine, instead of
+// under the first IVF query — what a publisher calls before handing the
+// index to readers, so no request ever waits behind a k-means. warm, when
+// it holds the centroids of an index over an earlier state of the same
+// rows (IVFCentroids of the previous generation, same Dim), seeds the
+// build, which then runs warmKmeansIters Lloyd iterations instead of a
+// cold kmeansIters. The cluster count may have moved with the row count:
+// surplus seed centroids are dropped and missing ones are seeded from rows
+// as in a cold build. A warm that is empty or not whole centroids is
+// ignored, and a seeded build that leaves a cluster without rows is
+// discarded for a cold one. The result is a pure function of the matrix
+// and warm. A no-op once the layer exists.
+func (ix *Index) BuildIVF(warm []float32) {
+	ix.ivfOnce.Do(func() { ix.ivf.Store(buildIVF(ix, warm)) })
+}
+
+// IVFReady reports whether the IVF layer has been built, i.e. whether an
+// IVF query on this index would run without building anything.
+func (ix *Index) IVFReady() bool { return ix.ivf.Load() != nil }
+
+// IVFCentroids returns the built layer's coarse centroids (IVFClusters ×
+// Dim, row-major), or nil before the layer exists. The slice is the
+// layer's own: read-only, and valid as the warm seed of the next
+// generation's BuildIVF.
+func (ix *Index) IVFCentroids() []float32 {
+	if iv := ix.ivf.Load(); iv != nil {
+		return iv.centroids
+	}
+	return nil
 }
 
 // IVFClusters returns the coarse-centroid count of the index's IVF layer
@@ -68,6 +106,19 @@ func (ix *Index) IVFClusters() int {
 		return 0
 	}
 	return ix.ivfLayer().nlist
+}
+
+// ivfClusters is the coarse-centroid count for an index of rows rows:
+// about sqrt(rows), at least 1 and at most rows.
+func ivfClusters(rows int) int {
+	nlist := int(math.Sqrt(float64(rows)) + 0.5)
+	if nlist < 1 {
+		nlist = 1
+	}
+	if nlist > rows {
+		nlist = rows
+	}
+	return nlist
 }
 
 // defaultNProbe is the probe width used when Options.NProbe <= 0:
@@ -81,25 +132,28 @@ func defaultNProbe(nlist int) int {
 }
 
 // buildIVF runs the deterministic k-means and quantization pass over the
-// indexed rows. Assignment is parallel over row blocks (pure per-row work,
-// so parallelism cannot change the result); centroid updates are serial in
-// ascending row order.
-func buildIVF(ix *Index) *ivfIndex {
+// indexed rows, cold or seeded with warm (see BuildIVF). Assignment is
+// parallel over row blocks (pure per-row work, so parallelism cannot
+// change the result); centroid updates are serial in ascending row order.
+func buildIVF(ix *Index, warm []float32) *ivfIndex {
 	rows, dim := ix.rows, ix.mat.Dim
 	data := ix.mat.Data()
-	nlist := int(math.Sqrt(float64(rows)) + 0.5)
-	if nlist < 1 {
-		nlist = 1
-	}
-	if nlist > rows {
-		nlist = rows
-	}
+	nlist := ivfClusters(rows)
 	iv := &ivfIndex{nlist: nlist, dim: dim, centroids: make([]float32, nlist*dim)}
 
-	// Seed centroids from evenly spaced rows: deterministic, and spread
-	// across the id range (embedding rows carry no id-order structure
-	// worth stratifying on, but every seed is a real data point).
-	for c := 0; c < nlist; c++ {
+	// Seed centroids from the warm start as far as it reaches, and the
+	// rest (all of them, cold) from evenly spaced rows: deterministic, and
+	// spread across the id range (embedding rows carry no id-order
+	// structure worth stratifying on, but every seed is a real data point).
+	iters, seeded := kmeansIters, 0
+	if dim > 0 && len(warm)%dim == 0 {
+		seeded = min(len(warm)/dim, nlist)
+		copy(iv.centroids, warm[:seeded*dim])
+	}
+	if seeded > 0 {
+		iters = warmKmeansIters
+	}
+	for c := seeded; c < nlist; c++ {
 		src := (c * rows) / nlist
 		copy(iv.centroids[c*dim:(c+1)*dim], data[src*dim:(src+1)*dim])
 	}
@@ -108,9 +162,9 @@ func buildIVF(ix *Index) *ivfIndex {
 	halfNorm := make([]float32, nlist)
 	sums := make([]float32, nlist*dim)
 	counts := make([]int32, nlist)
-	for iter := 0; iter <= kmeansIters; iter++ {
+	for iter := 0; iter <= iters; iter++ {
 		iv.assignRows(assign, halfNorm, data, rows)
-		if iter == kmeansIters {
+		if iter == iters {
 			break // final assignment pass matches the final centroids
 		}
 		vecmath.Zero(sums)
@@ -141,6 +195,13 @@ func buildIVF(ix *Index) *ivfIndex {
 		if len(l) > 0 {
 			iv.nonEmpty++
 		}
+	}
+	if seeded > 0 && iv.nonEmpty < nlist {
+		// A cluster died under the seed: it was stale (rows whose norms
+		// grew since the seed was cut all prefer its largest centroids),
+		// and a dead centroid never revives, so the imbalance would ratchet
+		// from generation to generation and waste probes. Start over cold.
+		return buildIVF(ix, nil)
 	}
 
 	iv.codes = make([]int8, rows*dim)
@@ -274,8 +335,7 @@ func (ix *Index) queryBatchIVF(ctx context.Context, prepared [][]float32, opts O
 // costs the centroid pass plus the expected fraction of rows its probe
 // width reaches (quantized shortlists count at a quarter weight — int8
 // traffic — plus the exact re-rank of the kept shortlist). The estimate
-// is derived from index geometry only (it mirrors buildIVF's nlist
-// formula) and never forces the lazy IVF build.
+// is derived from index geometry only and never forces the IVF build.
 func (ix *Index) PredictedCost(opts Options) int64 {
 	if opts.K <= 0 || ix.rows == 0 {
 		return 0
@@ -285,13 +345,7 @@ func (ix *Index) PredictedCost(opts Options) int64 {
 	if !opts.wantIVF() {
 		return flat
 	}
-	nlist := int64(math.Sqrt(float64(rows)) + 0.5)
-	if nlist < 1 {
-		nlist = 1
-	}
-	if nlist > rows {
-		nlist = rows
-	}
+	nlist := int64(ivfClusters(ix.rows))
 	np := int64(opts.NProbe)
 	if np <= 0 {
 		np = int64(defaultNProbe(int(nlist)))

@@ -95,16 +95,8 @@ func TestIVFRecallOnClusteredData(t *testing.T) {
 			}
 			truth := queryT(ix, q, Options{K: k})
 			got := queryT(ix, q, Options{K: k, Index: IndexIVF, Quantized: quantized})
-			inTruth := make(map[int32]bool, len(truth))
-			for _, res := range truth {
-				inTruth[res.ID] = true
-			}
 			want += len(truth)
-			for _, res := range got {
-				if inTruth[res.ID] {
-					hits++
-				}
-			}
+			hits += overlap(truth, got)
 		}
 		recall := float64(hits) / float64(want)
 		t.Logf("quantized=%v recall@%d = %.3f", quantized, k, recall)
@@ -172,6 +164,110 @@ func TestIVFClustersAccessor(t *testing.T) {
 	empty := NewIndex(emb.NewMatrix(0, 6), 0, false)
 	if got := empty.IVFClusters(); got != 0 {
 		t.Fatalf("empty IVFClusters() = %d, want 0", got)
+	}
+}
+
+// grownMatrix is base with every row nudged (one publish interval of SGD)
+// and extra new rows appended (vocabulary growth) — the next generation of
+// a streamed item matrix.
+func grownMatrix(base *emb.Matrix, extra int, seed uint64) *emb.Matrix {
+	r := rng.New(seed)
+	m := emb.NewMatrix(base.Rows()+extra, base.Dim)
+	for i := 0; i < m.Rows(); i++ {
+		src := base.Row(int32(i % base.Rows()))
+		row := m.Row(int32(i))
+		for d := range row {
+			row[d] = src[d] + float32(r.NormFloat64())*0.05
+		}
+	}
+	return m
+}
+
+// A publisher builds the layer before readers see the index, seeded with
+// the previous generation's centroids. The seeded build must be a pure
+// function of (matrix, seed), keep the exhaustive-probe identity with the
+// flat scan, keep recall, and accept a seed of any cluster count —
+// including more clusters than the new index has rows.
+func TestBuildIVFWarmStart(t *testing.T) {
+	const rows, dim, k = 2000, 16, 10
+	gen1 := clusteredMatrix(rows, dim, 25, 42)
+	ix1 := NewIndex(gen1, rows, false)
+	if ix1.IVFReady() || ix1.IVFCentroids() != nil {
+		t.Fatal("IVF layer reported built before any build")
+	}
+	ix1.BuildIVF(nil)
+	if !ix1.IVFReady() {
+		t.Fatal("IVFReady false after BuildIVF")
+	}
+	seed := ix1.IVFCentroids()
+	if len(seed) != ix1.IVFClusters()*dim {
+		t.Fatalf("IVFCentroids holds %d values, want %d", len(seed), ix1.IVFClusters()*dim)
+	}
+	// BuildIVF(nil) is the lazy build: same layer as a first IVF query's.
+	lazy := NewIndex(gen1, rows, false)
+	q1 := gen1.Row(7)
+	sameResults(t, "cold BuildIVF vs lazy", queryT(ix1, q1, Options{K: k, Index: IndexIVF}), queryT(lazy, q1, Options{K: k, Index: IndexIVF}))
+	if !lazy.IVFReady() {
+		t.Fatal("IVFReady false after an IVF query")
+	}
+	built := lazy.IVFCentroids()
+	lazy.BuildIVF(seed)
+	if &lazy.IVFCentroids()[0] != &built[0] {
+		t.Fatal("BuildIVF rebuilt a layer that already existed")
+	}
+
+	gen2 := grownMatrix(gen1, 300, 9) // nlist 45 -> 48
+	a, b := NewIndex(gen2, 0, false), NewIndex(gen2, 0, false)
+	a.BuildIVF(seed)
+	b.BuildIVF(seed)
+	if a.IVFClusters() == ix1.IVFClusters() {
+		t.Fatal("test matrix did not change the cluster count")
+	}
+	ca, cb := a.IVFCentroids(), b.IVFCentroids()
+	for i := range ca {
+		if ca[i] != cb[i] {
+			t.Fatalf("seeded build is not deterministic: centroid value %d differs", i)
+		}
+	}
+	cold := NewIndex(gen2, 0, false)
+	hits, want := 0, 0
+	for i := 0; i < 60; i++ {
+		q := gen2.Row(int32(i * 37))
+		flat := queryT(a, q, Options{K: k})
+		warm := queryT(a, q, Options{K: k, Index: IndexIVF})
+		sameResults(t, "seeded build, twice", queryT(b, q, Options{K: k, Index: IndexIVF}), warm)
+		sameResults(t, "seeded build, exhaustive", queryT(a, q, Options{K: k, Index: IndexIVF, NProbe: a.IVFClusters()}), flat)
+		sameResults(t, "flat is untouched by the layer", queryT(cold, q, Options{K: k}), flat)
+		want += len(flat)
+		hits += overlap(flat, warm)
+	}
+	if recall := float64(hits) / float64(want); recall < 0.9 {
+		t.Errorf("seeded build recall@%d = %.3f, want >= 0.9", k, recall)
+	}
+
+	// A seed that is not whole centroids is ignored: a cold build.
+	odd := NewIndex(gen2, 0, false)
+	odd.BuildIVF(seed[:len(seed)-1])
+	cold.BuildIVF(nil)
+	cc, oc := cold.IVFCentroids(), odd.IVFCentroids()
+	for i := range cc {
+		if cc[i] != oc[i] {
+			t.Fatal("malformed seed was not ignored")
+		}
+	}
+
+	// Shrunk and degenerate generations take any seed without panicking.
+	for _, n := range []int{0, 1, 2, 30} {
+		small := NewIndex(gen2, n, false)
+		if n == 0 {
+			small = NewIndex(emb.NewMatrix(0, dim), 0, false)
+		}
+		small.BuildIVF(seed)
+		if !small.IVFReady() {
+			t.Fatalf("rows=%d: IVFReady false after BuildIVF", n)
+		}
+		got := queryT(small, q1, Options{K: k, Index: IndexIVF, NProbe: n + 1})
+		sameResults(t, fmt.Sprintf("rows=%d exhaustive", n), got, queryT(small, q1, Options{K: k}))
 	}
 }
 

@@ -101,7 +101,8 @@ type Options struct {
 	Parallelism int
 	// Index selects the execution strategy: "" or IndexFlat for the exact
 	// scan, IndexIVF for the approximate inverted-file index. The IVF
-	// layer is built lazily (and exactly once) on the first IVF query.
+	// layer is built exactly once: by BuildIVF, else on the first IVF
+	// query.
 	Index string
 	// NProbe is the number of non-empty IVF clusters a query inspects
 	// (<=0 means a default of about sqrt(nlist)). Larger values trade
@@ -167,7 +168,8 @@ type span struct{ lo, hi int }
 
 // Index is a sharded retrieval index over the first rows rows of a
 // matrix. It is immutable after construction and safe for concurrent use
-// (the lazily built IVF layer is guarded by a sync.Once).
+// (the IVF layer — built by BuildIVF, or lazily by the first IVF query —
+// is guarded by a sync.Once).
 type Index struct {
 	mat    *emb.Matrix
 	rows   int
@@ -181,7 +183,7 @@ type Index struct {
 	tiles atomic.Uint64
 
 	ivfOnce sync.Once
-	ivf     *ivfIndex
+	ivf     atomic.Pointer[ivfIndex]
 }
 
 // NewIndex builds an index over the first rows rows of mat with automatic

@@ -2,8 +2,10 @@ package sgns
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"sisg/internal/checkpoint"
 	"sisg/internal/rng"
 	"sisg/internal/vocab"
 )
@@ -117,6 +119,42 @@ func TestCheckpointResumeRefusesMismatchedOptions(t *testing.T) {
 	ok.CheckpointEvery = 999999
 	if _, _, err := Train(dict, seqs, ok); err != nil {
 		t.Fatalf("resume with different cadence refused: %v", err)
+	}
+}
+
+// A snapshot written before the pair-update kernel changed its arithmetic
+// (KernelVersion 1: the fingerprint did not carry a kernel version at all)
+// must be refused like any other options change: resuming it would finish
+// a run in different arithmetic than it started in, which no uninterrupted
+// run reproduces.
+func TestCheckpointResumeRefusesOldKernelVersion(t *testing.T) {
+	dict, seqs := ckptCorpus(t, 30, 120, 10)
+	dir := t.TempDir()
+	opt := ckptOptions(1)
+	opt.CheckpointDir = dir
+	opt.CheckpointEvery = 1
+	if _, _, err := Train(dict, seqs, opt); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fingerprint exactly as the version-1 code computed it.
+	c := opt
+	c.CheckpointDir, c.CheckpointEvery, c.Resume = "", 0, false
+	old := checkpoint.HashOptions(fmt.Sprintf("%+v", c), dict.Len(), len(seqs), 1)
+	if old == snap.OptionsHash {
+		t.Fatal("fingerprint does not depend on the kernel version")
+	}
+	snap.OptionsHash = old
+	if err := checkpoint.Save(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	resume := opt
+	resume.Resume = true
+	if _, _, err := Train(dict, seqs, resume); !errors.Is(err, checkpoint.ErrOptionsMismatch) {
+		t.Fatalf("resume from a version-1 snapshot: got %v, want ErrOptionsMismatch", err)
 	}
 }
 

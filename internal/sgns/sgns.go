@@ -100,7 +100,9 @@ func Defaults() Options {
 // would silently train a different model, so snapshots carry this hash and
 // loads compare it. Checkpoint-control fields (dir, cadence, the Resume
 // flag itself) are excluded — moving the checkpoint directory or changing
-// the cadence must not invalidate a snapshot. Callers append any extra
+// the cadence must not invalidate a snapshot. The pair-update kernel's
+// version is part of the identity: a snapshot written under different
+// arithmetic cannot be replayed exactly. Callers append any extra
 // run-identity values (vocabulary size, corpus size, worker count).
 func (o Options) Fingerprint(extra ...interface{}) uint64 {
 	c := o
@@ -108,7 +110,7 @@ func (o Options) Fingerprint(extra ...interface{}) uint64 {
 	// Observability knobs are not run identity either — and a func value
 	// would stringify as an address, making the hash nondeterministic.
 	c.Progress, c.ProgressEvery = nil, 0
-	vs := append([]interface{}{fmt.Sprintf("%+v", c)}, extra...)
+	vs := append([]interface{}{fmt.Sprintf("%+v", c), vecmath.KernelVersion}, extra...)
 	return checkpoint.HashOptions(vs...)
 }
 
@@ -519,10 +521,7 @@ func (ws *workerState) trainPair(target, ctx int32) {
 	vecmath.Zero(grad)
 
 	// Positive sample: label 1.
-	c := m.Out.Row(ctx)
-	g := (1 - vecmath.Sigmoid(vecmath.Dot(v, c))) * ws.lr
-	vecmath.Axpy(g, c, grad)
-	vecmath.Axpy(g, v, c)
+	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, ws.lr)
 
 	// Negative samples: label 0. A draw equal to the true context is
 	// rejected, as in word2vec.
@@ -531,10 +530,7 @@ func (ws *workerState) trainPair(target, ctx int32) {
 		if t == ctx {
 			continue
 		}
-		c := m.Out.Row(t)
-		g := (0 - vecmath.Sigmoid(vecmath.Dot(v, c))) * ws.lr
-		vecmath.Axpy(g, c, grad)
-		vecmath.Axpy(g, v, c)
+		vecmath.PairStep(v, m.Out.Row(t), grad, 0, ws.lr)
 	}
 	vecmath.Add(grad, v)
 	ws.pairs++

@@ -257,21 +257,14 @@ func (l *Live) trainPair(target, ctx int32) {
 	grad := l.grad
 	vecmath.Zero(grad)
 
-	c := m.Out.Row(ctx)
-	g := (1 - vecmath.Sigmoid(vecmath.Dot(v, c))) * opt.LR
-	vecmath.Axpy(g, c, grad)
-	vecmath.Axpy(g, v, c)
-
+	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, opt.LR)
 	if l.noise != nil {
 		for n := 0; n < opt.Negatives; n++ {
 			t := int32(l.noise.Sample(l.r))
 			if t == ctx {
 				continue
 			}
-			c := m.Out.Row(t)
-			g := (0 - vecmath.Sigmoid(vecmath.Dot(v, c))) * opt.LR
-			vecmath.Axpy(g, c, grad)
-			vecmath.Axpy(g, v, c)
+			vecmath.PairStep(v, m.Out.Row(t), grad, 0, opt.LR)
 		}
 	}
 	vecmath.Add(grad, v)

@@ -42,6 +42,10 @@ type Streamer struct {
 	sessions uint64
 	seeded   uint64 // items Eq. 6-seeded at admission
 
+	// centroids are the IVF coarse centroids of the last published
+	// generation, the warm start of the next one's build.
+	centroids []float32
+
 	seq []int32 // scratch row sequence
 }
 
@@ -201,8 +205,11 @@ func (st *Streamer) Pairs() uint64 { return st.live.Pairs() }
 
 // Publish cuts the next immutable snapshot: full copies of the live
 // matrices' admitted prefix, a compacted item matrix with its retrieval
-// index, and the token→row map frozen at this instant. The streamer keeps
-// training; the snapshot never changes.
+// index, and the token→row map frozen at this instant. The index's IVF
+// layer is built here, warm-started from the previous generation's
+// centroids, so a published snapshot never runs k-means under a request —
+// the server's brownout can switch a fresh generation from flat to IVF at
+// no cost. The streamer keeps training; the snapshot never changes.
 func (st *Streamer) Publish() *StreamSnapshot {
 	st.gen++
 	m := st.live.Model()
@@ -250,6 +257,8 @@ func (st *Streamer) Publish() *StreamSnapshot {
 	} else {
 		snap.index = knn.NewIndex(snap.itemIn, len(itemRows), true)
 	}
+	snap.index.BuildIVF(st.centroids)
+	st.centroids = snap.index.IVFCentroids()
 	return snap
 }
 

@@ -217,3 +217,93 @@ func TestStreamSnapshotColdPaths(t *testing.T) {
 		}
 	}
 }
+
+// No k-means under a request, ever: every published generation carries its
+// IVF layer before the first query can reach it — across vocabulary growth
+// that moves the cluster count, from the empty first generation on — the
+// warm-started layer is a pure function of the stream (two replays answer
+// identically), and it keeps IVF recall against the flat scan.
+func TestStreamerPublishesBuiltIVF(t *testing.T) {
+	const k = 10
+	bg := context.Background()
+	type answer struct {
+		gen uint64
+		rs  []knn.Result
+	}
+	replay := func() (answers []answer, clusters map[int]bool, recall float64) {
+		lv, st := testStreamer(t)
+		clusters = make(map[int]bool)
+		var recallSum float64
+		gens := 0
+		publish := func() {
+			snap := st.Publish()
+			if !snap.Index().IVFReady() {
+				t.Fatalf("generation %d (%d items) published without its IVF layer", snap.Generation(), snap.NumItems())
+			}
+			clusters[snap.Index().IVFClusters()] = true
+			n := snap.NumItems()
+			if n == 0 {
+				return
+			}
+			hits, want := 0, 0
+			for i := 0; i < n; i += n/16 + 1 {
+				seed := []int32{snap.items[i]}
+				flat, err := snap.Similar(bg, seed, knn.Options{K: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ivf, err := snap.Similar(bg, seed, knn.Options{K: k, Index: knn.IndexIVF})
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers = append(answers, answer{snap.Generation(), ivf[0]})
+				in := make(map[int32]bool, len(flat[0]))
+				for _, r := range flat[0] {
+					in[r.ID] = true
+				}
+				want += len(flat[0])
+				for _, r := range ivf[0] {
+					if in[r.ID] {
+						hits++
+					}
+				}
+			}
+			if want > 0 {
+				recallSum += float64(hits) / float64(want)
+				gens++
+			}
+		}
+		publish() // nothing ingested: a 0-item generation
+		st.Ingest(corpus.Session{UserType: 0, Items: []int32{3}})
+		publish() // a 1-item generation
+		for g := 0; g < 24; g++ {
+			for i := 0; i < 15; i++ {
+				st.Ingest(lv.Next())
+			}
+			publish()
+		}
+		return answers, clusters, recallSum / float64(gens)
+	}
+	a, clusters, recall := replay()
+	b, _, _ := replay()
+	if len(clusters) < 3 {
+		t.Fatalf("cluster count took only %d values: vocabulary growth did not exercise a changing nlist", len(clusters))
+	}
+	if len(a) != len(b) {
+		t.Fatalf("replays answered %d and %d IVF queries", len(a), len(b))
+	}
+	for i := range a {
+		if len(a[i].rs) != len(b[i].rs) {
+			t.Fatalf("generation %d: replays differ in length", a[i].gen)
+		}
+		for j := range a[i].rs {
+			if a[i].rs[j] != b[i].rs[j] {
+				t.Fatalf("generation %d: IVF answers differ between replays: %+v vs %+v", a[i].gen, a[i].rs[j], b[i].rs[j])
+			}
+		}
+	}
+	t.Logf("IVF recall@%d against flat, mean over generations: %.3f (%d cluster counts)", k, recall, len(clusters))
+	if recall < 0.9 {
+		t.Errorf("IVF recall@%d = %.3f averaged over generations, want >= 0.9", k, recall)
+	}
+}

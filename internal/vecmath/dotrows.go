@@ -1,18 +1,20 @@
 // Retrieval scoring kernels: batch dot products of one query against a
 // block of contiguous matrix rows. This is the hot loop of the matching
-// stage — a top-k scan touches every item row — so unlike the training
-// kernels above it is allowed an arch-specific SIMD implementation, with a
-// pure-Go reference kept bit-compatible for every other platform.
+// stage — a top-k scan touches every item row — so it has an arch-specific
+// SIMD implementation, with a pure-Go reference kept bit-compatible for
+// every other platform.
 //
 // Both implementations follow one fixed accumulation schedule (the
 // "16-lane schedule"): lane j accumulates elements i ≡ j (mod 16), lanes
 // reduce as t[j] = ((s[j]+s[4+j])+s[8+j])+s[12+j] for j in 0..3, then
 // sum = ((t0+t1)+t2)+t3, then the tail (i >= dim&^15) is added
-// sequentially, mul-then-add per element with no FMA contraction. Because
-// the schedule is identical everywhere, DotRows is bit-identical to
-// DotRowsRef on every input and every platform — the property the sharded
-// retrieval engine's determinism guarantee rests on, and the one
-// TestDotRowsBitIdentical locks down.
+// sequentially, mul-then-add per element with no FMA contraction: the
+// reference writes every product as float32(a*b), the Go spec's fusion
+// barrier, because the compiler otherwise fuses s += a*b into one rounding
+// on arm64, ppc64le, s390x and riscv64. Because the schedule is identical
+// everywhere, DotRows is bit-identical to DotRowsRef on every input and
+// every platform — the property the sharded retrieval engine's determinism
+// guarantee rests on, and the one TestDotRowsBitIdentical locks down.
 package vecmath
 
 // DotRows computes dst[r] = <rows[r*dim : (r+1)*dim], q> for every r in
@@ -55,7 +57,8 @@ func DotRowsRef(dst, rows, q []float32) {
 }
 
 // dotSched16 is the 16-lane-schedule dot product (see the package-section
-// comment above for the exact order).
+// comment above for the exact order). The explicit float32 conversions
+// keep each product a separate rounding on FMA-fusing platforms.
 func dotSched16(a, b []float32) float32 {
 	var s [16]float32
 	i := 0
@@ -63,7 +66,7 @@ func dotSched16(a, b []float32) float32 {
 		aa := a[i : i+16 : i+16]
 		bb := b[i : i+16 : i+16]
 		for j := 0; j < 16; j++ {
-			s[j] += aa[j] * bb[j]
+			s[j] += float32(aa[j] * bb[j])
 		}
 	}
 	var t [4]float32
@@ -72,7 +75,7 @@ func dotSched16(a, b []float32) float32 {
 	}
 	sum := ((t[0] + t[1]) + t[2]) + t[3]
 	for ; i < len(a); i++ {
-		sum += a[i] * b[i]
+		sum += float32(a[i] * b[i])
 	}
 	return sum
 }

@@ -2,11 +2,13 @@
 
 package vecmath
 
-// The AVX kernel requires both the CPU flag and OS support for saving YMM
-// state (checked via XGETBV), probed once here; without them DotRows keeps
-// using the pure-Go reference.
+// The AVX kernels require both the CPU flag and OS support for saving YMM
+// state (checked via XGETBV), probed once here; without them DotRows and
+// PairStep keep using the pure-Go references.
+var useAVX = hasAVX()
+
 func init() {
-	if hasAVX() {
+	if useAVX {
 		dotRowsAsm = dotRowsAVX
 	}
 }

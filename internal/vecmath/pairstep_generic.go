@@ -1,0 +1,7 @@
+//go:build !amd64 || !gc || purego
+
+package vecmath
+
+func dot16(a, b []float32) float32 { return dotSched16(a, b) }
+
+func pairAxpy(g float32, v, c, grad []float32) { pairAxpyRef(g, v, c, grad) }

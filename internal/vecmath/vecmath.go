@@ -1,14 +1,22 @@
-// Package vecmath provides the float32 vector kernels at the heart of
-// skip-gram training: dot products, scaled accumulation (axpy), and cosine
-// similarity, plus the precomputed sigmoid lookup table word2vec-style
-// trainers rely on.
+// Package vecmath provides the float32 vector kernels of the repository:
+// the SGNS pair update every trainer runs (PairStep), the batch dot
+// product every retrieval scan runs (DotRows), int8 quantization, and the
+// small helpers around them (dot, axpy, cosine, the precomputed sigmoid
+// table word2vec-style trainers rely on).
 //
 // All embedding math in this repository is float32: at billion scale the
 // paper's engine is memory-bound, and float32 halves both footprint and
-// memory traffic versus float64 with no measurable loss for SGNS. Kernels
-// are manually 4-way unrolled, which the Go compiler turns into reasonable
-// scalar code; this is the portable, stdlib-only equivalent of the SIMD
-// loops a production engine would carry.
+// memory traffic versus float64 with no measurable loss for SGNS.
+//
+// The two hot kernels, PairStep and DotRows, each have an AVX
+// implementation on amd64 and a pure-Go reference (PairStepRef,
+// DotRowsRef) that is bit-identical to it on every input: one fixed
+// accumulation order, every product and sum rounded separately. The
+// reference is the specification the assembly is property-tested against
+// and what every other platform (and the purego build tag) runs, so models
+// and retrieval results do not depend on the machine. The helpers (Dot,
+// Axpy, ...) are plain 4-way unrolled Go and promise no particular
+// rounding order.
 package vecmath
 
 import "math"
