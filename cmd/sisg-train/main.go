@@ -354,6 +354,16 @@ func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p strea
 	log.Printf("streaming %s over %s: %d reserved items, vocab budget %d rows",
 		v.Name, cfg.Name, p.reserveItems, budget)
 
+	// The write path's own series, beside the server's on the same registry
+	// (-pprof-addr serves them with or without -serve). All set from the
+	// ingest goroutine, which owns the streamer.
+	var (
+		publishSeconds = reg.Histogram("stream_publish_seconds", "Duration of Streamer.Publish (snapshot copy and IVF build), spent on the ingest goroutine.", nil)
+		generation     = reg.Gauge("stream_generation", "Latest snapshot generation cut by the streamer.")
+		admittedRows   = reg.Gauge("stream_admitted_rows", "Embedding rows admitted to the live vocabulary.")
+		sessionsTotal  = reg.Counter("stream_sessions_total", "Sessions ingested by the streamer.")
+	)
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -373,6 +383,8 @@ func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p strea
 			return false
 		}
 		st.Ingest(lv.Next())
+		sessionsTotal.Inc()
+		admittedRows.Set(float64(st.Admitted()))
 		return true
 	}
 
@@ -388,14 +400,18 @@ func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p strea
 			return
 		}
 	}
-	logGen := func(snap model.Snapshot) {
-		log.Printf("generation %d: %d sessions, %d launched, vocab %d/%d rows, %d items servable, %d Eq.6-seeded, %d pairs",
+	publish := func() model.Snapshot {
+		start := time.Now()
+		snap := st.Publish()
+		took := time.Since(start)
+		publishSeconds.Observe(took.Seconds())
+		generation.Set(float64(snap.Generation()))
+		log.Printf("generation %d: %d sessions, %d launched, vocab %d/%d rows, %d items servable, %d Eq.6-seeded, %d pairs, published in %v",
 			snap.Generation(), st.Sessions(), len(lv.Launched()),
-			snap.VocabSize(), budget, snap.NumItems(), st.SeededItems(), st.Pairs())
+			snap.VocabSize(), budget, snap.NumItems(), st.SeededItems(), st.Pairs(), took.Round(100*time.Microsecond))
+		return snap
 	}
-	first := st.Publish()
-	holder := model.NewHolder(first)
-	logGen(first)
+	holder := model.NewHolder(publish())
 
 	var s *server.Server
 	var srv *http.Server
@@ -414,15 +430,11 @@ func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p strea
 			break
 		}
 		if st.Sessions()%uint64(p.publishEvery) == 0 {
-			snap := st.Publish()
-			holder.Publish(snap)
-			logGen(snap)
+			holder.Publish(publish())
 		}
 	}
 	if !interrupted && st.Sessions()%uint64(p.publishEvery) != 0 {
-		snap := st.Publish()
-		holder.Publish(snap)
-		logGen(snap)
+		holder.Publish(publish())
 	}
 	log.Printf("ingest window done: %d sessions, %d generations published",
 		st.Sessions(), holder.Generation())

@@ -12,15 +12,20 @@ package alias
 
 import (
 	"errors"
+	"slices"
 
 	"sisg/internal/rng"
 )
 
-// Table is an immutable alias table. It is safe for concurrent Sample calls
-// as long as each caller supplies its own RNG.
+// Table is an alias table. It is safe for concurrent Sample calls as long
+// as each caller supplies its own RNG and nobody calls Rebuild.
 type Table struct {
 	prob  []float64 // probability of keeping column i rather than its alias
 	alias []int32
+
+	// Build scratch, kept only by a table that is rebuilt in place.
+	scaled       []float64
+	small, large []int32
 }
 
 // ErrEmpty is returned when a table is built from no positive weights.
@@ -31,29 +36,46 @@ var ErrEmpty = errors.New("alias: no positive weights")
 // sampled. An error is returned if the weights sum to zero or any weight is
 // negative or NaN.
 func New(weights []float64) (*Table, error) {
+	t := new(Table)
+	if err := t.Rebuild(weights); err != nil {
+		return nil, err
+	}
+	t.scaled, t.small, t.large = nil, nil, nil // built once: no scratch to keep
+	return t, nil
+}
+
+// Rebuild replaces the table's distribution with the one New(weights)
+// would build — the same table, entry for entry — reusing the table's
+// storage, so a caller that re-derives its distribution periodically
+// allocates only when the outcome count outgrows it. On error the table is
+// unchanged. Not safe concurrently with Sample.
+func (t *Table) Rebuild(weights []float64) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
 	sum := 0.0
 	for _, w := range weights {
 		if w < 0 || w != w {
-			return nil, errors.New("alias: negative or NaN weight")
+			return errors.New("alias: negative or NaN weight")
 		}
 		sum += w
 	}
 	if sum == 0 {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
 
-	t := &Table{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-	}
+	// Grown like append grows: a table rebuilt as outcomes trickle in
+	// reallocates a logarithmic number of times, not every time. Every
+	// entry of prob and alias is written below, so stale contents are fine.
+	t.prob = slices.Grow(t.prob[:0], n)[:n]
+	t.alias = slices.Grow(t.alias[:0], n)[:n]
+	t.scaled = slices.Grow(t.scaled[:0], n)[:n]
+	t.small = slices.Grow(t.small[:0], n)
+	t.large = slices.Grow(t.large[:0], n)
 	// Scaled probabilities: p[i]*n, split into "small" (<1) and "large" (>=1).
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	// The two stacks never hold more than n indices between them.
+	scaled, small, large := t.scaled, t.small, t.large
 	scale := float64(n) / sum
 	for i, w := range weights {
 		scaled[i] = w * scale
@@ -86,7 +108,7 @@ func New(weights []float64) (*Table, error) {
 		t.prob[s] = 1
 		t.alias[s] = s
 	}
-	return t, nil
+	return nil
 }
 
 // Sample draws one index distributed according to the table's weights.

@@ -132,3 +132,49 @@ func TestMemoryBytes(t *testing.T) {
 		t.Fatalf("N = %d", tab.N())
 	}
 }
+
+// A table rebuilt in place, through growing, shrinking and repeated
+// distributions, is the table New builds from the same weights, entry for
+// entry; and a Rebuild that fails leaves the table as it was.
+func TestRebuildEqualsNew(t *testing.T) {
+	r := rng.New(9)
+	tab := new(Table)
+	for _, n := range []int{1, 5, 300, 301, 4096, 17, 4097} {
+		weights := make([]float64, n)
+		for i := range weights {
+			if r.Intn(4) > 0 {
+				weights[i] = math.Pow(float64(1+r.Intn(1000)), 0.75)
+			}
+		}
+		weights[r.Intn(n)] = 1
+		if err := tab.Rebuild(weights); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.N() != fresh.N() {
+			t.Fatalf("n=%d: rebuilt table has %d outcomes, want %d", n, tab.N(), fresh.N())
+		}
+		for i := range fresh.prob {
+			if tab.prob[i] != fresh.prob[i] || tab.alias[i] != fresh.alias[i] {
+				t.Fatalf("n=%d entry %d: rebuilt (%v, %d), New (%v, %d)", n, i, tab.prob[i], tab.alias[i], fresh.prob[i], fresh.alias[i])
+			}
+		}
+	}
+	before := append([]float64(nil), tab.prob...)
+	for _, bad := range [][]float64{nil, {0, 0}, {1, -1}, {1, math.NaN()}} {
+		if err := tab.Rebuild(bad); err == nil {
+			t.Errorf("Rebuild(%v): want error", bad)
+		}
+	}
+	if tab.N() != len(before) {
+		t.Fatalf("failed Rebuild changed the outcome count to %d", tab.N())
+	}
+	for i := range before {
+		if tab.prob[i] != before[i] {
+			t.Fatal("failed Rebuild changed the table")
+		}
+	}
+}

@@ -31,6 +31,7 @@ type worker struct {
 
 	grad []float32
 	kept []int32
+	negs []int32 // the current pair's negative samples
 
 	lr float32
 
@@ -101,6 +102,7 @@ func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
 		e: e, id: int32(id), r: r, opt: &e.opt,
 		grad: make([]float32, e.opt.Dim),
 		kept: make([]int32, 0, 128),
+		negs: make([]int32, e.opt.Negatives),
 		lr:   e.opt.LR,
 		srng: rng.New(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1))),
 		frng: rng.New(e.opt.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
@@ -550,8 +552,16 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 	if !vecmath.PairStep(vin, e.rowOut(w, ctx), grad, 1, lr) || w.noise == nil {
 		return grad
 	}
-	for n := 0; n < w.opt.Negatives; n++ {
+	// Draw every negative and prefetch its row before stepping through
+	// them in draw order, so the rows' cache misses overlap. Drawn after
+	// the positive step, not before it as the local trainers do: a skipped
+	// pair must keep consuming no draws.
+	for n := range w.negs {
 		t := w.noiseTokens[w.noise.Sample(r)]
+		w.negs[n] = t
+		vecmath.Prefetch(e.rowOut(w, t))
+	}
+	for _, t := range w.negs {
 		if t == ctx {
 			continue
 		}

@@ -198,6 +198,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 				m: m, opt: &opt, r: r, noise: noise,
 				h:    make([]float32, opt.Dim),
 				dh:   make([]float32, opt.Dim),
+				negs: make([]int32, opt.Negatives),
 				alph: make([]float32, 1+corpus.NumSIColumns),
 			}
 			for ep := 0; ep < opt.Epochs; ep++ {
@@ -233,6 +234,7 @@ type trainerState struct {
 	noise *alias.Table
 	h     []float32 // aggregated input embedding H_i
 	dh    []float32 // gradient w.r.t. H_i
+	negs  []int32   // the current pair's negative samples
 	alph  []float32 // softmax attention weights
 	lr    float32
 	pairs uint64
@@ -284,13 +286,18 @@ func (st *trainerState) trainWalk(walk []int32) {
 // trainPair applies one EGES update for (target item i, context item c).
 func (st *trainerState) trainPair(item, ctx int32) {
 	m := st.m
-	opt := st.opt
 	st.aggregate(item)
 	vecmath.Zero(st.dh)
 
-	vecmath.PairStep(st.h, m.Out.Row(ctx), st.dh, 1, st.lr)
-	for n := 0; n < opt.Negatives; n++ {
+	// Negatives are drawn and prefetched before any step, then stepped in
+	// draw order (see sgns's trainPair): same draws, same model.
+	for n := range st.negs {
 		t := int32(st.noise.Sample(st.r))
+		st.negs[n] = t
+		vecmath.Prefetch(m.Out.Row(t))
+	}
+	vecmath.PairStep(st.h, m.Out.Row(ctx), st.dh, 1, st.lr)
+	for _, t := range st.negs {
 		if t == ctx {
 			continue
 		}

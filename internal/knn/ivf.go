@@ -10,12 +10,13 @@
 //
 // Determinism: the build is a pure function of the matrix and, for a
 // warm start (BuildIVF), the centroids it was handed — centroids seed from
-// evenly spaced rows (no RNG), Lloyd iterations assign ties to the lowest
-// centroid id, and posting lists are ascending row ids — and the query
-// path selects under the total order, so IVF results are reproducible
-// across runs, platforms, and Parallelism settings. The degenerate case
-// NProbe >= nlist enumerates every row and is bit-identical to the flat
-// scan (locked down by TestIVFExhaustiveBitIdenticalToFlat).
+// evenly spaced rows (no RNG), assignment sends ties to the lowest centroid
+// id, centroid means add rows in ascending order, and posting lists are
+// ascending row ids — and the query path selects under the total order, so
+// IVF results are reproducible across runs, platforms, and Parallelism
+// settings. The degenerate case NProbe >= nlist enumerates every row and
+// is bit-identical to the flat scan (locked down by
+// TestIVFExhaustiveBitIdenticalToFlat).
 package knn
 
 import (
@@ -32,13 +33,8 @@ import (
 const (
 	// kmeansIters bounds the Lloyd iterations of a cold build of the
 	// coarse quantizer. Convergence beyond ~10 iterations moves recall by
-	// noise only.
+	// noise only. A warm build runs none: see buildIVF.
 	kmeansIters = 10
-	// warmKmeansIters is the budget of a build seeded with the centroids
-	// of the previous generation of the same matrix: the rows moved by one
-	// publish interval of SGD, so the old centroids are already near a
-	// fixed point and two iterations re-centre them.
-	warmKmeansIters = 2
 	// rerankFactor and rerankMin size the exact-re-rank shortlist the
 	// quantized pre-screen keeps: max(rerankFactor*K, rerankMin)
 	// candidates survive to float32 scoring.
@@ -71,14 +67,16 @@ func (ix *Index) ivfLayer() *ivfIndex {
 // under the first IVF query — what a publisher calls before handing the
 // index to readers, so no request ever waits behind a k-means. warm, when
 // it holds the centroids of an index over an earlier state of the same
-// rows (IVFCentroids of the previous generation, same Dim), seeds the
-// build, which then runs warmKmeansIters Lloyd iterations instead of a
-// cold kmeansIters. The cluster count may have moved with the row count:
-// surplus seed centroids are dropped and missing ones are seeded from rows
-// as in a cold build. A warm that is empty or not whole centroids is
-// ignored, and a seeded build that leaves a cluster without rows is
-// discarded for a cold one. The result is a pure function of the matrix
-// and warm. A no-op once the layer exists.
+// rows (IVFCentroids of the previous generation, same Dim), replaces the
+// cold build's kmeansIters Lloyd iterations with a single pass over the
+// rows: every row is assigned once, against warm, and the means of the
+// resulting lists become this layer's centroids — one Lloyd step per
+// generation, carried from generation to generation. The cluster count may
+// have moved with the row count: surplus seed centroids are dropped and
+// missing ones are seeded from rows as in a cold build. A warm that is
+// empty or not whole centroids is ignored, and a seeded build that leaves
+// a cluster without rows is discarded for a cold one. The result is a pure
+// function of the matrix and warm. A no-op once the layer exists.
 func (ix *Index) BuildIVF(warm []float32) {
 	ix.ivfOnce.Do(func() { ix.ivf.Store(buildIVF(ix, warm)) })
 }
@@ -131,99 +129,140 @@ func defaultNProbe(nlist int) int {
 	return np
 }
 
-// buildIVF runs the deterministic k-means and quantization pass over the
-// indexed rows, cold or seeded with warm (see BuildIVF). Assignment is
-// parallel over row blocks (pure per-row work, so parallelism cannot
-// change the result); centroid updates are serial in ascending row order.
+// buildIVF clusters and quantizes the indexed rows, cold or seeded with
+// warm (see BuildIVF).
+//
+// Cold, it runs kmeansIters Lloyd iterations from evenly spaced rows and
+// one last assignment against the final centroids. Warm, that last
+// assignment — against the seed — is the only pass over the rows: the
+// posting lists are the seed's Voronoi cells, and their means are both
+// this layer's centroids and the next generation's seed. A probe ranks
+// lists by means one step ahead of the cells they describe, which costs no
+// correctness (every row is in exactly one list, so an exhaustive probe is
+// the flat scan) and, on rows that moved by one publish interval of SGD,
+// no measurable recall.
+//
+// Every pass over the rows that scores them against the centroids is
+// parallel over row blocks and per-row pure, so parallelism cannot change
+// a result; the last one also quantizes each row it assigns. Sums are
+// serial, in ascending row order.
 func buildIVF(ix *Index, warm []float32) *ivfIndex {
 	rows, dim := ix.rows, ix.mat.Dim
 	data := ix.mat.Data()
 	nlist := ivfClusters(rows)
-	iv := &ivfIndex{nlist: nlist, dim: dim, centroids: make([]float32, nlist*dim)}
+	iv := &ivfIndex{
+		nlist: nlist, dim: dim,
+		centroids: make([]float32, nlist*dim),
+		lists:     make([][]int32, nlist),
+		codes:     make([]int8, rows*dim),
+		scales:    make([]float32, rows),
+	}
 
 	// Seed centroids from the warm start as far as it reaches, and the
 	// rest (all of them, cold) from evenly spaced rows: deterministic, and
 	// spread across the id range (embedding rows carry no id-order
 	// structure worth stratifying on, but every seed is a real data point).
-	iters, seeded := kmeansIters, 0
+	seeded := 0
 	if dim > 0 && len(warm)%dim == 0 {
 		seeded = min(len(warm)/dim, nlist)
 		copy(iv.centroids, warm[:seeded*dim])
-	}
-	if seeded > 0 {
-		iters = warmKmeansIters
 	}
 	for c := seeded; c < nlist; c++ {
 		src := (c * rows) / nlist
 		copy(iv.centroids[c*dim:(c+1)*dim], data[src*dim:(src+1)*dim])
 	}
 
+	// A cold build takes every CPU: it happens once and somebody is waiting
+	// for it. A warm build happens at every publish, in the process that
+	// serves reads, and leaves one CPU out of its pool: with all of them
+	// taken no idle P polls the network, and a request that arrives
+	// mid-pass waits for the scheduler's 10 ms preemption tick (measured on
+	// 2 CPUs beside 300 reads/s: p99 12 → 22 ms with both taken, 6 ms with
+	// one left, at the same ingest rate).
+	workers := runtime.GOMAXPROCS(0)
+	if seeded > 0 {
+		workers--
+	}
+
 	assign := make([]int32, rows)
-	halfNorm := make([]float32, nlist)
-	sums := make([]float32, nlist*dim)
-	counts := make([]int32, nlist)
-	for iter := 0; iter <= iters; iter++ {
-		iv.assignRows(assign, halfNorm, data, rows)
-		if iter == iters {
-			break // final assignment pass matches the final centroids
-		}
-		vecmath.Zero(sums)
-		for c := range counts {
-			counts[c] = 0
-		}
-		for r := 0; r < rows; r++ {
-			c := assign[r]
-			vecmath.Add(data[r*dim:(r+1)*dim], sums[int(c)*dim:(int(c)+1)*dim])
-			counts[c]++
-		}
-		for c := 0; c < nlist; c++ {
-			if counts[c] == 0 {
-				continue // empty cluster keeps its centroid (and an empty list)
-			}
-			cen := iv.centroids[c*dim : (c+1)*dim]
-			copy(cen, sums[c*dim:(c+1)*dim])
-			vecmath.Scale(1/float32(counts[c]), cen)
+	if seeded == 0 {
+		for iter := 0; iter < kmeansIters; iter++ {
+			iv.assignRows(assign, data, rows, workers, false)
+			iv.recentre(assign, data)
 		}
 	}
-
-	iv.lists = make([][]int32, nlist)
-	for r := 0; r < rows; r++ {
-		c := assign[r]
-		iv.lists[c] = append(iv.lists[c], int32(r)) // ascending by construction
-	}
-	for _, l := range iv.lists {
-		if len(l) > 0 {
-			iv.nonEmpty++
+	iv.assignRows(assign, data, rows, workers, true)
+	iv.carveLists(assign)
+	if seeded > 0 {
+		if iv.nonEmpty < nlist {
+			// A cluster died under the seed: it was stale (rows whose norms
+			// grew since the seed was cut all prefer its largest centroids),
+			// and a dead centroid never revives, so the imbalance would
+			// ratchet from generation to generation and waste probes. Start
+			// over cold.
+			return buildIVF(ix, nil)
 		}
-	}
-	if seeded > 0 && iv.nonEmpty < nlist {
-		// A cluster died under the seed: it was stale (rows whose norms
-		// grew since the seed was cut all prefer its largest centroids),
-		// and a dead centroid never revives, so the imbalance would ratchet
-		// from generation to generation and waste probes. Start over cold.
-		return buildIVF(ix, nil)
-	}
-
-	iv.codes = make([]int8, rows*dim)
-	iv.scales = make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		iv.scales[r] = vecmath.QuantizeRow(iv.codes[r*dim:(r+1)*dim], data[r*dim:(r+1)*dim])
+		iv.recentre(assign, data)
 	}
 	return iv
 }
 
+// carveLists turns a row→centroid assignment into the posting lists, all
+// carved from one backing array: ascending row ids by construction.
+func (iv *ivfIndex) carveLists(assign []int32) {
+	counts := make([]int, iv.nlist)
+	for _, c := range assign {
+		counts[c]++
+	}
+	backing := make([]int32, len(assign))
+	iv.nonEmpty = 0
+	for c, n := range counts {
+		iv.lists[c] = backing[:0:n]
+		backing = backing[n:]
+		if n > 0 {
+			iv.nonEmpty++
+		}
+	}
+	for r, c := range assign {
+		iv.lists[c] = append(iv.lists[c], int32(r))
+	}
+}
+
+// recentre moves every centroid to the float32 mean of the rows assigned
+// to it: the rows added in ascending order, then scaled by 1/count. A
+// centroid with no rows stays where it is.
+func (iv *ivfIndex) recentre(assign []int32, data []float32) {
+	dim := iv.dim
+	sums := make([]float32, iv.nlist*dim)
+	counts := make([]int32, iv.nlist)
+	for r, c := range assign {
+		vecmath.Add(data[r*dim:(r+1)*dim], sums[int(c)*dim:(int(c)+1)*dim])
+		counts[c]++
+	}
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		cen := iv.centroids[c*dim : (c+1)*dim]
+		copy(cen, sums[c*dim:(c+1)*dim])
+		vecmath.Scale(1/float32(n), cen)
+	}
+}
+
 // assignRows computes, for every row, the nearest centroid by Euclidean
 // distance (argmax of c·x − ||c||²/2; ties to the lowest centroid id),
-// fanning row blocks across a bounded worker pool.
-func (iv *ivfIndex) assignRows(assign []int32, halfNorm []float32, data []float32, rows int) {
+// fanning row blocks across at most workers goroutines (at least one). With
+// quantize set it also writes each row's int8 code and scale while the row
+// is in cache.
+func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int, quantize bool) {
 	dim := iv.dim
+	halfNorm := make([]float32, iv.nlist)
 	for c := 0; c < iv.nlist; c++ {
 		cen := iv.centroids[c*dim : (c+1)*dim]
 		halfNorm[c] = vecmath.Dot(cen, cen) / 2
 	}
 	const block = 256
 	blocks := (rows + block - 1) / block
-	workers := runtime.GOMAXPROCS(0)
 	if workers > blocks {
 		workers = blocks
 	}
@@ -249,7 +288,8 @@ func (iv *ivfIndex) assignRows(assign []int32, halfNorm []float32, data []float3
 					hi = rows
 				}
 				for r := lo; r < hi; r++ {
-					vecmath.DotRows(scores, iv.centroids, data[r*dim:(r+1)*dim])
+					row := data[r*dim : (r+1)*dim]
+					vecmath.DotRows(scores, iv.centroids, row)
 					best, bestScore := int32(0), scores[0]-halfNorm[0]
 					for c := 1; c < iv.nlist; c++ {
 						if s := scores[c] - halfNorm[c]; s > bestScore {
@@ -257,6 +297,9 @@ func (iv *ivfIndex) assignRows(assign []int32, halfNorm []float32, data []float3
 						}
 					}
 					assign[r] = best
+					if quantize {
+						iv.scales[r] = vecmath.QuantizeRow(iv.codes[r*dim:(r+1)*dim], row)
+					}
 				}
 			}
 		}()

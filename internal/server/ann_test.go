@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sisg/internal/corpus"
+	"sisg/internal/race"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
 )
@@ -85,6 +86,7 @@ func TestANNServesAndCacheStaysExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := sgns.Defaults()
+	opt.Workers = race.Workers(0)
 	opt.Epochs = 1
 	m, err := sisg.Train(ds.Dict, ds.Sessions, sisg.VariantSISGFUD, opt)
 	if err != nil {

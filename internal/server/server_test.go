@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sisg/internal/corpus"
+	"sisg/internal/race"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
 )
@@ -26,6 +27,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	ds := testDataset(t)
 	opt := sgns.Defaults()
+	opt.Workers = race.Workers(0)
 	opt.Epochs = 1
 	m, err := sisg.Train(ds.Dict, ds.Sessions, sisg.VariantSISGFUD, opt)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sisg/internal/checkpoint"
+	"sisg/internal/race"
 	"sisg/internal/rng"
 	"sisg/internal/vocab"
 )
@@ -35,7 +36,7 @@ func ckptOptions(workers int) Options {
 	opt := Defaults()
 	opt.Dim = 8
 	opt.Epochs = 3
-	opt.Workers = workers
+	opt.Workers = race.Workers(workers)
 	opt.Seed = 5
 	return opt
 }

@@ -71,10 +71,30 @@ func TestProgressReporter(t *testing.T) {
 		t.Fatalf("run half done (500/%d tokens) but ETA = %v", total, last.ETA)
 	}
 
-	// A mid-run snapshot over a moving counter must show positive rates.
-	moving := got[len(got)-2]
-	if moving.PairsPerSec <= 0 || moving.TokensPerSec <= 0 {
-		t.Fatalf("mid-run rates not positive: %+v", moving)
+	// A rate is averaged since the previous report: every mid-run snapshot
+	// whose counter moved since the one before must show a positive rate,
+	// one whose counter stood still (a tick landing between two increments)
+	// exactly zero, and a 50 ms run at this cadence must have seen both
+	// counters move. The first snapshot is left out: its baseline is
+	// whatever the reporter goroutine read when it started.
+	pairsMoved, tokensMoved := 0, 0
+	for i := 1; i < len(got)-1; i++ {
+		prev, p := got[i-1], got[i]
+		if (p.Pairs > prev.Pairs) != (p.PairsPerSec > 0) {
+			t.Fatalf("snapshot %d: pairs %d → %d but PairsPerSec = %v", i, prev.Pairs, p.Pairs, p.PairsPerSec)
+		}
+		if (p.Tokens > prev.Tokens) != (p.TokensPerSec > 0) {
+			t.Fatalf("snapshot %d: tokens %d → %d but TokensPerSec = %v", i, prev.Tokens, p.Tokens, p.TokensPerSec)
+		}
+		if p.Pairs > prev.Pairs {
+			pairsMoved++
+		}
+		if p.Tokens > prev.Tokens {
+			tokensMoved++
+		}
+	}
+	if pairsMoved == 0 || tokensMoved == 0 {
+		t.Fatalf("no mid-run snapshot saw the counters move: %+v", got)
 	}
 }
 

@@ -251,6 +251,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 			model: model, noise: noise, keep: keep, opt: &opt, r: master.Split(),
 			grad: make([]float32, opt.Dim),
 			kept: make([]int32, 0, 64),
+			negs: make([]int32, opt.Negatives),
 		}
 	}
 
@@ -459,6 +460,7 @@ type workerState struct {
 	r       *rng.RNG
 	grad    []float32
 	kept    []int32
+	negs    []int32 // the current pair's negative samples
 	pairs   uint64
 	updates uint64
 	lr      float32
@@ -513,20 +515,30 @@ func (ws *workerState) trainSequence(seq []int32, doneTokens *atomic.Uint64, tot
 // trainPair applies one SGNS update: the positive (target, context) pair
 // plus Negatives samples from the noise distribution. Gradients w.r.t. the
 // input vector are accumulated and applied once, per the original word2vec.
+//
+// The negatives are drawn first and their output rows prefetched, so the
+// cache misses of rows scattered over the whole matrix overlap with each
+// other and with the positive step instead of stalling one PairStep each.
+// Nothing else draws from ws.r in between and the steps run in draw order,
+// so the model is the one the draw-then-step loop produced, bit for bit.
 func (ws *workerState) trainPair(target, ctx int32) {
 	m := ws.model
-	opt := ws.opt
 	v := m.In.Row(target)
 	grad := ws.grad
 	vecmath.Zero(grad)
+
+	for n := range ws.negs {
+		t := int32(ws.noise.Sample(ws.r))
+		ws.negs[n] = t
+		vecmath.Prefetch(m.Out.Row(t))
+	}
 
 	// Positive sample: label 1.
 	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, ws.lr)
 
 	// Negative samples: label 0. A draw equal to the true context is
 	// rejected, as in word2vec.
-	for n := 0; n < opt.Negatives; n++ {
-		t := int32(ws.noise.Sample(ws.r))
+	for _, t := range ws.negs {
 		if t == ctx {
 			continue
 		}
@@ -534,5 +546,5 @@ func (ws *workerState) trainPair(target, ctx int32) {
 	}
 	vecmath.Add(grad, v)
 	ws.pairs++
-	ws.updates += uint64(1 + opt.Negatives)
+	ws.updates += uint64(1 + len(ws.negs))
 }

@@ -3,6 +3,7 @@ package sgns
 import (
 	"testing"
 
+	"sisg/internal/race"
 	"sisg/internal/rng"
 	"sisg/internal/vocab"
 )
@@ -228,12 +229,12 @@ func TestDecayLR(t *testing.T) {
 func TestParallelWorkersProduceReasonableModel(t *testing.T) {
 	d, seqs := clusterCorpus(10, 600, 11)
 	o := testOptions()
-	o.Workers = 4
+	o.Workers = race.Workers(4)
 	m, st, err := Train(d, seqs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WorkersUsed != 4 {
+	if st.WorkersUsed != o.Workers {
 		t.Fatalf("workers used %d", st.WorkersUsed)
 	}
 	var within, across float64

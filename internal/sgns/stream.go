@@ -96,9 +96,11 @@ type Live struct {
 	r    *rng.RNG
 	grad []float32
 	kept []int32
+	negs []int32 // the current pair's negative samples
 
-	noise        *alias.Table // over rows [0, noiseRows)
-	noiseRows    int
+	noise        alias.Table // rebuilt in place; no outcomes (N() == 0) until the first successful rebuild
+	noiseW       []float64   // count^NoiseAlpha per row, as of noiseAt
+	noiseAt      []uint64    // the count noiseW was computed from
 	sinceRebuild uint64
 
 	pairs, updates uint64
@@ -120,11 +122,14 @@ func NewLive(opt LiveOptions) (*Live, error) {
 			In:  emb.NewMatrix(opt.Capacity, opt.Dim),
 			Out: emb.NewMatrix(opt.Capacity, opt.Dim),
 		},
-		kinds:  make([]vocab.Kind, 0, opt.Capacity),
-		counts: make([]uint64, 0, opt.Capacity),
-		r:      rng.New(opt.Seed),
-		grad:   make([]float32, opt.Dim),
-		kept:   make([]int32, 0, 64),
+		kinds:   make([]vocab.Kind, 0, opt.Capacity),
+		counts:  make([]uint64, 0, opt.Capacity),
+		noiseW:  make([]float64, 0, opt.Capacity),
+		noiseAt: make([]uint64, 0, opt.Capacity),
+		r:       rng.New(opt.Seed),
+		grad:    make([]float32, opt.Dim),
+		kept:    make([]int32, 0, 64),
+		negs:    make([]int32, opt.Negatives),
 	}, nil
 }
 
@@ -167,7 +172,7 @@ func (l *Live) TrainSequence(seq []int32) {
 	}
 	l.total += uint64(len(seq))
 	l.sinceRebuild += uint64(len(seq))
-	if l.noise == nil || l.sinceRebuild >= opt.RebuildEvery {
+	if l.noise.N() == 0 || l.sinceRebuild >= opt.RebuildEvery {
 		l.rebuildNoise()
 	}
 
@@ -228,28 +233,32 @@ func (l *Live) keepProb(row int32) float32 {
 	return float32(keep)
 }
 
+// rebuildNoise re-derives the negative-sampling table from the live counts.
+// It runs every RebuildEvery tokens against every live row, so it keeps its
+// weights between calls — count^α is recomputed only for a row whose count
+// moved — and rebuilds the table in its own storage. The table is the one
+// alias.New(count^α over all live rows) builds, bit for bit.
 func (l *Live) rebuildNoise() {
 	l.sinceRebuild = 0
-	if l.rows == 0 {
-		return
-	}
-	w := make([]float64, l.rows)
-	for i := 0; i < l.rows; i++ {
-		if c := l.counts[i]; c > 0 {
-			w[i] = math.Pow(float64(c), l.opt.NoiseAlpha)
+	// Capacity-sized and zeroed at NewLive: a row admitted since the last
+	// rebuild enters at count 0, weight 0.
+	l.noiseW, l.noiseAt = l.noiseW[:l.rows], l.noiseAt[:l.rows]
+	for i, c := range l.counts {
+		if c != l.noiseAt[i] {
+			l.noiseW[i] = math.Pow(float64(c), l.opt.NoiseAlpha)
+			l.noiseAt[i] = c
 		}
 	}
-	t, err := alias.New(w)
-	if err != nil {
-		// All-zero counts (rows admitted, nothing consumed yet): keep the
-		// previous table, or none — trainPair tolerates a nil table by
-		// skipping negatives.
-		return
-	}
-	l.noise = t
-	l.noiseRows = l.rows
+	// Rebuild fails only on all-zero counts (rows admitted, nothing
+	// consumed yet) and then leaves the table alone: the previous
+	// distribution stands, or none — trainPair then skips negatives.
+	_ = l.noise.Rebuild(l.noiseW)
 }
 
+// trainPair is the batch trainer's pair update (see workerState.trainPair
+// for why the negatives are drawn and prefetched before any step) at the
+// constant streaming learning rate. Before the first noise table exists a
+// pair trains its positive term only.
 func (l *Live) trainPair(target, ctx int32) {
 	opt := &l.opt
 	m := l.model
@@ -257,15 +266,21 @@ func (l *Live) trainPair(target, ctx int32) {
 	grad := l.grad
 	vecmath.Zero(grad)
 
+	negs := l.negs
+	if l.noise.N() == 0 {
+		negs = nil
+	}
+	for n := range negs {
+		t := int32(l.noise.Sample(l.r))
+		negs[n] = t
+		vecmath.Prefetch(m.Out.Row(t))
+	}
 	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, opt.LR)
-	if l.noise != nil {
-		for n := 0; n < opt.Negatives; n++ {
-			t := int32(l.noise.Sample(l.r))
-			if t == ctx {
-				continue
-			}
-			vecmath.PairStep(v, m.Out.Row(t), grad, 0, opt.LR)
+	for _, t := range negs {
+		if t == ctx {
+			continue
 		}
+		vecmath.PairStep(v, m.Out.Row(t), grad, 0, opt.LR)
 	}
 	vecmath.Add(grad, v)
 	l.pairs++

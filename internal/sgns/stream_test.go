@@ -3,6 +3,7 @@ package sgns
 import (
 	"testing"
 
+	"sisg/internal/rng"
 	"sisg/internal/vocab"
 )
 
@@ -122,4 +123,41 @@ func TestLiveCapacityPanics(t *testing.T) {
 		}
 	}()
 	l.AddRow(vocab.KindItem)
+}
+
+// BenchmarkLiveTrainSequence is the ingest half of a streaming round at
+// the repository benchmark's scale: 24k live rows of dim 64, 45-token
+// directed sequences with the SI stride, rows drawn with a popularity
+// skew. One iteration is one sequence.
+func BenchmarkLiveTrainSequence(b *testing.B) {
+	const rows, seqLen = 24000, 45
+	opt := LiveDefaults(rows)
+	opt.Dim = 64
+	opt.Stride = 9
+	opt.Window = 5 * opt.Stride
+	opt.Directed = true
+	l, err := NewLive(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		l.AddRow(vocab.KindItem)
+	}
+	r := rng.New(7)
+	seqs := make([][]int32, 512)
+	for i := range seqs {
+		seqs[i] = make([]int32, seqLen)
+		for j := range seqs[i] {
+			seqs[i][j] = int32(r.Intn(1 + r.Intn(rows)))
+		}
+	}
+	for _, s := range seqs { // first noise table, counts on every row class
+		l.TrainSequence(s)
+	}
+	pairs0 := l.Pairs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.TrainSequence(seqs[i%len(seqs)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(l.Pairs()-pairs0), "ns/pair")
 }

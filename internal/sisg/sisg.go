@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sisg/internal/corpus"
 	"sisg/internal/emb"
@@ -104,8 +106,30 @@ type Model struct {
 	Emb     *emb.Model
 	Stats   sgns.Stats
 
-	itemIndex *knn.Index // lazily built retrieval index over item rows
-	userIndex *knn.Index // lazily built user→item index (directed models)
+	itemIndex lazyIndex // retrieval index over item rows
+	userIndex lazyIndex // user→item index (directed models)
+}
+
+// lazyIndex is a knn.Index built on first use and safe for concurrent first
+// use: evaluation and experiment drivers fan queries out over a model
+// nobody has queried yet.
+type lazyIndex struct {
+	mu sync.Mutex // serialises the build
+	p  atomic.Pointer[knn.Index]
+}
+
+func (l *lazyIndex) get(build func() *knn.Index) *knn.Index {
+	if ix := l.p.Load(); ix != nil {
+		return ix
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ix := l.p.Load()
+	if ix == nil {
+		ix = build()
+		l.p.Store(ix)
+	}
+	return ix
 }
 
 // TrainOptions adapts sgns.Options for a variant: SI-enhanced sequences are
@@ -144,14 +168,20 @@ func Train(d *corpus.Dict, sessions []corpus.Session, v Variant, base sgns.Optio
 // variant's scoring rule: directed models search raw dot products against
 // OUTPUT vectors; symmetric models search cosine against INPUT vectors.
 func (m *Model) ItemIndex() *knn.Index {
-	if m.itemIndex == nil {
+	return m.itemIndex.get(func() *knn.Index {
 		if m.Variant.Directed {
-			m.itemIndex = knn.NewIndex(m.Emb.Out, m.Dict.NumItems, false)
-		} else {
-			m.itemIndex = knn.NewIndex(m.Emb.In, m.Dict.NumItems, true)
+			return knn.NewIndex(m.Emb.Out, m.Dict.NumItems, false)
 		}
-	}
-	return m.itemIndex
+		return knn.NewIndex(m.Emb.In, m.Dict.NumItems, true)
+	})
+}
+
+// coldUserIndex returns (building on first use) the directed models'
+// user→item index: item INPUT vectors under raw dot product.
+func (m *Model) coldUserIndex() *knn.Index {
+	return m.userIndex.get(func() *knn.Index {
+		return knn.NewIndex(m.Emb.In, m.Dict.NumItems, false)
+	})
 }
 
 // QueryVector returns the vector to search with for item `query` under the
@@ -255,10 +285,8 @@ func (m *Model) ColdStartItemVector(si [corpus.NumSIColumns]vocab.ID) []float32 
 // means rather than raw sums so seeded rows live on the same scale as
 // trained rows inside the shared retrieval index. Call before ItemIndex.
 func (m *Model) SeedColdItems(ids []int32) {
-	if m.itemIndex != nil {
-		// The index may hold a normalized copy; force a rebuild.
-		m.itemIndex = nil
-	}
+	// The index may hold a normalized copy; force a rebuild.
+	m.itemIndex.p.Store(nil)
 	cold := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		cold[id] = true
@@ -387,10 +415,7 @@ func (m *Model) RecommendForColdUser(ctx context.Context, types []int32, k int) 
 		return nil, err
 	}
 	if m.Variant.Directed {
-		if m.userIndex == nil {
-			m.userIndex = knn.NewIndex(m.Emb.In, m.Dict.NumItems, false)
-		}
-		return m.userIndex.Query(ctx, qv, knn.Options{K: k})
+		return m.coldUserIndex().Query(ctx, qv, knn.Options{K: k})
 	}
 	return m.ItemIndex().Query(ctx, qv, knn.Options{K: k, Normalize: true})
 }

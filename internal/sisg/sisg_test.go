@@ -7,6 +7,7 @@ import (
 
 	"sisg/internal/corpus"
 	"sisg/internal/knn"
+	"sisg/internal/race"
 	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 )
@@ -18,6 +19,7 @@ func tinyModel(t *testing.T, v Variant) (*corpus.Dataset, *Model) {
 		t.Fatal(err)
 	}
 	opt := sgns.Defaults()
+	opt.Workers = race.Workers(0)
 	opt.Epochs = 2
 	opt.Dim = 16
 	m, err := Train(ds.Dict, ds.Sessions, v, opt)
@@ -248,6 +250,7 @@ func TestSeedColdItemsCalibration(t *testing.T) {
 	cold := ds.HoldoutItems(0.15)
 	train := corpus.FilterSessions(ds.Sessions, cold)
 	opt := sgns.Defaults()
+	opt.Workers = race.Workers(0)
 	opt.Dim = 16
 	m, err := Train(ds.Dict, train, VariantSISGFUD, opt)
 	if err != nil {

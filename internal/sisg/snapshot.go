@@ -26,8 +26,7 @@ var _ model.Snapshot = (*ModelSnapshot)(nil)
 func NewModelSnapshot(m *Model, gen uint64) *ModelSnapshot {
 	m.ItemIndex()
 	if m.Variant.Directed {
-		// RecommendForColdUser builds this lazily otherwise.
-		m.userIndex = knn.NewIndex(m.Emb.In, m.Dict.NumItems, false)
+		m.coldUserIndex()
 	}
 	return &ModelSnapshot{m: m, gen: gen, at: time.Now()}
 }

@@ -3,6 +3,7 @@ package sisg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sisg/internal/corpus"
@@ -46,7 +47,17 @@ type Streamer struct {
 	// generation, the warm start of the next one's build.
 	centroids []float32
 
-	seq []int32 // scratch row sequence
+	// Where Publish finds every admitted token, kept at admission (admission
+	// order is row order) and append-only, so that a publish rebuilds
+	// nothing. A token's class is item or side (SI and user types); its
+	// compact row counts admissions of its class.
+	slot     []int32 // universe token id -> compact row within its class, -1 until admitted
+	items    []int32 // compact item row -> catalog item id
+	itemRows []int32 // compact item row -> live row
+	sideRows []int32 // compact side row -> live row
+
+	seq             []int32   // scratch row sequence
+	seedIn, seedOut []float32 // scratch Eq. 6 sums
 }
 
 // NewStreamer builds a streaming trainer over the universe dictionary
@@ -69,7 +80,16 @@ func NewStreamer(dict *corpus.Dict, cfg StreamConfig) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Streamer{dict: dict, v: cfg.Variant, adm: adm, live: live}, nil
+	st := &Streamer{
+		dict: dict, v: cfg.Variant, adm: adm, live: live,
+		slot:    make([]int32, dict.Len()),
+		seedIn:  make([]float32, lo.Dim),
+		seedOut: make([]float32, lo.Dim),
+	}
+	for i := range st.slot {
+		st.slot[i] = -1
+	}
+	return st, nil
 }
 
 // Ingest consumes one session: admission (with Eq. 6 seeding of any newly
@@ -130,12 +150,21 @@ func (st *Streamer) Train(seq []int32) {
 }
 
 // observe routes one token through the admitter and mirrors every
-// admission into the live matrix, keeping the two row spaces identical.
+// admission into the live matrix, keeping the two row spaces identical,
+// and into the tables Publish copies from.
 func (st *Streamer) observe(tok vocab.ID) (int32, bool, bool) {
 	row, ok, isNew := st.adm.Observe(tok)
 	if isNew {
 		if lr := st.live.AddRow(st.dict.KindOf(tok)); lr != row {
 			panic(fmt.Sprintf("sisg: admitter row %d != live row %d", row, lr))
+		}
+		if st.dict.IsItem(tok) {
+			st.slot[tok] = int32(len(st.items))
+			st.items = append(st.items, tok) // item token id == catalog item id
+			st.itemRows = append(st.itemRows, row)
+		} else {
+			st.slot[tok] = int32(len(st.sideRows))
+			st.sideRows = append(st.sideRows, row)
 		}
 	}
 	return row, ok, isNew
@@ -151,8 +180,9 @@ func (st *Streamer) seedItem(row int32, item int32) {
 		return
 	}
 	m := st.live.Model()
-	in := make([]float32, m.Dim())
-	out := make([]float32, m.Dim())
+	in, out := st.seedIn, st.seedOut
+	vecmath.Zero(in)
+	vecmath.Zero(out)
 	resolved := 0
 	for _, si := range st.dict.ItemSI[item] {
 		if r, ok := st.adm.Row(si); ok {
@@ -203,85 +233,75 @@ func (st *Streamer) SeededItems() uint64 { return st.seeded }
 // Pairs returns how many positive pairs have been trained.
 func (st *Streamer) Pairs() uint64 { return st.live.Pairs() }
 
-// Publish cuts the next immutable snapshot: full copies of the live
-// matrices' admitted prefix, a compacted item matrix with its retrieval
-// index, and the token→row map frozen at this instant. The index's IVF
-// layer is built here, warm-started from the previous generation's
-// centroids, so a published snapshot never runs k-means under a request —
-// the server's brownout can switch a fresh generation from flat to IVF at
-// no cost. The streamer keeps training; the snapshot never changes.
+// Publish cuts the next immutable snapshot in one pass over the live rows:
+// every admitted row is copied exactly once, straight from the live
+// matrices into the compact matrix of its class (item rows, which the
+// retrieval index scans, and the few thousand SI and user-type rows Eq. 6
+// and cold-user queries compose from); the token table is one memcpy and
+// the item id list is shared, since both only ever grow at their ends. The
+// index's IVF layer is built here — one assignment pass over the item rows,
+// warm-started from the previous generation's centroids — so a published
+// snapshot never runs k-means under a request: the server's brownout can
+// switch a fresh generation from flat to IVF at no cost. The streamer keeps
+// training; the snapshot never changes.
 func (st *Streamer) Publish() *StreamSnapshot {
 	st.gen++
 	m := st.live.Model()
-	rows := st.live.Rows()
-	dim := m.Dim()
-
+	n := len(st.items)
 	snap := &StreamSnapshot{
-		gen:   st.gen,
-		at:    time.Now(),
-		v:     st.v,
-		dict:  st.dict,
-		in:    emb.NewMatrix(rows, dim),
-		out:   emb.NewMatrix(rows, dim),
-		rowOf: make(map[vocab.ID]int32, rows),
-	}
-	copy(snap.in.Data(), m.In.Data()[:rows*dim])
-	copy(snap.out.Data(), m.Out.Data()[:rows*dim])
-
-	// Admission order IS row order, so walking the admitted tokens yields
-	// a deterministic compact item numbering.
-	toks := st.adm.Tokens()
-	for r := 0; r < rows; r++ {
-		snap.rowOf[toks[r]] = int32(r)
-	}
-	var itemRows []int32
-	for r := 0; r < rows; r++ {
-		if st.live.KindOf(int32(r)) == vocab.KindItem {
-			itemRows = append(itemRows, int32(r))
-		}
-	}
-	snap.items = make([]int32, len(itemRows))
-	snap.itemRowOf = make(map[int32]int32, len(itemRows))
-	snap.itemIn = emb.NewMatrix(len(itemRows), dim)
-	snap.itemOut = emb.NewMatrix(len(itemRows), dim)
-	for c, r := range itemRows {
-		it := toks[r] // item token id == catalog item id
-		snap.items[c] = it
-		snap.itemRowOf[it] = int32(c)
-		copy(snap.itemIn.Row(int32(c)), snap.in.Row(r))
-		copy(snap.itemOut.Row(int32(c)), snap.out.Row(r))
+		gen:     st.gen,
+		at:      time.Now(),
+		v:       st.v,
+		dict:    st.dict,
+		slot:    slices.Clone(st.slot),
+		items:   st.items[:n:n], // appends land beyond n or in a new array: never seen
+		in:      gatherRows(m.In, st.sideRows),
+		out:     gatherRows(m.Out, st.sideRows),
+		itemIn:  gatherRows(m.In, st.itemRows),
+		itemOut: gatherRows(m.Out, st.itemRows),
 	}
 	if st.v.Directed {
-		snap.index = knn.NewIndex(snap.itemOut, len(itemRows), false)
-		snap.userIndex = knn.NewIndex(snap.itemIn, len(itemRows), false)
+		snap.index = knn.NewIndex(snap.itemOut, n, false)
+		snap.userIndex = knn.NewIndex(snap.itemIn, n, false)
 	} else {
-		snap.index = knn.NewIndex(snap.itemIn, len(itemRows), true)
+		snap.index = knn.NewIndex(snap.itemIn, n, true)
 	}
 	snap.index.BuildIVF(st.centroids)
 	st.centroids = snap.index.IVFCentroids()
 	return snap
 }
 
+// gatherRows copies the given rows of src, in order, into a new matrix.
+func gatherRows(src *emb.Matrix, rows []int32) *emb.Matrix {
+	dst := emb.NewMatrix(len(rows), src.Dim)
+	for c, r := range rows {
+		copy(dst.Row(int32(c)), src.Row(r))
+	}
+	return dst
+}
+
 // StreamSnapshot is one published generation of a streaming model: the
-// admitted vocabulary's embeddings (for SI composition and user-type
-// queries), a compacted item matrix with the variant's retrieval index,
-// and the universe dictionary for name resolution. Immutable; implements
-// model.Snapshot.
+// admitted items' embeddings, compacted, with the variant's retrieval
+// index; the admitted SI and user-type embeddings (for Eq. 6 composition
+// and user-type queries); and the universe dictionary for name resolution.
+// Immutable; implements model.Snapshot.
 type StreamSnapshot struct {
 	gen  uint64
 	at   time.Time
 	v    Variant
 	dict *corpus.Dict
 
-	in, out *emb.Matrix        // admitted-vocab copies, live-row order
-	rowOf   map[vocab.ID]int32 // universe token -> live row
+	// slot maps a universe token id to its compact row — in the item
+	// matrices for an item token, in the side matrices for any other — or
+	// -1 while the token is not admitted.
+	slot  []int32
+	items []int32 // compact item row -> catalog item id
 
-	items     []int32         // compact item row -> catalog item id
-	itemRowOf map[int32]int32 // catalog item id -> compact row
-	itemIn    *emb.Matrix     // compacted item input vectors
-	itemOut   *emb.Matrix     // compacted item output vectors
-	index     *knn.Index      // variant-scored retrieval index
-	userIndex *knn.Index      // directed cold-user index (in-vectors, raw dot)
+	in, out   *emb.Matrix // SI and user-type vectors, side-row order
+	itemIn    *emb.Matrix // item input vectors
+	itemOut   *emb.Matrix // item output vectors
+	index     *knn.Index  // variant-scored retrieval index
+	userIndex *knn.Index  // directed cold-user index (in-vectors, raw dot)
 }
 
 var _ model.Snapshot = (*StreamSnapshot)(nil)
@@ -289,13 +309,43 @@ var _ model.Snapshot = (*StreamSnapshot)(nil)
 func (s *StreamSnapshot) Generation() uint64     { return s.gen }
 func (s *StreamSnapshot) PublishedAt() time.Time { return s.at }
 func (s *StreamSnapshot) Variant() string        { return s.v.Name }
-func (s *StreamSnapshot) Dim() int               { return s.in.Dim }
-func (s *StreamSnapshot) VocabSize() int         { return s.in.Rows() }
+func (s *StreamSnapshot) Dim() int               { return s.itemIn.Dim }
+func (s *StreamSnapshot) VocabSize() int         { return len(s.items) + s.in.Rows() }
 func (s *StreamSnapshot) NumItems() int          { return len(s.items) }
 func (s *StreamSnapshot) Index() *knn.Index      { return s.index }
 
+// row returns the compact row of an admitted universe token within its
+// class; false for an id outside the dictionary or a token the stream has
+// not admitted.
+func (s *StreamSnapshot) row(tok vocab.ID) (int32, bool) {
+	if tok < 0 || int(tok) >= len(s.slot) || s.slot[tok] < 0 {
+		return 0, false
+	}
+	return s.slot[tok], true
+}
+
+// itemRow is row for a catalog item id: false outside the catalog too.
+func (s *StreamSnapshot) itemRow(item int32) (int32, bool) {
+	if !s.dict.IsItem(item) {
+		return 0, false
+	}
+	return s.row(item)
+}
+
+// inputOf returns the input vector of an admitted token of either class.
+func (s *StreamSnapshot) inputOf(tok vocab.ID) ([]float32, bool) {
+	r, ok := s.row(tok)
+	if !ok {
+		return nil, false
+	}
+	if s.dict.IsItem(tok) {
+		return s.itemIn.Row(r), true
+	}
+	return s.in.Row(r), true
+}
+
 func (s *StreamSnapshot) Servable(item int32) bool {
-	_, ok := s.itemRowOf[item]
+	_, ok := s.itemRow(item)
 	return ok
 }
 
@@ -311,7 +361,7 @@ func (s *StreamSnapshot) translate(rs []knn.Result) []knn.Result {
 func (s *StreamSnapshot) Similar(ctx context.Context, seeds []int32, opts knn.Options) ([][]knn.Result, error) {
 	opts.Normalize = !s.v.Directed
 	if len(seeds) == 1 {
-		row, ok := s.itemRowOf[seeds[0]]
+		row, ok := s.itemRow(seeds[0])
 		if !ok {
 			return nil, model.ErrNotServable
 		}
@@ -327,7 +377,7 @@ func (s *StreamSnapshot) Similar(ctx context.Context, seeds []int32, opts knn.Op
 	opts.Skip = nil
 	qvs := make([][]float32, len(seeds))
 	for i, seed := range seeds {
-		row, ok := s.itemRowOf[seed]
+		row, ok := s.itemRow(seed)
 		if !ok {
 			return nil, model.ErrNotServable
 		}
@@ -365,8 +415,8 @@ func (s *StreamSnapshot) ColdItemVector(item int32) ([]float32, error) {
 	v := make([]float32, s.in.Dim)
 	resolved := 0
 	for _, si := range s.dict.ItemSI[item] {
-		if row, ok := s.rowOf[si]; ok {
-			vecmath.Add(s.in.Row(row), v)
+		if in, ok := s.inputOf(si); ok {
+			vecmath.Add(in, v)
 			resolved++
 		}
 	}
@@ -384,8 +434,8 @@ func (s *StreamSnapshot) ColdItemVectorFromNames(names []string) ([]float32, err
 		if !ok {
 			continue
 		}
-		if row, ok := s.rowOf[id]; ok {
-			vecmath.Add(s.in.Row(row), v)
+		if in, ok := s.inputOf(id); ok {
+			vecmath.Add(in, v)
 			resolved++
 		}
 	}
@@ -406,7 +456,7 @@ func (s *StreamSnapshot) RecommendForColdUser(ctx context.Context, types []int32
 	v := make([]float32, s.in.Dim)
 	resolved := 0
 	for _, t := range types {
-		if row, ok := s.rowOf[s.dict.UserType[t]]; ok {
+		if row, ok := s.row(s.dict.UserType[t]); ok { // a user type: a side row
 			vecmath.Add(src.Row(row), v)
 			resolved++
 		}

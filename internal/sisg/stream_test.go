@@ -150,16 +150,14 @@ func TestColdItemServableBeforeFirstGradientStep(t *testing.T) {
 	}
 	// Its input row must be exactly the Eq. 6 composition of its admitted
 	// SI rows (scaled): collinear with the raw SI sum.
-	var si []float32
-	row := snap.rowOf
-	sum := make([]float32, snap.Dim())
+	si := make([]float32, snap.Dim())
 	for _, sid := range lv.Dict.ItemSI[cold] {
-		if r, ok := row[sid]; ok {
-			vecmath.Add(snap.in.Row(r), sum)
+		if in, ok := snap.inputOf(sid); ok {
+			vecmath.Add(in, si)
 		}
 	}
-	si = sum
-	got := snap.itemIn.Row(snap.itemRowOf[cold])
+	row, _ := snap.itemRow(cold)
+	got := snap.itemIn.Row(row)
 	cos := vecmath.Cosine(si, got)
 	if cos < 0.999 {
 		t.Fatalf("cold item's vector not the Eq. 6 composition: cosine %.4f", cos)
@@ -178,11 +176,7 @@ func TestStreamSnapshotColdPaths(t *testing.T) {
 	}
 	snap := st.Publish()
 	// Cold item by catalog id.
-	var target int32 = -1
-	for it := range snap.itemRowOf {
-		target = it
-		break
-	}
+	target := snap.items[len(snap.items)/2]
 	qv, err := snap.ColdItemVector(target)
 	if err != nil {
 		t.Fatalf("ColdItemVector: %v", err)

@@ -30,3 +30,13 @@ func pairAxpy(g float32, v, c, grad []float32) {
 //
 //go:noescape
 func pairAxpyAVX(alpha float32, v, c, grad []float32)
+
+// Prefetch asks the CPU to start loading row into cache and returns at
+// once. It changes no value, so it cannot change a result: the pair loops
+// call it on the output rows of a pair's negatives right after sampling
+// them, so that the rows' cache misses overlap instead of being paid one
+// PairStep at a time. A no-op on other platforms and under purego.
+// Implemented in pairstep_amd64.s.
+//
+//go:noescape
+func Prefetch(row []float32)
