@@ -5,25 +5,6 @@
 //
 // Output is a textual rendering of each table/figure series; see
 // EXPERIMENTS.md for the committed reference run.
-//
-// With -retrieval, the command instead benchmarks the sharded retrieval
-// engine (internal/knn) against the pre-engine serial scan and asserts
-// bit-identical results across shard counts; -retrieval-rows, -retrieval-dim,
-// -retrieval-queries and -retrieval-k size the workload. Results are
-// appended to the trajectory file named by -retrieval-out (default
-// BENCH_retrieval.json).
-//
-// With -ann, it runs the IVF recall@K harness: flat scan as ground truth,
-// an NProbe sweep with int8 quantization off and on, recall@{1,10} and
-// queries/sec per setting, a bit-identity check at exhaustive probe, and
-// a hard floor (-ann-floor, -ann-min-speedup) that makes the run fail
-// when the accuracy/speed trade-off regresses. The same workload flags
-// size the corpus; rows go to the "ann" section of -retrieval-out.
-//
-// With -dist, it benchmarks the distributed trainer's transports — the
-// in-process channel mesh against real TCP over loopback — on one shared
-// workload, asserts the pair accounting agrees, and writes the trajectory
-// file named by -dist-out (default BENCH_dist.json).
 package main
 
 import (
@@ -37,46 +18,11 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		quick     = flag.Bool("quick", false, "use reduced corpus sizes (fast sanity run)")
-		seed      = flag.Uint64("seed", 0, "override corpus seed (0 = config default)")
-		retrieval = flag.Bool("retrieval", false, "benchmark the retrieval engine instead of running experiments")
-		rRows     = flag.Int("retrieval-rows", 50000, "retrieval bench: matrix rows")
-		rDim      = flag.Int("retrieval-dim", 64, "retrieval bench: embedding dimensions")
-		rQueries  = flag.Int("retrieval-queries", 32, "retrieval bench: number of queries")
-		rK        = flag.Int("retrieval-k", 20, "retrieval bench: candidates per query")
-		rOut      = flag.String("retrieval-out", "BENCH_retrieval.json", "retrieval/ann bench: JSON results path (empty = stdout only)")
-		annBench  = flag.Bool("ann", false, "run the IVF recall@K harness instead of running experiments")
-		annFloor  = flag.Float64("ann-floor", 0.95, "ann bench: minimum recall@10 some swept setting must reach")
-		annSpeed  = flag.Float64("ann-min-speedup", 5, "ann bench: minimum speedup over the flat scan at the passing setting")
-		distBench = flag.Bool("dist", false, "benchmark the distributed transports (chan vs tcp loopback) instead of running experiments")
-		dWorkers  = flag.Int("dist-workers", 4, "dist bench: worker count")
-		dSessions = flag.Int("dist-sessions", 600, "dist bench: training sessions (0 = whole Tiny corpus)")
-		dOut      = flag.String("dist-out", "BENCH_dist.json", "dist bench: JSON results path (empty = stdout only)")
+		exp   = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+		quick = flag.Bool("quick", false, "use reduced corpus sizes (fast sanity run)")
+		seed  = flag.Uint64("seed", 0, "override corpus seed (0 = config default)")
 	)
 	flag.Parse()
-
-	if *distBench {
-		if err := runDistBench(os.Stdout, *dOut, *dWorkers, *dSessions); err != nil {
-			fmt.Fprintf(os.Stderr, "sisg-bench: dist: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *annBench {
-		if err := runANN(os.Stdout, *rOut, *rRows, *rDim, *rQueries, *rK, *annFloor, *annSpeed); err != nil {
-			fmt.Fprintf(os.Stderr, "sisg-bench: ann: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *retrieval {
-		if err := runRetrieval(os.Stdout, *rOut, *rRows, *rDim, *rQueries, *rK); err != nil {
-			fmt.Fprintf(os.Stderr, "sisg-bench: retrieval: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exp, ",") {

@@ -12,10 +12,9 @@
 //	GET /readyz                            readiness (503 while loading/draining)
 //	GET /metrics                           Prometheus text exposition
 //
-// The unversioned spellings (/similar, /coldstart/*, /stats) are legacy
-// aliases of the /v1 paths. Errors on every path share one JSON envelope:
+// Errors on every path share one JSON envelope:
 // {"error":{"code":"...","message":"..."}}. With -cache N, repeated
-// /similar queries are served from a bounded LRU of result sets.
+// /v1/similar queries are served from a bounded LRU of result sets.
 //
 // Overload behavior: retrievals are admitted by predicted scan cost
 // against -cost-budget; excess load is shed 503 with a load-derived
@@ -51,6 +50,7 @@ import (
 	"sisg/internal/emb"
 	"sisg/internal/experiments"
 	"sisg/internal/metrics"
+	"sisg/internal/model"
 	"sisg/internal/server"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
@@ -68,7 +68,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override corpus seed")
 		maxInFly   = flag.Int("max-inflight", 256, "admission budget in full-flat-scan units (cheap scans pack many per unit)")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handling deadline (cancels the scan at the next tile)")
-		cacheSize  = flag.Int("cache", 0, "LRU cache entries for repeated /similar queries (0 = off)")
+		cacheSize  = flag.Int("cache", 0, "LRU cache entries for repeated /v1/similar queries (0 = off)")
 		costBudget = flag.Int64("cost-budget", 0, "admission budget in rows×dims scan units (0 = max-inflight × one flat scan)")
 		brownHigh  = flag.Float64("brownout-high", 0, "admission pressure entering brownout (0 = default 0.75)")
 		brownLow   = flag.Float64("brownout-low", 0, "admission pressure leaving brownout (0 = default 0.25)")
@@ -133,7 +133,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var model *sisg.Model
+	var mdl *sisg.Model
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {
@@ -147,10 +147,10 @@ func main() {
 		if m.Vocab() != ds.Dict.Len() {
 			log.Fatalf("model vocab %d != corpus vocab %d", m.Vocab(), ds.Dict.Len())
 		}
-		model = &sisg.Model{Variant: v, Dict: ds.Dict, Emb: m}
+		mdl = &sisg.Model{Variant: v, Dict: ds.Dict, Emb: m}
 	} else {
 		log.Printf("training %s ...", v.Name)
-		model, err = sisg.Train(ds.Dict, ds.Sessions, v, sgns.Defaults())
+		mdl, err = sisg.Train(ds.Dict, ds.Sessions, v, sgns.Defaults())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -159,10 +159,10 @@ func main() {
 	if *warmIVF {
 		t0 := time.Now()
 		log.Printf("warming IVF layer: %d clusters (%s)",
-			model.ItemIndex().IVFClusters(), time.Since(t0).Round(time.Millisecond))
+			mdl.ItemIndex().IVFClusters(), time.Since(t0).Round(time.Millisecond))
 	}
 
-	s := server.NewConfigured(ds, model, server.Config{
+	s := server.NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(mdl, 1)), server.Config{
 		MaxK:              *maxK,
 		MaxInFlight:       *maxInFly,
 		RequestTimeout:    *reqTimeout,

@@ -12,7 +12,7 @@ import (
 type chanTransport struct {
 	inboxes []chan *tnsReq
 	done    chan struct{}
-	frames  atomic.Uint64
+	frames  atomic.Uint64 // requests delivered + replies delivered, as tcp counts frames
 }
 
 func newChanTransport(workers int) *chanTransport {
@@ -63,6 +63,7 @@ func (t *chanTransport) Call(src, dst int32, vec []float32, ctx int32, lr float3
 	for {
 		select {
 		case grad := <-req.reply:
+			t.frames.Add(1)
 			return grad, true
 		case in := <-own:
 			serve(in)

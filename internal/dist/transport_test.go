@@ -48,6 +48,16 @@ func TestTransportStatsEquivalence(t *testing.T) {
 						t.Fatal("tcp run measured zero wire bytes")
 					}
 					got[i] = deterministicStats(t, st)
+					// WireFrames is requests + replies on both transports: a
+					// run in which no attempt timed out (Retries is shaped by
+					// timing) puts exactly two frames on the wire per remote
+					// pair, so frames per remote pair compare across them.
+					if st.Retries != 0 {
+						t.Logf("%s: %d retries, frame count not checked", tr, st.Retries)
+					} else if st.WireFrames != 2*st.RemotePairs {
+						t.Errorf("%s: %d wire frames for %d remote pairs, want one request and one reply each",
+							tr, st.WireFrames, st.RemotePairs)
+					}
 				}
 				if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
 					t.Fatalf("stats diverge across transports:\nchan: %v\ntcp:  %v", got[0], got[1])

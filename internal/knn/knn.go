@@ -111,8 +111,9 @@ type Options struct {
 	NProbe int
 	// Quantized scores the IVF shortlist with int8 quantized dot products
 	// before the exact float32 re-rank — 4x less scan traffic at a small
-	// recall cost (measured by sisg-bench -ann). Only meaningful with
-	// IndexIVF; served scores stay exact float32 either way.
+	// recall cost (TestIVFRecallOnClusteredData holds both to the same
+	// floor). Only meaningful with IndexIVF; served scores stay exact
+	// float32 either way.
 	Quantized bool
 }
 

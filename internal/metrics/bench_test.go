@@ -44,7 +44,7 @@ func BenchmarkHistogramObserveSince(b *testing.B) {
 
 func BenchmarkWritePrometheus(b *testing.B) {
 	r := NewRegistry()
-	for _, path := range []string{"/similar", "/coldstart/item", "/coldstart/user", "/healthz", "/stats"} {
+	for _, path := range []string{"/v1/similar", "/v1/coldstart/item", "/v1/coldstart/user", "/healthz", "/v1/stats"} {
 		r.Counter("http_requests_total", "h", L("path", path), L("code", "2xx")).Inc()
 		r.Histogram("http_request_duration_seconds", "h", nil, L("path", path)).Observe(0.01)
 	}

@@ -3,14 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"sisg/internal/corpus"
-	"sisg/internal/race"
-	"sisg/internal/sgns"
-	"sisg/internal/sisg"
 )
 
 // Satellite 3: bad knn.Options spellings must surface as the /v1 error
@@ -79,22 +73,7 @@ func TestANNExhaustiveMatchesFlatOverHTTP(t *testing.T) {
 // with the exact-scan cache (approximate results must never be served to
 // a later exact request, or vice versa).
 func TestANNServesAndCacheStaysExact(t *testing.T) {
-	cfg := corpus.Tiny()
-	cfg.NumSessions = 1500
-	ds, err := corpus.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := sgns.Defaults()
-	opt.Workers = race.Workers(0)
-	opt.Epochs = 1
-	m, err := sisg.Train(ds.Dict, ds.Sessions, sisg.VariantSISGFUD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewConfigured(ds, m, Config{MaxK: 100, CacheSize: 64})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	s, ts := testServerWith(t, Config{MaxK: 100, CacheSize: 64})
 
 	warm := func(url string, wantLen int) {
 		t.Helper()

@@ -20,45 +20,45 @@ func TestClientErrorPaths(t *testing.T) {
 		body   string
 	}{
 		// /similar query-parameter errors.
-		{"similar item missing", "GET", "/similar", ""},
-		{"similar item not integer", "GET", "/similar?item=abc", ""},
-		{"similar item overflow", "GET", "/similar?item=99999999999999999999", ""},
-		{"similar item negative", "GET", "/similar?item=-1", ""},
-		{"similar item out of range", "GET", "/similar?item=99999", ""},
-		{"similar k zero", "GET", "/similar?item=1&k=0", ""},
-		{"similar k negative", "GET", "/similar?item=1&k=-5", ""},
-		{"similar k over maxK", "GET", "/similar?item=1&k=101", ""},
-		{"similar k overflow", "GET", "/similar?item=1&k=99999999999999999999", ""},
-		{"similar k not integer", "GET", "/similar?item=1&k=ten", ""},
+		{"similar item missing", "GET", "/v1/similar", ""},
+		{"similar item not integer", "GET", "/v1/similar?item=abc", ""},
+		{"similar item overflow", "GET", "/v1/similar?item=99999999999999999999", ""},
+		{"similar item negative", "GET", "/v1/similar?item=-1", ""},
+		{"similar item out of range", "GET", "/v1/similar?item=99999", ""},
+		{"similar k zero", "GET", "/v1/similar?item=1&k=0", ""},
+		{"similar k negative", "GET", "/v1/similar?item=1&k=-5", ""},
+		{"similar k over maxK", "GET", "/v1/similar?item=1&k=101", ""},
+		{"similar k overflow", "GET", "/v1/similar?item=1&k=99999999999999999999", ""},
+		{"similar k not integer", "GET", "/v1/similar?item=1&k=ten", ""},
 
-		// /coldstart/item GET errors share itemAndK with /similar.
-		{"cold item out of range", "GET", "/coldstart/item?item=99999", ""},
-		{"cold item k zero", "GET", "/coldstart/item?item=1&k=0", ""},
+		// /v1/coldstart/item GET errors share itemAndK with /v1/similar.
+		{"cold item out of range", "GET", "/v1/coldstart/item?item=99999", ""},
+		{"cold item k zero", "GET", "/v1/coldstart/item?item=1&k=0", ""},
 
-		// /coldstart/item POST body errors.
-		{"cold item invalid json", "POST", "/coldstart/item", `{"si": [`},
-		{"cold item not an object", "POST", "/coldstart/item", `"si"`},
-		{"cold item unknown field", "POST", "/coldstart/item", `{"sideinfo": ["brand:1"]}`},
-		{"cold item trailing garbage", "POST", "/coldstart/item", `{"si": ["brand:1"]} {"again": true}`},
-		{"cold item empty si", "POST", "/coldstart/item", `{"si": []}`},
-		{"cold item unknown si tokens", "POST", "/coldstart/item", `{"si": ["no-such-token", "also-missing"]}`},
-		{"cold item k negative", "POST", "/coldstart/item", `{"si": ["x"], "k": -1}`},
-		{"cold item k over maxK", "POST", "/coldstart/item", `{"si": ["x"], "k": 101}`},
+		// /v1/coldstart/item POST body errors.
+		{"cold item invalid json", "POST", "/v1/coldstart/item", `{"si": [`},
+		{"cold item not an object", "POST", "/v1/coldstart/item", `"si"`},
+		{"cold item unknown field", "POST", "/v1/coldstart/item", `{"sideinfo": ["brand:1"]}`},
+		{"cold item trailing garbage", "POST", "/v1/coldstart/item", `{"si": ["brand:1"]} {"again": true}`},
+		{"cold item empty si", "POST", "/v1/coldstart/item", `{"si": []}`},
+		{"cold item unknown si tokens", "POST", "/v1/coldstart/item", `{"si": ["no-such-token", "also-missing"]}`},
+		{"cold item k negative", "POST", "/v1/coldstart/item", `{"si": ["x"], "k": -1}`},
+		{"cold item k over maxK", "POST", "/v1/coldstart/item", `{"si": ["x"], "k": 101}`},
 
-		// /coldstart/user GET errors.
-		{"cold user unknown gender", "GET", "/coldstart/user?gender=X", ""},
-		{"cold user age not integer", "GET", "/coldstart/user?age=old", ""},
-		{"cold user power not integer", "GET", "/coldstart/user?power=high", ""},
-		{"cold user k zero", "GET", "/coldstart/user?gender=F&k=0", ""},
-		{"cold user no matching types", "GET", "/coldstart/user?age=9999", ""},
+		// /v1/coldstart/user GET errors.
+		{"cold user unknown gender", "GET", "/v1/coldstart/user?gender=X", ""},
+		{"cold user age not integer", "GET", "/v1/coldstart/user?age=old", ""},
+		{"cold user power not integer", "GET", "/v1/coldstart/user?power=high", ""},
+		{"cold user k zero", "GET", "/v1/coldstart/user?gender=F&k=0", ""},
+		{"cold user no matching types", "GET", "/v1/coldstart/user?age=9999", ""},
 
-		// /coldstart/user POST body errors.
-		{"cold user invalid json", "POST", "/coldstart/user", `{gender: F}`},
-		{"cold user unknown field", "POST", "/coldstart/user", `{"sex": "F"}`},
-		{"cold user unknown gender body", "POST", "/coldstart/user", `{"gender": "X"}`},
-		{"cold user k negative body", "POST", "/coldstart/user", `{"gender": "F", "k": -3}`},
-		{"cold user age type mismatch", "POST", "/coldstart/user", `{"age": "young"}`},
-		{"cold user no matching types body", "POST", "/coldstart/user", `{"age": 9999}`},
+		// /v1/coldstart/user POST body errors.
+		{"cold user invalid json", "POST", "/v1/coldstart/user", `{gender: F}`},
+		{"cold user unknown field", "POST", "/v1/coldstart/user", `{"sex": "F"}`},
+		{"cold user unknown gender body", "POST", "/v1/coldstart/user", `{"gender": "X"}`},
+		{"cold user k negative body", "POST", "/v1/coldstart/user", `{"gender": "F", "k": -3}`},
+		{"cold user age type mismatch", "POST", "/v1/coldstart/user", `{"age": "young"}`},
+		{"cold user no matching types body", "POST", "/v1/coldstart/user", `{"age": 9999}`},
 	}
 	before := s.Stats().ClientErrors
 	for _, tc := range cases {
@@ -118,7 +118,7 @@ func TestColdStartPostHappyPaths(t *testing.T) {
 		return resp
 	}
 
-	resp := post("/coldstart/item", `{"si": ["`+strings.Join(names, `","`)+`"], "k": 5}`)
+	resp := post("/v1/coldstart/item", `{"si": ["`+strings.Join(names, `","`)+`"], "k": 5}`)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -129,13 +129,13 @@ func TestColdStartPostHappyPaths(t *testing.T) {
 	}
 
 	// A partially-unknown SI list still resolves (unknown names skipped).
-	resp = post("/coldstart/item", `{"si": ["`+names[0]+`", "definitely-not-a-token"]}`)
+	resp = post("/v1/coldstart/item", `{"si": ["`+names[0]+`", "definitely-not-a-token"]}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partially-resolved SI list: %d, want 200", resp.StatusCode)
 	}
 
-	resp = post("/coldstart/user", `{"gender": "F", "power": 1, "k": 4}`)
+	resp = post("/v1/coldstart/user", `{"gender": "F", "power": 1, "k": 4}`)
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -143,7 +143,7 @@ func TestColdStartPostHappyPaths(t *testing.T) {
 	}
 
 	// Age index 0 is a real constraint, distinguishable from "absent".
-	resp = post("/coldstart/user", `{"age": 0}`)
+	resp = post("/v1/coldstart/user", `{"age": 0}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold user POST age=0: %d, want 200", resp.StatusCode)

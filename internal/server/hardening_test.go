@@ -113,7 +113,7 @@ func TestRequestTimeout(t *testing.T) {
 // The full hardened handler chain still serves the normal API.
 func TestHardenedChainServes(t *testing.T) {
 	s, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/similar?item=1&k=5")
+	resp, err := http.Get(ts.URL + "/v1/similar?item=1&k=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestHardenedChainServes(t *testing.T) {
 		t.Fatalf("similar via hardened chain: %d %s", resp.StatusCode, body)
 	}
 	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Similar != 1 || st.Panics != 0 || st.Shed != 0 {
 		t.Fatalf("stats after one request: %+v", st)
 	}

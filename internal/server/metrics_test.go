@@ -54,12 +54,23 @@ func TestMetricsEndpointParses(t *testing.T) {
 	_, ts := testServer(t)
 
 	// Generate some traffic first so histograms have observations.
-	for _, p := range []string{"/similar?item=1", "/coldstart/user?gender=F", "/healthz", "/nowhere"} {
+	// The unversioned /similar is not a route: it answers 404 and is counted
+	// with /nowhere in the "other" series, never under a label of its own.
+	for p, want := range map[string]int{
+		"/v1/similar?item=1":          http.StatusOK,
+		"/v1/coldstart/user?gender=F": http.StatusOK,
+		"/healthz":                    http.StatusOK,
+		"/nowhere":                    http.StatusNotFound,
+		"/similar?item=1":             http.StatusNotFound,
+	} {
 		resp, err := http.Get(ts.URL + p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", p, resp.StatusCode, want)
+		}
 	}
 
 	body := fetchMetrics(t, ts)
@@ -102,11 +113,11 @@ func TestMetricsEndpointParses(t *testing.T) {
 
 	// The wired-in families must all be present.
 	for _, want := range []string{
-		`http_requests_total{code="2xx",path="/similar"}`,
-		`http_requests_total{code="4xx",path="other"}`, // the /nowhere request
-		`http_request_duration_seconds_bucket{path="/similar",le="+Inf"}`,
-		`http_request_duration_seconds_sum{path="/similar"}`,
-		`http_request_duration_seconds_count{path="/similar"}`,
+		`http_requests_total{code="2xx",path="/v1/similar"} 1`,
+		`http_requests_total{code="4xx",path="other"} 2`, // /nowhere and /similar
+		`http_request_duration_seconds_bucket{path="/v1/similar",le="+Inf"}`,
+		`http_request_duration_seconds_sum{path="/v1/similar"}`,
+		`http_request_duration_seconds_count{path="/v1/similar"}`,
 		"http_inflight",
 		"http_panics_total",
 		"http_shed_total",
@@ -116,6 +127,10 @@ func TestMetricsEndpointParses(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition page missing %q", want)
 		}
+	}
+
+	if gone := `http_requests_total{code="4xx",path="/similar"}`; strings.Contains(body, gone) {
+		t.Errorf("exposition page still carries a series for the deleted alias: %q", gone)
 	}
 
 	// Ordering is deterministic: same series, same order, on every scrape.

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"sisg/internal/knn"
 	"sisg/internal/metrics"
 	"sisg/internal/model"
+	"sisg/internal/rng"
 )
 
 // waitFor polls cond until it holds or the deadline passes; failing the
@@ -415,4 +418,124 @@ func TestAdmissionAllowsCheapScansUnderFlatBudget(t *testing.T) {
 		t.Fatal("idle controller refused an over-budget query outright")
 	}
 	s.adm.release(flat * 100)
+}
+
+// The overload policy end to end, over real HTTP: about a second of
+// open-loop arrivals at twice what the server can scan, with head-skewed
+// seeds and a few clients that hang up mid-call. Admission must shed,
+// single-flight must coalesce, and whatever a client is told must be a
+// candidate set or the one error envelope — a tiny corpus scans in
+// microseconds, so every scan first waits 8 ms (cancellably, as the
+// engine's tiles are) to stand in for a big one: 4 slots ÷ 8 ms = 500
+// scans/s.
+func TestOverloadOverHTTP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a second of real-time load")
+	}
+	s, ts := testServerWith(t, Config{MaxInFlight: 4, BrownoutHold: 500 * time.Millisecond})
+	real := s.retrieve
+	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
+		scan := time.NewTimer(8 * time.Millisecond)
+		defer scan.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: %w", knn.ErrCanceled, ctx.Err())
+		case <-scan.C:
+			return real(ctx, snap, item, opts)
+		}
+	}
+
+	const (
+		requests = 1000
+		gap      = time.Millisecond // 1000 arrivals/s, 2× the scan capacity
+		hangup   = 2 * time.Millisecond
+	)
+	client := &http.Client{
+		Timeout:   5 * time.Second,
+		Transport: &http.Transport{MaxIdleConnsPerHost: requests},
+	}
+	defer client.CloseIdleConnections()
+
+	// fire issues one request and returns what is wrong with its answer,
+	// "" when nothing is.
+	fire := func(url string, hangsUp bool) string {
+		ctx := context.Background()
+		if hangsUp {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, hangup)
+			defer cancel()
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			return err.Error()
+		}
+		resp, err := client.Do(req)
+		var body []byte
+		if err == nil {
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil {
+			if hangsUp {
+				return "" // the client left; there is no answer to check
+			}
+			return err.Error()
+		}
+		if resp.StatusCode == http.StatusOK {
+			var cands []Candidate
+			if err := json.Unmarshal(body, &cands); err != nil || len(cands) == 0 {
+				return fmt.Sprintf("200 without a candidate set: %s", body)
+			}
+			return ""
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Message == "" {
+			return fmt.Sprintf("%d without the error envelope: %s", resp.StatusCode, body)
+		}
+		// Shed and timed out are 503; a follower handed two cancelled
+		// leaders in a row is told 499. Nothing else can be said to a
+		// well-formed request, and never a 5xx that blames the server.
+		want := map[string]int{"overloaded": 503, "timeout": 503, "canceled": statusClientClosedRequest}
+		if resp.StatusCode != want[env.Error.Code] {
+			return fmt.Sprintf("status %d with error code %q: %s", resp.StatusCode, env.Error.Code, body)
+		}
+		return ""
+	}
+
+	r := rng.New(42)
+	seeds := rng.NewZipf(r.Split(), int(s.ds.Dict.NumItems), 1.1)
+	problems := make([]string, requests)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < requests; i++ {
+		// A ladder of absolute times: when the generator falls behind it
+		// fires at once and catches up, so a slow server never stretches
+		// the offered schedule.
+		time.Sleep(time.Until(start.Add(time.Duration(i) * gap)))
+		url := fmt.Sprintf("%s/v1/similar?item=%d&k=10", ts.URL, seeds.Sample())
+		hangsUp := r.Float64() < 0.05
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			problems[i] = fire(url, hangsUp)
+		}(i)
+	}
+	wg.Wait()
+
+	for i, p := range problems {
+		if p != "" {
+			t.Errorf("request %d: %s", i, p)
+		}
+	}
+	st := s.Stats()
+	if st.Similar < 1 || st.Shed < 1 || st.Coalesced < 1 {
+		t.Errorf("at 2× overload served=%d shed=%d coalesced=%d, want all three engaged", st.Similar, st.Shed, st.Coalesced)
+	}
+	if st.Panics != 0 {
+		t.Errorf("%d handler panics", st.Panics)
+	}
+	// A hung-up client's handler may still be unwinding when its Do returns.
+	waitFor(t, "every admitted scan to hand its cost back", func() bool {
+		return s.adm.inflight.Load() == 0
+	})
 }

@@ -12,9 +12,8 @@
 // catalog does not know yet.
 //
 // The retrieval API is versioned: /v1/similar, /v1/coldstart/item,
-// /v1/coldstart/user and /v1/stats are the canonical paths, with the
-// unversioned spellings kept as legacy aliases. Every error — bad input,
-// shed load, timeout, recovered panic — is answered with one JSON shape:
+// /v1/coldstart/user and /v1/stats. Every error — bad input, shed load,
+// timeout, recovered panic — is answered with one JSON shape:
 // {"error":{"code":"...","message":"..."}}.
 //
 // The package is the testable core behind cmd/sisg-server.
@@ -36,7 +35,6 @@ import (
 	"sisg/internal/knn"
 	"sisg/internal/metrics"
 	"sisg/internal/model"
-	"sisg/internal/sisg"
 )
 
 // Candidate is one entry of a served candidate set, carrying enough catalog
@@ -49,7 +47,7 @@ type Candidate struct {
 	Tier  int8    `json:"tier"`
 }
 
-// Stats are cumulative serving counters, exposed at /stats (JSON) and, in
+// Stats are cumulative serving counters, exposed at /v1/stats (JSON) and, in
 // richer form, at /metrics (Prometheus text format).
 type Stats struct {
 	Similar      uint64 `json:"similar"`
@@ -119,11 +117,6 @@ type Config struct {
 	// BrownoutHold is how long an enter/exit condition must persist before
 	// the transition fires (<=0 means 1s).
 	BrownoutHold time.Duration
-	// RetrievalDelay pads every retrieval scan with a cancellable sleep.
-	// It exists for load tests and CI smoke runs, which need scans slow
-	// enough to produce deterministic coalescing and shedding on a tiny
-	// corpus; production configs leave it zero.
-	RetrievalDelay time.Duration
 	// Metrics is the registry the server instruments itself on. Nil means
 	// a private registry; pass a shared one to co-locate serving and
 	// training series in a single /metrics page.
@@ -131,7 +124,7 @@ type Config struct {
 	// LatencyBuckets overrides the request-latency histogram bounds
 	// (seconds, ascending). Nil means metrics.DefBuckets.
 	LatencyBuckets []float64
-	// CacheSize bounds the /similar result cache in entries. Production
+	// CacheSize bounds the /v1/similar result cache in entries. Production
 	// matching traffic is heavily head-skewed, so a modest cache absorbs a
 	// large fraction of full-matrix scans. <=0 disables caching.
 	CacheSize int
@@ -194,8 +187,8 @@ type Server struct {
 	press   *metrics.EWMA // admission pressure EWMA, 0..~1
 
 	// retrieve is the seam overload tests hook: it defaults to the pinned
-	// snapshot's Similar (plus the configured RetrievalDelay) and is only
-	// ever replaced inside this package's tests. opts.K carries k.
+	// snapshot's Similar and is only ever replaced inside this package's
+	// tests. opts.K carries k.
 	retrieve func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error)
 
 	inflightReqs atomic.Int64  // requests currently executing (all endpoints)
@@ -223,7 +216,7 @@ type Server struct {
 
 	endpoints map[string]*endpointMetrics
 
-	// cache, when CacheSize > 0, memoizes /similar result sets keyed by
+	// cache, when CacheSize > 0, memoizes /v1/similar result sets keyed by
 	// (item, k) — scoped to ONE model generation. A publish invalidates
 	// the whole cache by construction: the first request pinned to the
 	// new generation CAS-installs a fresh LRU, and requests still pinned
@@ -268,32 +261,17 @@ func (s *Server) cacheFor(gen uint64) *knn.LRU {
 
 // knownPaths are the routes instrumented with their own label value;
 // anything else shares the "other" series so label cardinality stays
-// bounded no matter what clients probe. The /v1 aliases get their own
-// series — the split tells you how far client migration has progressed.
+// bounded no matter what clients probe.
 var knownPaths = []string{
-	"/similar", "/coldstart/item", "/coldstart/user",
 	"/v1/similar", "/v1/coldstart/item", "/v1/coldstart/user", "/v1/stats",
-	"/healthz", "/readyz", "/stats", "/metrics",
-}
-
-// New returns a server for the given dataset and model with default
-// hardening. maxK bounds the candidate-set size a single request may ask
-// for (<=0 means 1000).
-func New(ds *corpus.Dataset, m *sisg.Model, maxK int) *Server {
-	return NewConfigured(ds, m, Config{MaxK: maxK})
-}
-
-// NewConfigured returns a server with explicit hardening limits. The
-// batch model is wrapped as the holder's sole generation; NewWithHolder
-// is the streaming entry point where generations actually rotate.
-func NewConfigured(ds *corpus.Dataset, m *sisg.Model, cfg Config) *Server {
-	return NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(m, 1)), cfg)
+	"/healthz", "/readyz", "/metrics",
 }
 
 // NewWithHolder returns a server reading whatever snapshot the holder
 // currently publishes. The caller keeps the holder and feeds it new
 // generations (model.Holder.Publish); swaps are invisible to in-flight
-// requests.
+// requests. A batch model is a holder with one generation that never
+// rotates.
 func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
@@ -336,9 +314,6 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		exited:    s.brownExited,
 	}
 	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
-		if err := s.retrievalDelay(ctx); err != nil {
-			return nil, err
-		}
 		rs, err := snap.Similar(ctx, []int32{item}, opts)
 		if err != nil {
 			return nil, err
@@ -409,42 +384,20 @@ func flatCost(snap model.Snapshot) int64 {
 	return c
 }
 
-// retrievalDelay pads a scan with the configured cancellable sleep (a
-// no-op in production configs; see Config.RetrievalDelay).
-func (s *Server) retrievalDelay(ctx context.Context) error {
-	d := s.cfg.RetrievalDelay
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Registry returns the metrics registry the server reports on.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Handler returns the routed HTTP handler wrapped in the hardening chain.
 //
-// The retrieval API is versioned under /v1/; the unversioned paths are
-// legacy aliases kept for existing integrations and serve byte-identical
-// responses. Operational endpoints (/healthz, /readyz, /metrics) stay
-// unversioned — they speak to infrastructure, not API clients.
+// The retrieval API is versioned under /v1/. Operational endpoints
+// (/healthz, /readyz, /metrics) stay unversioned — they speak to
+// infrastructure, not API clients.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/similar", s.handleSimilar)
 	mux.HandleFunc("/v1/coldstart/item", s.handleColdItem)
 	mux.HandleFunc("/v1/coldstart/user", s.handleColdUser)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/similar", s.handleSimilar)
-	mux.HandleFunc("/coldstart/item", s.handleColdItem)
-	mux.HandleFunc("/coldstart/user", s.handleColdUser)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
 	mux.Handle("/metrics", s.reg.Handler())
@@ -868,7 +821,7 @@ func (s *Server) annOptions(w http.ResponseWriter, r *http.Request, k int) (knn.
 	return opts, true
 }
 
-// coldItemRequest is the POST body of /coldstart/item: a brand-new item
+// coldItemRequest is the POST body of /v1/coldstart/item: a brand-new item
 // known only by its SI token names (Eq. 6 needs nothing else).
 type coldItemRequest struct {
 	SI []string `json:"si"`
@@ -934,13 +887,10 @@ func (s *Server) admittedVectorRetrieve(ctx context.Context, snap model.Snapshot
 	}
 	start := time.Now()
 	defer s.finishRetrieval(start, cost)
-	if err := s.retrievalDelay(ctx); err != nil {
-		return nil, err
-	}
 	return snap.SimilarToVector(ctx, qv, k, skip)
 }
 
-// coldUserRequest is the POST body of /coldstart/user. Age and Power are
+// coldUserRequest is the POST body of /v1/coldstart/user. Age and Power are
 // pointers so "absent" (match any) is distinguishable from index 0.
 type coldUserRequest struct {
 	Gender string `json:"gender"`
@@ -1005,9 +955,6 @@ func (s *Server) handleColdUser(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	recs, err := func() ([]knn.Result, error) {
 		defer s.finishRetrieval(start, cost)
-		if err := s.retrievalDelay(r.Context()); err != nil {
-			return nil, err
-		}
 		return snap.RecommendForColdUser(r.Context(), types, k)
 	}()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sisg/internal/corpus"
+	"sisg/internal/model"
 	"sisg/internal/race"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
@@ -25,6 +26,13 @@ func testDataset(t *testing.T) *corpus.Dataset {
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
+	return testServerWith(t, Config{MaxK: 100})
+}
+
+// testServerWith trains a small batch model and serves it, as the holder's
+// one generation, under cfg.
+func testServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	ds := testDataset(t)
 	opt := sgns.Defaults()
 	opt.Workers = race.Workers(0)
@@ -33,18 +41,10 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ds, m, 100)
+	s := NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(m, 1)), cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
-}
-
-// testModel unwraps the batch model behind the server's current snapshot
-// so tests can build sibling servers over the same embeddings.
-func testModel(s *Server) *sisg.Model {
-	snap, release := s.models.Acquire()
-	defer release()
-	return snap.(*sisg.ModelSnapshot).Model()
 }
 
 // testFlatCost is the predicted cost of one flat scan over the server's
@@ -106,7 +106,7 @@ func TestReadyzFlipsIndependentlyOfHealthz(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("draining server: /healthz = %d, want 200 (alive)", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts.URL+"/similar?item=1", nil); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, ts.URL+"/v1/similar?item=1", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("draining server must still serve routed requests: %d", resp.StatusCode)
 	}
 
@@ -120,7 +120,7 @@ func TestReadyzFlipsIndependentlyOfHealthz(t *testing.T) {
 func TestSimilar(t *testing.T) {
 	_, ts := testServer(t)
 	var cands []Candidate
-	resp := getJSON(t, ts.URL+"/similar?item=5&k=7", &cands)
+	resp := getJSON(t, ts.URL+"/v1/similar?item=5&k=7", &cands)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -140,7 +140,7 @@ func TestSimilar(t *testing.T) {
 func TestSimilarDefaults(t *testing.T) {
 	_, ts := testServer(t)
 	var cands []Candidate
-	getJSON(t, ts.URL+"/similar?item=1", &cands)
+	getJSON(t, ts.URL+"/v1/similar?item=1", &cands)
 	if len(cands) != 20 {
 		t.Fatalf("default k: got %d", len(cands))
 	}
@@ -149,7 +149,7 @@ func TestSimilarDefaults(t *testing.T) {
 func TestColdItem(t *testing.T) {
 	_, ts := testServer(t)
 	var cands []Candidate
-	resp := getJSON(t, ts.URL+"/coldstart/item?item=3&k=5", &cands)
+	resp := getJSON(t, ts.URL+"/v1/coldstart/item?item=3&k=5", &cands)
 	if resp.StatusCode != http.StatusOK || len(cands) != 5 {
 		t.Fatalf("status %d, %d candidates", resp.StatusCode, len(cands))
 	}
@@ -158,7 +158,7 @@ func TestColdItem(t *testing.T) {
 func TestColdUser(t *testing.T) {
 	_, ts := testServer(t)
 	var cands []Candidate
-	resp := getJSON(t, ts.URL+"/coldstart/user?gender=F&power=1&k=4", &cands)
+	resp := getJSON(t, ts.URL+"/v1/coldstart/user?gender=F&power=1&k=4", &cands)
 	if resp.StatusCode != http.StatusOK || len(cands) != 4 {
 		t.Fatalf("status %d, %d candidates", resp.StatusCode, len(cands))
 	}
@@ -167,13 +167,13 @@ func TestColdUser(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	s, ts := testServer(t)
 	for _, path := range []string{
-		"/similar?item=99999",
-		"/similar?item=-1",
-		"/similar",            // missing item
-		"/similar?item=1&k=0", // bad k
-		"/similar?item=1&k=1e9",
-		"/coldstart/item?item=99999",
-		"/coldstart/user?gender=X",
+		"/v1/similar?item=99999",
+		"/v1/similar?item=-1",
+		"/v1/similar",            // missing item
+		"/v1/similar?item=1&k=0", // bad k
+		"/v1/similar?item=1&k=1e9",
+		"/v1/coldstart/item?item=99999",
+		"/v1/coldstart/user?gender=X",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -191,11 +191,11 @@ func TestBadRequests(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	s, ts := testServer(t)
-	getJSON(t, ts.URL+"/similar?item=1", nil)
-	getJSON(t, ts.URL+"/coldstart/item?item=1", nil)
-	getJSON(t, ts.URL+"/coldstart/user?gender=M", nil)
+	getJSON(t, ts.URL+"/v1/similar?item=1", nil)
+	getJSON(t, ts.URL+"/v1/coldstart/item?item=1", nil)
+	getJSON(t, ts.URL+"/v1/coldstart/user?gender=M", nil)
 	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Similar != 1 || st.ColdItem != 1 || st.ColdUser != 1 {
 		t.Fatalf("stats: %+v", st)
 	}

@@ -24,41 +24,6 @@ func fetchBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-// The /v1 paths are the canonical API; the unversioned spellings are
-// aliases that must serve byte-identical responses.
-func TestV1AliasesServeIdenticalBodies(t *testing.T) {
-	_, ts := testServer(t)
-	for _, q := range []string{
-		"/similar?item=5&k=7",
-		"/coldstart/item?item=3&k=5",
-		"/coldstart/user?gender=F&power=1&k=4",
-	} {
-		legacyCode, legacy := fetchBody(t, ts.URL+q)
-		v1Code, v1 := fetchBody(t, ts.URL+"/v1"+q)
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%s: legacy %d, v1 %d", q, legacyCode, v1Code)
-		}
-		if string(legacy) != string(v1) {
-			t.Fatalf("%s: alias bodies differ:\nlegacy: %s\nv1:     %s", q, legacy, v1)
-		}
-	}
-	// /stats bumps no counters itself, so back-to-back fetches must agree
-	// on everything except the snapshot age, which ticks in real time.
-	_, legacy := fetchBody(t, ts.URL+"/stats")
-	_, v1 := fetchBody(t, ts.URL+"/v1/stats")
-	var legacySt, v1St Stats
-	if err := json.Unmarshal(legacy, &legacySt); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(v1, &v1St); err != nil {
-		t.Fatal(err)
-	}
-	legacySt.SnapshotAgeSeconds, v1St.SnapshotAgeSeconds = 0, 0
-	if legacySt != v1St {
-		t.Fatalf("/stats alias bodies differ:\nlegacy: %s\nv1:     %s", legacy, v1)
-	}
-}
-
 func decodeEnvelope(t *testing.T, b []byte) errorEnvelope {
 	t.Helper()
 	var env errorEnvelope
@@ -126,14 +91,11 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// With CacheSize set, a repeated /similar query is served from the cache
+// With CacheSize set, a repeated /v1/similar query is served from the cache
 // byte-identically, and hits/misses are counted; a different k is a
 // different cache key.
 func TestSimilarCache(t *testing.T) {
-	s, _ := testServer(t)
-	cached := NewConfigured(s.ds, testModel(s), Config{MaxK: 100, CacheSize: 8})
-	ts := httptest.NewServer(cached.Handler())
-	defer ts.Close()
+	cached, ts := testServerWith(t, Config{MaxK: 100, CacheSize: 8})
 
 	code1, first := fetchBody(t, ts.URL+"/v1/similar?item=5&k=7")
 	code2, second := fetchBody(t, ts.URL+"/v1/similar?item=5&k=7")

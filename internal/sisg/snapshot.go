@@ -31,9 +31,6 @@ func NewModelSnapshot(m *Model, gen uint64) *ModelSnapshot {
 	return &ModelSnapshot{m: m, gen: gen, at: time.Now()}
 }
 
-// Model returns the wrapped batch model (warm-up paths use it directly).
-func (s *ModelSnapshot) Model() *Model { return s.m }
-
 func (s *ModelSnapshot) Generation() uint64     { return s.gen }
 func (s *ModelSnapshot) PublishedAt() time.Time { return s.at }
 func (s *ModelSnapshot) Variant() string        { return s.m.Variant.Name }
