@@ -4,7 +4,8 @@
 // scores all centroids, probes the NProbe most promising non-empty
 // clusters, and the union of their posting lists is the candidate set.
 // Candidates are optionally pre-screened with int8 quantized dot products
-// (Options.Quantized) and always re-ranked with the exact float32 kernel
+// (Options.Quantized, over the index's int8 mirror — the one the flat scan
+// reads, see quant.go) and always re-ranked with the exact float32 kernel
 // under the engine's canonical total order — approximation decides which
 // rows are *considered*, never what score a served row carries.
 //
@@ -23,6 +24,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,17 +44,16 @@ const (
 	rerankMin    = 64
 )
 
-// ivfIndex is the immutable IVF layer of an Index: coarse centroids, one
-// ascending posting list per centroid, and the int8-quantized mirror of
-// the indexed rows for shortlist scoring.
+// ivfIndex is the immutable IVF layer of an Index: coarse centroids and one
+// ascending posting list per centroid. Shortlist scoring reads the index's
+// int8 mirror, which the layer refers to and does not own.
 type ivfIndex struct {
 	nlist     int
 	dim       int
 	centroids []float32 // nlist × dim, row-major
 	lists     [][]int32 // per centroid, ascending row ids (may be empty)
 	nonEmpty  int       // number of non-empty posting lists
-	codes     []int8    // rows × dim int8 codes (symmetric per-row scale)
-	scales    []float32 // per-row quantization scale
+	*quantMirror
 }
 
 // ivfLayer returns the IVF layer, building it cold on first use unless
@@ -129,8 +130,9 @@ func defaultNProbe(nlist int) int {
 	return np
 }
 
-// buildIVF clusters and quantizes the indexed rows, cold or seeded with
-// warm (see BuildIVF).
+// buildIVF clusters the indexed rows, cold or seeded with warm (see
+// BuildIVF), and quantizes them into the index's int8 mirror unless that
+// exists already.
 //
 // Cold, it runs kmeansIters Lloyd iterations from evenly spaced rows and
 // one last assignment against the final centroids. Warm, that last
@@ -144,8 +146,9 @@ func defaultNProbe(nlist int) int {
 //
 // Every pass over the rows that scores them against the centroids is
 // parallel over row blocks and per-row pure, so parallelism cannot change
-// a result; the last one also quantizes each row it assigns. Sums are
-// serial, in ascending row order.
+// a result; the last one also quantizes each row it assigns, while the row
+// is in cache, so that a publisher who builds the layer pays no separate
+// pass for the mirror. Sums are serial, in ascending row order.
 func buildIVF(ix *Index, warm []float32) *ivfIndex {
 	rows, dim := ix.rows, ix.mat.Dim
 	data := ix.mat.Data()
@@ -154,8 +157,6 @@ func buildIVF(ix *Index, warm []float32) *ivfIndex {
 		nlist: nlist, dim: dim,
 		centroids: make([]float32, nlist*dim),
 		lists:     make([][]int32, nlist),
-		codes:     make([]int8, rows*dim),
-		scales:    make([]float32, rows),
 	}
 
 	// Seed centroids from the warm start as far as it reaches, and the
@@ -187,11 +188,21 @@ func buildIVF(ix *Index, warm []float32) *ivfIndex {
 	assign := make([]int32, rows)
 	if seeded == 0 {
 		for iter := 0; iter < kmeansIters; iter++ {
-			iv.assignRows(assign, data, rows, workers, false)
+			iv.assignRows(assign, data, rows, workers, nil)
 			iv.recentre(assign, data)
 		}
 	}
-	iv.assignRows(assign, data, rows, workers, true)
+	filled := false
+	ix.mirrorOnce.Do(func() {
+		m := newQuantMirror(rows, dim)
+		iv.assignRows(assign, data, rows, workers, m)
+		ix.mirror.Store(m)
+		filled = true
+	})
+	if !filled {
+		iv.assignRows(assign, data, rows, workers, nil)
+	}
+	iv.quantMirror = ix.mirror.Load()
 	iv.carveLists(assign)
 	if seeded > 0 {
 		if iv.nonEmpty < nlist {
@@ -252,86 +263,69 @@ func (iv *ivfIndex) recentre(assign []int32, data []float32) {
 // assignRows computes, for every row, the nearest centroid by Euclidean
 // distance (argmax of c·x − ||c||²/2; ties to the lowest centroid id),
 // fanning row blocks across at most workers goroutines (at least one). With
-// quantize set it also writes each row's int8 code and scale while the row
-// is in cache.
-func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int, quantize bool) {
+// a mirror to fill it also quantizes each row into it while the row is in
+// cache.
+func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int, fill *quantMirror) {
 	dim := iv.dim
 	halfNorm := make([]float32, iv.nlist)
 	for c := 0; c < iv.nlist; c++ {
 		cen := iv.centroids[c*dim : (c+1)*dim]
 		halfNorm[c] = vecmath.Dot(cen, cen) / 2
 	}
-	const block = 256
-	blocks := (rows + block - 1) / block
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scores := make([]float32, iv.nlist)
-			for {
-				b := int(next.Add(1))
-				if b >= blocks {
-					return
-				}
-				lo := b * block
-				hi := lo + block
-				if hi > rows {
-					hi = rows
-				}
-				for r := lo; r < hi; r++ {
-					row := data[r*dim : (r+1)*dim]
-					vecmath.DotRows(scores, iv.centroids, row)
-					best, bestScore := int32(0), scores[0]-halfNorm[0]
-					for c := 1; c < iv.nlist; c++ {
-						if s := scores[c] - halfNorm[c]; s > bestScore {
-							best, bestScore = int32(c), s
-						}
-					}
-					assign[r] = best
-					if quantize {
-						iv.scales[r] = vecmath.QuantizeRow(iv.codes[r*dim:(r+1)*dim], row)
-					}
+	eachRowBlock(rows, workers, func(lo, hi int) {
+		scores := make([]float32, iv.nlist)
+		for r := lo; r < hi; r++ {
+			row := data[r*dim : (r+1)*dim]
+			vecmath.DotRows(scores, iv.centroids, row)
+			best, bestScore := int32(0), scores[0]-halfNorm[0]
+			for c := 1; c < iv.nlist; c++ {
+				if s := scores[c] - halfNorm[c]; s > bestScore {
+					best, bestScore = int32(c), s
 				}
 			}
-		}()
-	}
-	wg.Wait()
+			assign[r] = best
+			if fill != nil {
+				fill.fill(r, row)
+			}
+		}
+	})
 }
 
-// queryIVF answers one prepared (already normalized if requested) query
-// through the IVF layer. The context is checked between the probe,
-// shortlist and re-rank stages and once per candidate tile inside each.
+// queryIVF answers one query through the IVF layer. The context is checked
+// once per candidate tile inside the shortlist and re-rank stages.
 func (ix *Index) queryIVF(ctx context.Context, q []float32, opts Options) ([]Result, error) {
 	iv := ix.ivfLayer()
-	cands := iv.candidates(q, opts.NProbe)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.free()
+	sc.begin([][]float32{q}, opts)
+	st := &sc.qs[0]
+	cands := iv.candidates(st.q, opts.NProbe)
 	ix.tiles.Add(uint64(1 + (iv.nlist-1)/blockRows)) // centroid scoring pass
-	if opts.Quantized {
+	if opts.Quantized && st.bounded {
 		var err error
-		cands, err = ix.quantShortlist(ctx, iv, cands, q, opts)
+		cands, err = ix.quantShortlist(ctx, sc, st, iv, cands, opts)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return ix.rerank(ctx, cands, q, opts.K, opts.Skip)
+	for _, l := range cands {
+		if err := ix.rerank(ctx, sc, st, l, opts.K, opts.Skip); err != nil {
+			return nil, err
+		}
+	}
+	rs := slices.Clone([]Result(st.top))
+	sortResults(rs)
+	return rs, nil
 }
 
 // queryBatchIVF runs queryIVF per query on a bounded worker pool. Queries
 // are independent, so parallelism affects speed only. On cancellation the
 // whole batch fails with one error; workers drain the query counter
 // without scanning once any query errors.
-func (ix *Index) queryBatchIVF(ctx context.Context, prepared [][]float32, opts Options, out [][]Result) ([][]Result, error) {
-	workers := opts.effectiveWorkers(len(prepared))
+func (ix *Index) queryBatchIVF(ctx context.Context, qs [][]float32, opts Options, out [][]Result) ([][]Result, error) {
+	workers := opts.effectiveWorkers(len(qs))
 	if workers == 1 {
-		for qi, q := range prepared {
+		for qi, q := range qs {
 			rs, err := ix.queryIVF(ctx, q, opts)
 			if err != nil {
 				return nil, err
@@ -350,13 +344,13 @@ func (ix *Index) queryBatchIVF(ctx context.Context, prepared [][]float32, opts O
 			defer wg.Done()
 			for {
 				qi := int(next.Add(1))
-				if qi >= len(prepared) {
+				if qi >= len(qs) {
 					return
 				}
 				if failed.Load() {
 					continue
 				}
-				rs, err := ix.queryIVF(ctx, prepared[qi], opts)
+				rs, err := ix.queryIVF(ctx, qs[qi], opts)
 				if err != nil {
 					failed.Store(true)
 					continue
@@ -378,7 +372,11 @@ func (ix *Index) queryBatchIVF(ctx context.Context, prepared [][]float32, opts O
 // costs the centroid pass plus the expected fraction of rows its probe
 // width reaches (quantized shortlists count at a quarter weight — int8
 // traffic — plus the exact re-rank of the kept shortlist). The estimate
-// is derived from index geometry only and never forces the IVF build.
+// is derived from index geometry only and never forces the IVF build. A
+// flat scan is deliberately still priced at rows·dim although it now moves
+// about a quarter of those bytes: the server's MaxInFlight budget and its
+// brownout thresholds are denominated in "one flat scan", and re-weighting
+// flat against IVF is a change to admission policy, not to the scan.
 func (ix *Index) PredictedCost(opts Options) int64 {
 	if opts.K <= 0 || ix.rows == 0 {
 		return 0
@@ -459,79 +457,46 @@ func (iv *ivfIndex) candidates(q []float32, nprobe int) [][]int32 {
 	return probeLists
 }
 
-// quantShortlist pre-screens candidates with int8 quantized dot products,
-// keeping the max(rerankFactor*K, rerankMin) best under the total order
-// for the exact re-rank. Quantized scores only ever decide membership of
-// the re-rank set; they are never served. The context is checked once per
-// blockRows candidates (a tile unit of work, counted on ix.tiles).
-func (ix *Index) quantShortlist(ctx context.Context, iv *ivfIndex, lists [][]int32, q []float32, opts Options) ([][]int32, error) {
+// quantShortlist pre-screens candidates with int8 quantized dot products
+// — each row's codes against the int16 query of st, by the same kernel as
+// the flat scan — keeping the max(rerankFactor*K, rerankMin) best under the
+// total order for the exact re-rank. Quantized scores only ever decide
+// membership of the re-rank set; they are never served. The context is
+// checked once per blockRows candidates (a tile unit of work, counted on
+// ix.tiles).
+func (ix *Index) quantShortlist(ctx context.Context, sc *scratch, st *scan, iv *ivfIndex, lists [][]int32, opts Options) ([][]int32, error) {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	keep := opts.K * rerankFactor
-	if keep < rerankMin {
-		keep = rerankMin
-	}
+	keep := max(opts.K*rerankFactor, rerankMin)
 	if keep >= total {
 		return lists, nil
 	}
-	qc := make([]int8, len(q))
-	qs := vecmath.QuantizeRow(qc, q)
-	h := make(minHeap, 0, keep)
 	dim := iv.dim
-	seen := 0
+	dot := sc.dots[:1]
 	for _, l := range lists {
 		for _, id := range l {
-			if seen%blockRows == 0 {
+			if st.seen%blockRows == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, canceledErr(err)
 				}
 				ix.tiles.Add(1)
 			}
-			seen++
+			st.seen++
 			if opts.Skip != nil && opts.Skip(id) {
 				continue
 			}
-			s := float32(vecmath.DotInt8(iv.codes[int(id)*dim:(int(id)+1)*dim], qc)) * iv.scales[id] * qs
-			pushBounded(&h, Result{ID: id, Score: s}, keep)
+			vecmath.DotRowsI8(dot, iv.codes[int(id)*dim:(int(id)+1)*dim], st.u)
+			approx := float64(iv.scales[id]) * st.t * float64(dot[0])
+			pushBounded(&st.top, Result{ID: id, Score: float32(approx)}, keep)
 		}
 	}
-	ids := make([]int32, len(h))
-	for i, r := range h {
+	ids := make([]int32, len(st.top))
+	for i, r := range st.top {
 		ids[i] = r.ID
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
+	st.top, st.seen = st.top[:0], 0
 	return [][]int32{ids}, nil
-}
-
-// rerank scores candidate rows exactly, each with one DotRows call on the
-// row in place — the schedule is per-row, so the score is bit-identical
-// to what the flat scan's tiled call computes for the same row — then
-// selects under the canonical total order. No gather copy: approximate
-// retrieval must not pay more memory traffic per candidate than the scan
-// it replaces. The context is checked once per blockRows candidates.
-func (ix *Index) rerank(ctx context.Context, lists [][]int32, q []float32, k int, skip func(int32) bool) ([]Result, error) {
-	dim := ix.mat.Dim
-	data := ix.mat.Data()
-	var score [1]float32
-	h := make(minHeap, 0, k)
-	seen := 0
-	for _, l := range lists {
-		for _, id := range l {
-			if seen%blockRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, canceledErr(err)
-				}
-				ix.tiles.Add(1)
-			}
-			seen++
-			if skip != nil && skip(id) {
-				continue
-			}
-			vecmath.DotRows(score[:], data[int(id)*dim:(int(id)+1)*dim], q)
-			pushBounded(&h, Result{ID: id, Score: score[0]}, k)
-		}
-	}
-	return mergeTopK([]minHeap{h}, k), nil
 }

@@ -2,11 +2,17 @@
 // similar items", §IV-A). It offers two execution strategies behind one
 // Options API:
 //
-//   - Index "flat" (the default): an exact top-K scan. The matrix is split
-//     into row shards, every query fans out across shards on a bounded
-//     worker pool, each shard is scored with the cache-blocked SIMD kernel
-//     in internal/vecmath and reduced into a per-shard top-k min-heap, and
-//     the shard heaps merge under the total order (score desc, id asc).
+//   - Index "flat" (the default): an exact top-K scan that reads int8
+//     first. The matrix is split into row shards and every query fans out
+//     across shards on a bounded worker pool. A worker scores each 256-row
+//     tile of the index's int8 mirror with the integer SIMD kernel in
+//     internal/vecmath, turns every integer score into an interval that
+//     provably contains the row's float32 score, and drops the rows whose
+//     interval lies below K intervals already seen (see scan.prune for the
+//     bound and the two pruning rules). The few survivors are scored with
+//     the float32 kernel on the float rows and selected under the total
+//     order (score desc, id asc), so the answer is exactly the full float
+//     scan's — ids, scores and tie-breaks — for a quarter of the bytes.
 //
 //   - Index "ivf": a sub-linear approximate scan, the shape production
 //     systems put in front of a 25M–800M item corpus. Rows are clustered
@@ -20,12 +26,13 @@
 //
 // Determinism guarantee: for a given matrix, query and Options, results
 // are bit-identical across shard count, worker count, batching, and
-// platform. Two facts carry this: scores come from one fixed accumulation
-// schedule (vecmath.DotRows == vecmath.DotRowsRef, bit-exact), and top-k
-// selection is performed entirely under the total order (score desc,
+// platform. Three facts carry this: served scores come from one fixed
+// accumulation schedule (vecmath.DotRows == vecmath.DotRowsRef, bit-exact);
+// top-k selection is performed entirely under the total order (score desc,
 // id asc) — including tie-breaks at the heap boundary — so it has exactly
 // one answer no matter how the scan is partitioned or which candidates an
-// IVF probe surfaces.
+// IVF probe surfaces; and the flat scan's int8 pass only ever discards a
+// row that K other rows provably beat under that order.
 //
 // Cancellation: Query and QueryBatch take a context.Context, checked at
 // tile and shard boundaries (one tile is 256 rows), so a serving timeout
@@ -40,12 +47,11 @@
 package knn
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -168,9 +174,11 @@ const blockRows = 256
 type span struct{ lo, hi int }
 
 // Index is a sharded retrieval index over the first rows rows of a
-// matrix. It is immutable after construction and safe for concurrent use
-// (the IVF layer — built by BuildIVF, or lazily by the first IVF query —
-// is guarded by a sync.Once).
+// matrix. It is immutable after construction and safe for concurrent use:
+// its two derived layers — the int8 mirror every flat scan reads first
+// (BuildQuantized, else the first query that needs it) and the IVF layer
+// (BuildIVF, else the first IVF query) — are each built once, under a
+// sync.Once.
 type Index struct {
 	mat    *emb.Matrix
 	rows   int
@@ -182,6 +190,9 @@ type Index struct {
 	// serving metric can assert that a cancelled query stopped scanning
 	// instead of trusting that it did.
 	tiles atomic.Uint64
+
+	mirrorOnce sync.Once
+	mirror     atomic.Pointer[quantMirror]
 
 	ivfOnce sync.Once
 	ivf     atomic.Pointer[ivfIndex]
@@ -245,8 +256,8 @@ func (ix *Index) TilesScanned() uint64 { return ix.tiles.Load() }
 
 // Query returns the top-K rows by dot product with q under the total
 // order (score desc, id asc), honouring opts. The query slice is
-// read-only. Results are bit-identical to a serial scan regardless of
-// sharding and parallelism.
+// read-only. Results are bit-identical to a serial float32 scan of every
+// row regardless of sharding and parallelism.
 //
 // ctx is checked at tile and shard boundaries: when it is cancelled the
 // call stops scanning within one tile per worker and returns an error
@@ -259,23 +270,14 @@ func (ix *Index) Query(ctx context.Context, q []float32, opts Options) ([]Result
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
-	q = ix.prepared(q, opts)
 	if opts.wantIVF() {
 		return ix.queryIVF(ctx, q, opts)
 	}
-	per := make([]minHeap, len(ix.shards))
-	err := ix.fanOut(ctx, opts.effectiveWorkers(len(ix.shards)), func(si int, buf []float32) error {
-		h := make(minHeap, 0, opts.K)
-		if err := ix.scanShard(ctx, &h, buf, q, ix.shards[si], opts.K, opts.Skip); err != nil {
-			return err
-		}
-		per[si] = h
-		return nil
-	})
-	if err != nil {
+	out := make([][]Result, 1)
+	if err := ix.queryFlat(ctx, [][]float32{q}, opts, out); err != nil {
 		return nil, err
 	}
-	return mergeTopK(per, opts.K), nil
+	return out[0], nil
 }
 
 // QueryBatch runs Query for every query in qs under one shared Options
@@ -293,62 +295,13 @@ func (ix *Index) QueryBatch(ctx context.Context, qs [][]float32, opts Options) (
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
-	prepared := make([][]float32, len(qs))
-	for i, q := range qs {
-		prepared[i] = ix.prepared(q, opts)
-	}
 	if opts.wantIVF() {
-		return ix.queryBatchIVF(ctx, prepared, opts, out)
+		return ix.queryBatchIVF(ctx, qs, opts, out)
 	}
-	// per[si][qi] is query qi's top-k heap over shard si.
-	per := make([][]minHeap, len(ix.shards))
-	err := ix.fanOut(ctx, opts.effectiveWorkers(len(ix.shards)), func(si int, buf []float32) error {
-		hs := make([]minHeap, len(prepared))
-		for qi := range hs {
-			hs[qi] = make(minHeap, 0, opts.K)
-		}
-		sp := ix.shards[si]
-		dim := ix.mat.Dim
-		data := ix.mat.Data()
-		for b := sp.lo; b < sp.hi; b += blockRows {
-			if err := ctx.Err(); err != nil {
-				return canceledErr(err)
-			}
-			n := min(blockRows, sp.hi-b)
-			block := data[b*dim : (b+n)*dim : (b+n)*dim]
-			for qi, q := range prepared {
-				scores := buf[:n]
-				vecmath.DotRows(scores, block, q)
-				sift(&hs[qi], scores, int32(b), opts.K, opts.Skip)
-			}
-			ix.tiles.Add(uint64(len(prepared)))
-		}
-		per[si] = hs
-		return nil
-	})
-	if err != nil {
+	if err := ix.queryFlat(ctx, qs, opts, out); err != nil {
 		return nil, err
 	}
-	shardHeaps := make([]minHeap, len(ix.shards))
-	for qi := range out {
-		for si := range per {
-			shardHeaps[si] = per[si][qi]
-		}
-		out[qi] = mergeTopK(shardHeaps, opts.K)
-	}
 	return out, nil
-}
-
-// prepared returns the query to scan with: the caller's slice as-is, or a
-// normalized private copy when opts.Normalize is set.
-func (ix *Index) prepared(q []float32, opts Options) []float32 {
-	if !opts.Normalize {
-		return q
-	}
-	qc := make([]float32, len(q))
-	copy(qc, q)
-	vecmath.Normalize(qc)
-	return qc
 }
 
 // effectiveWorkers bounds the fan-out width by the shard count.
@@ -366,69 +319,138 @@ func (o Options) effectiveWorkers(shards int) int {
 	return w
 }
 
-// fanOut runs work(shardIndex, scratch) for every shard on up to workers
-// goroutines. Each worker owns one scratch score buffer for its lifetime.
-// When any work call errors, remaining shards are skipped (workers drain
-// the shard counter without scanning) and the call returns one error
-// derived from ctx — every error path here is a cancellation, so the
-// context is the authority on why.
-func (ix *Index) fanOut(ctx context.Context, workers int, work func(si int, buf []float32) error) error {
-	if workers == 1 {
-		buf := make([]float32, blockRows)
-		for si := range ix.shards {
-			if err := work(si, buf); err != nil {
+// queryFlat answers every query of qs exactly, into out. Up to
+// Parallelism workers take shards off a shared counter. A worker keeps one
+// scan state per query across all the shards it visits — it visits them in
+// ascending row order, which is all the pruning rule needs — and ends by
+// scoring its surviving candidates exactly. Whatever shards each worker
+// got, the union of their top-K lists holds the global top-K, and the
+// merge under the total order has one answer. Every error is a
+// cancellation, so the context is the authority on why.
+func (ix *Index) queryFlat(ctx context.Context, qs [][]float32, opts Options, out [][]Result) error {
+	workers := opts.effectiveWorkers(len(ix.shards))
+	for qi := range out {
+		out[qi] = make([]Result, 0, workers*min(opts.K, ix.rows))
+	}
+	mir := ix.quantized()
+	var (
+		next atomic.Int64 // the next shard nobody has taken
+		mu   sync.Mutex   // guards out
+	)
+	worker := func() error {
+		sc := scratchPool.Get().(*scratch)
+		defer sc.free()
+		sc.begin(qs, opts)
+		for si := int(next.Add(1)) - 1; si < len(ix.shards); si = int(next.Add(1)) - 1 {
+			if err := ix.scanShard(ctx, sc, mir, ix.shards[si], opts); err != nil {
 				return err
 			}
 		}
+		for qi := range sc.qs {
+			st := &sc.qs[qi]
+			if err := ix.rerank(ctx, sc, st, st.survivors(), opts.K, nil); err != nil {
+				return err
+			}
+		}
+		// The scratch goes back to the pool: copy the answers out of it.
+		mu.Lock()
+		defer mu.Unlock()
+		for qi := range sc.qs {
+			out[qi] = append(out[qi], sc.qs[qi].top...)
+		}
 		return nil
 	}
-	var failed atomic.Bool
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float32, blockRows)
-			for {
-				si := int(next.Add(1))
-				if si >= len(ix.shards) {
-					return
-				}
-				if failed.Load() {
-					continue // drain remaining shards without scanning
-				}
-				if err := work(si, buf); err != nil {
+	if workers == 1 {
+		if err := worker(); err != nil {
+			return err
+		}
+	} else {
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if worker() != nil {
 					failed.Store(true)
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		if failed.Load() {
+			return canceledErr(ctx.Err())
+		}
 	}
-	wg.Wait()
-	if failed.Load() {
-		return canceledErr(ctx.Err())
+	for qi, rs := range out {
+		sortResults(rs)
+		out[qi] = rs[:min(opts.K, len(rs))]
 	}
 	return nil
 }
 
-// scanShard reduces one shard into h: scores are computed one tile at a
-// time by the blocked kernel, then folded into the k-bounded min-heap in
-// ascending row order (which keeps tie handling identical to a serial
-// scan). The context is checked once per tile — cancellation abandons the
-// shard within one tile of work.
-func (ix *Index) scanShard(ctx context.Context, h *minHeap, buf []float32, q []float32, sp span, k int, skip func(int32) bool) error {
+// scanShard runs every query of sc over one shard, a tile at a time: the
+// tile's int8 codes are scored against the query by the integer kernel and
+// pruned (scan.prune); a query whose bound does not hold — a non-finite or
+// out-of-range one — gets the tile's float rows instead (scanTileFloat).
+// A tile is streamed from memory once per call: the second query of a
+// batch finds it in cache. The context is checked once per tile —
+// cancellation abandons the shard within one tile of work.
+func (ix *Index) scanShard(ctx context.Context, sc *scratch, mir *quantMirror, sp span, opts Options) error {
 	dim := ix.mat.Dim
-	data := ix.mat.Data()
 	for b := sp.lo; b < sp.hi; b += blockRows {
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
 		n := min(blockRows, sp.hi-b)
-		scores := buf[:n]
-		vecmath.DotRows(scores, data[b*dim:(b+n)*dim:(b+n)*dim], q)
-		sift(h, scores, int32(b), k, skip)
-		ix.tiles.Add(1)
+		for qi := range sc.qs {
+			st := &sc.qs[qi]
+			if !st.bounded {
+				ix.scanTileFloat(sc, st, b, n, opts)
+				continue
+			}
+			dots := sc.dots[:n]
+			vecmath.DotRowsI8(dots, mir.codes[b*dim:(b+n)*dim], st.u)
+			st.prune(dots, mir.scales[b:b+n], int32(b), opts.K, opts.Skip)
+		}
+		ix.tiles.Add(uint64(len(sc.qs)))
+	}
+	return nil
+}
+
+// scanTileFloat is the scan without the int8 pass, for a query the bound
+// does not cover: every row of the tile is scored by the float32 kernel
+// and folded into the query's top-K.
+func (ix *Index) scanTileFloat(sc *scratch, st *scan, b, n int, opts Options) {
+	dim := ix.mat.Dim
+	scores := sc.scores[:n]
+	vecmath.DotRows(scores, ix.mat.Data()[b*dim:(b+n)*dim], st.q)
+	sift(&st.top, scores, int32(b), opts.K, opts.Skip)
+}
+
+// rerank scores the rows of ids exactly into st.top, each with one DotRows
+// call on the row in place — the schedule is per-row, so the score is
+// bit-identical to what a tiled call over the whole matrix computes for
+// the same row — selecting under the canonical total order. No gather
+// copy. The context is checked once per blockRows candidates (a tile unit
+// of work, counted on ix.tiles); st.seen carries the count from one list
+// to the next.
+func (ix *Index) rerank(ctx context.Context, sc *scratch, st *scan, ids []int32, k int, skip func(int32) bool) error {
+	dim := ix.mat.Dim
+	data := ix.mat.Data()
+	score := sc.scores[:1]
+	for _, id := range ids {
+		if st.seen%blockRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return canceledErr(err)
+			}
+			ix.tiles.Add(1)
+		}
+		st.seen++
+		if skip != nil && skip(id) {
+			continue
+		}
+		vecmath.DotRows(score, data[int(id)*dim:(int(id)+1)*dim], st.q)
+		pushBounded(&st.top, Result{ID: id, Score: score[0]}, k)
 	}
 	return nil
 }
@@ -444,6 +466,49 @@ func better(a, b Result) bool {
 	return a.ID < b.ID
 }
 
+// worse is the heap order of minHeap: the root is the worst kept result.
+func worse(a, b Result) bool { return better(b, a) }
+
+// heapPush appends x to the binary heap h (root = least under less) and
+// restores the heap; heapFixRoot restores it after h[0] was replaced. They
+// stand in for container/heap, which boxes every pushed element: a scan
+// pushes on the request path. Heap shape never reaches a caller — kept
+// sets are defined by the total order and sorted before they are returned.
+func heapPush[T any](h []T, x T, less func(a, b T) bool) []T {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !less(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return h
+}
+
+func heapFixRoot[T any](h []T, less func(a, b T) bool) {
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < len(h) && less(h[l], h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && less(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// minHeap keeps the k best results with the worst — under the canonical
+// total order (score desc, id asc) — at the root, so boundary evictions
+// are deterministic even on exact score ties.
+type minHeap []Result
+
 // pushBounded folds one candidate into a k-bounded min-heap whose root is
 // the worst kept result under the total order. Replacement uses the full
 // total order (not just score), so exact ties at the k boundary resolve to
@@ -451,12 +516,12 @@ func better(a, b Result) bool {
 // the IVF path leans on, since probe order is score-driven, not id-driven.
 func pushBounded(h *minHeap, r Result, k int) {
 	if len(*h) < k {
-		heap.Push(h, r)
+		*h = heapPush(*h, r, worse)
 		return
 	}
 	if better(r, (*h)[0]) {
 		(*h)[0] = r
-		heap.Fix(h, 0)
+		heapFixRoot(*h, worse)
 	}
 }
 
@@ -472,7 +537,7 @@ func sift(h *minHeap, scores []float32, base int32, k int, skip func(int32) bool
 		if skip != nil && skip(id) {
 			continue
 		}
-		heap.Push(h, Result{ID: id, Score: scores[i]})
+		*h = heapPush(*h, Result{ID: id, Score: scores[i]}, worse)
 	}
 	if i == len(scores) {
 		return
@@ -482,7 +547,7 @@ func sift(h *minHeap, scores []float32, base int32, k int, skip func(int32) bool
 		for ; i < len(scores); i++ {
 			if r := (Result{ID: base + int32(i), Score: scores[i]}); better(r, root) {
 				(*h)[0] = r
-				heap.Fix(h, 0)
+				heapFixRoot(*h, worse)
 				root = (*h)[0]
 			}
 		}
@@ -491,60 +556,22 @@ func sift(h *minHeap, scores []float32, base int32, k int, skip func(int32) bool
 	for ; i < len(scores); i++ {
 		if r := (Result{ID: base + int32(i), Score: scores[i]}); better(r, root) && !skip(r.ID) {
 			(*h)[0] = r
-			heap.Fix(h, 0)
+			heapFixRoot(*h, worse)
 			root = (*h)[0]
 		}
 	}
 }
 
-// mergeTopK concatenates per-shard heaps and selects the global top-k
-// under the total order (score desc, id asc). Because the order is total,
-// the outcome is independent of shard boundaries and merge order.
-func mergeTopK(per []minHeap, k int) []Result {
-	total := 0
-	for _, h := range per {
-		total += len(h)
-	}
-	all := make([]Result, 0, total)
-	for _, h := range per {
-		all = append(all, h...)
-	}
-	sortResults(all)
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
-}
-
 // sortResults orders by score descending, breaking ties by id ascending —
 // the engine's canonical total order.
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].Score != rs[b].Score {
-			return rs[a].Score > rs[b].Score
+	slices.SortFunc(rs, func(a, b Result) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
 		}
-		return rs[a].ID < rs[b].ID
+		return 0
 	})
-}
-
-// minHeap keeps the k best results with the worst — under the canonical
-// total order (score desc, id asc) — at the root, so boundary evictions
-// are deterministic even on exact score ties.
-type minHeap []Result
-
-func (h minHeap) Len() int { return len(h) }
-func (h minHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].ID > h[j].ID
-}
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -21,12 +21,13 @@ type ModelSnapshot struct {
 var _ model.Snapshot = (*ModelSnapshot)(nil)
 
 // NewModelSnapshot wraps m as generation gen. Both retrieval indexes are
-// built eagerly: a snapshot must never mutate after publication, and lazy
-// first-request builds would race under concurrent traffic.
+// built eagerly, each with the int8 mirror its flat scans read first: a
+// snapshot must never mutate after publication, and no request should wait
+// behind a build.
 func NewModelSnapshot(m *Model, gen uint64) *ModelSnapshot {
-	m.ItemIndex()
+	m.ItemIndex().BuildQuantized()
 	if m.Variant.Directed {
-		m.coldUserIndex()
+		m.coldUserIndex().BuildQuantized()
 	}
 	return &ModelSnapshot{m: m, gen: gen, at: time.Now()}
 }

@@ -1,8 +1,9 @@
-// Int8 quantization kernels for the retrieval shortlist path. The ANN
-// index in internal/knn scans candidate rows with quantized dot products —
-// 4x less memory traffic than float32 — and re-ranks the survivors with the
-// exact float32 kernel, so quantization error can demote a candidate out of
-// the shortlist but never perturb a served score.
+// Int8 quantization kernels for the retrieval scans. internal/knn reads
+// the int8 mirror of the indexed rows first — 4x less memory traffic than
+// float32 — and scores the rows that survive with the exact float32
+// kernel: the flat scan prunes with a proven error bound and stays exact,
+// the IVF pre-screen keeps a fixed-size shortlist. Either way quantization
+// decides which rows get the exact kernel, never a served score.
 //
 // The format is symmetric per-row max-abs scaling: a row x is stored as
 // int8 codes c[i] = round(x[i]/scale) with scale = max|x|/127, so
@@ -11,9 +12,29 @@
 // two quantized vectors is exact int32 arithmetic scaled once at the end:
 // no float error accumulates inside the loop, which is what makes the
 // quantized-dot error bound provable (see quant_test.go).
+//
+// A query is quantized finer than a row, to int16 (QuantizeQueryI16), and
+// scored against a block of code rows by DotRowsI8: AVX2 on amd64, a
+// pure-Go reference elsewhere. Integer sums have no rounding, so the two
+// agree on every input without a fixed accumulation schedule.
 package vecmath
 
 import "math"
+
+// maxAbs returns the largest magnitude in x, skipping NaNs (0 for an empty
+// or all-NaN slice).
+func maxAbs(x []float32) float32 {
+	var m float32
+	for _, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
 
 // QuantizeRow quantizes src into dst (same length) with symmetric per-row
 // scaling and returns the scale. dst[i] = round(src[i]/scale) clamped to
@@ -24,20 +45,9 @@ func QuantizeRow(dst []int8, src []float32) float32 {
 	if len(dst) != len(src) {
 		panic("vecmath: QuantizeRow length mismatch")
 	}
-	var maxAbs float32
-	for _, v := range src {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
+	maxAbs := maxAbs(src)
 	if maxAbs == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return 0
 	}
 	scale := maxAbs / 127
@@ -64,7 +74,9 @@ func DequantizeRow(dst []float32, codes []int8, scale float32) {
 	}
 }
 
-// DotInt8 returns the integer inner product of two int8 code vectors. The
+// DotInt8 returns the integer inner product of two int8 code vectors: the
+// scalar reference for int8 x int8 scoring. The scans in internal/knn use
+// DotRowsI8, which takes the query as int16 and a block of rows. The
 // accumulation is exact: |a[i]*b[i]| <= 127² = 16129, so int32 holds the
 // sum without overflow for any dimension up to ~133k — far beyond any
 // embedding this repository trains. The float similarity is recovered as
@@ -88,4 +100,101 @@ func DotInt8(a, b []int8) int32 {
 		s += int32(a[i]) * int32(b[i])
 	}
 	return s
+}
+
+// queryLimitI16 is the largest code magnitude QuantizeQueryI16 uses for a
+// query of dim elements: 32767 up to dim 516, and beyond that the largest
+// u with 127*u*dim < 2^31, so that DotRowsI8 cannot overflow its int32
+// sums against any int8 codes.
+func queryLimitI16(dim int) int {
+	if dim <= 516 {
+		return math.MaxInt16
+	}
+	return math.MaxInt32 / (127 * dim)
+}
+
+// QuantizeQueryI16 quantizes a query into dst (same length) with symmetric
+// max-abs scaling — to ±32767 up to dim 516, lower beyond, see
+// queryLimitI16 — and returns the step t:
+// dst[i] = round(src[i]/t), so |src[i] - t*dst[i]| <= t/2 up to a relative
+// 2^-35. A zero (or empty) query gets step 0 and all-zero codes. src must
+// be finite; a NaN quantizes to the negative limit, deterministically.
+func QuantizeQueryI16(dst []int16, src []float32) float64 {
+	if len(dst) != len(src) {
+		panic("vecmath: QuantizeQueryI16 length mismatch")
+	}
+	maxAbs := maxAbs(src)
+	if maxAbs == 0 {
+		clear(dst)
+		return 0
+	}
+	limit := float64(queryLimitI16(len(src)))
+	inv := limit / float64(maxAbs)
+	for i, v := range src {
+		c := math.Round(float64(v) * inv)
+		if !(c >= -limit) { // also catches NaN
+			c = -limit
+		} else if c > limit {
+			c = limit
+		}
+		dst[i] = int16(c)
+	}
+	return float64(maxAbs) / limit
+}
+
+// DotRowsI8 computes dst[r] = sum_i codes[r*dim+i] * q[i] for every r in
+// [0, len(dst)), where dim = len(q): the integer scores of one int16 query
+// against a contiguous block of int8 code rows. codes must hold exactly
+// len(dst)*len(q) values. The sums are exact for any q that
+// QuantizeQueryI16 produced (127*max|q|*dim < 2^31). Uses the AVX2 kernel when the platform has one;
+// always equal to DotRowsI8Ref.
+func DotRowsI8(dst []int32, codes []int8, q []int16) {
+	dim := len(q)
+	if len(codes) != len(dst)*dim {
+		panic("vecmath: DotRowsI8 shape mismatch")
+	}
+	if dotRowsI8Asm == nil || dim < 16 {
+		DotRowsI8Ref(dst, codes, q)
+		return
+	}
+	if len(dst) == 0 {
+		return
+	}
+	dotRowsI8Asm(dst, codes, q)
+	body := dim &^ 15
+	if body == dim {
+		return
+	}
+	for r := range dst {
+		row := codes[r*dim+body : (r+1)*dim]
+		s := dst[r]
+		for i, c := range row {
+			s += int32(c) * int32(q[body+i])
+		}
+		dst[r] = s
+	}
+}
+
+// dotRowsI8Asm, when non-nil, is the platform SIMD kernel behind
+// DotRowsI8. It scores only the first len(q)&^15 elements of every row (the
+// wrapper adds the rest) and may assume matching shapes and len(dst) > 0.
+// Installed from an arch-specific init (see quant_amd64.go).
+var dotRowsI8Asm func(dst []int32, codes []int8, q []int16)
+
+// DotRowsI8Ref is the portable reference for DotRowsI8: same shapes, same
+// results.
+func DotRowsI8Ref(dst []int32, codes []int8, q []int16) {
+	dim := len(q)
+	if len(codes) != len(dst)*dim {
+		panic("vecmath: DotRowsI8Ref shape mismatch")
+	}
+	for r := range dst {
+		row := codes[r*dim : (r+1)*dim : (r+1)*dim]
+		qq := q[:len(row)]
+		var s int32
+		for i, c := range row {
+			s += int32(c) * int32(qq[i])
+		}
+		dst[r] = s
+	}
 }
