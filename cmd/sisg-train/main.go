@@ -251,8 +251,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("trained %d pairs (%.1f%% remote), simulated cluster time %v",
-			st.Pairs, 100*st.RemoteFraction(), st.SimElapsed.Round(time.Millisecond))
+		log.Printf("trained %d pairs (%.1f%% remote in %d calls, %.1f pairs per call, workers blocked on them %.1f%% of the run), simulated cluster time %v",
+			st.Pairs, 100*st.RemoteFraction(), st.RemoteCalls, st.PairsPerCall(), 100*st.BlockedShare(),
+			st.SimElapsed.Round(time.Millisecond))
 		if *recovery && len(st.DeadWorkers) > 0 {
 			log.Printf("self-healing: %d dead, %d restarts, %d takeovers, %d pairs retrained by replacements",
 				len(st.DeadWorkers), st.Restarts, st.Takeovers, st.RecoveredPairs)

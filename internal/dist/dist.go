@@ -15,7 +15,9 @@
 // whole update is local, otherwise the worker ships v_i's input vector to
 // v_j's owner, which runs the TNS function — positive update on out(v_j),
 // negatives from ITS local noise distribution, returning the gradient for
-// v_i (Algorithm 1, lines 12-21).
+// v_i (Algorithm 1, lines 12-21). Remote pairs travel a sequence at a
+// time: one request per owner carrying every (v_i, its contexts there) of
+// the sequence, one summed gradient per v_i back (DESIGN.md §5h).
 //
 // This is an in-process simulation of the cluster: goroutines stand in for
 // machines and Go channels for the network, with every remote call and its
@@ -62,8 +64,8 @@ type Options struct {
 	// are transport-independent; see DESIGN.md §5h.
 	Transport string
 
-	// SlowWorker injects a per-remote-call delay on one worker (-1 = none):
-	// the straggler experiment.
+	// SlowWorker injects a delay per served request on one worker (-1 =
+	// none): the straggler experiment.
 	SlowWorker      int
 	SlowWorkerDelay time.Duration
 
@@ -470,11 +472,18 @@ type Stats struct {
 	Pairs       uint64        // positive pairs trained
 	LocalPairs  uint64        // pairs completed without a remote call
 	RemotePairs uint64        // pairs completed via a remote TNS call
+	RemoteCalls uint64        // successful remote round trips; each carries one owner's share of a sequence
 	BytesSent   uint64        // simulated network payload (vectors + ids)
 	HotSyncs    uint64        // hot replica synchronization rounds
 	HotTokens   int           // |Q|
 	// PairsPerWorker exposes the load balance achieved.
 	PairsPerWorker []uint64
+	// RemoteBlocked is the wall-clock the workers spent inside remote
+	// calls (retries, backoff and the peer requests served while waiting
+	// included), summed over workers: divided by Workers × Elapsed it is
+	// the share of the run a worker was blocked on the wire. Timing, like
+	// Elapsed — not part of the replay contract.
+	RemoteBlocked time.Duration
 
 	// Wire accounting, from the transport. For "chan" everything but
 	// WireFrames is zero (nothing is serialized); for "tcp" these are
@@ -523,6 +532,23 @@ func (s Stats) RemoteFraction() float64 {
 		return 0
 	}
 	return float64(s.RemotePairs) / float64(s.Pairs)
+}
+
+// PairsPerCall is how many remote pairs one round trip carried on average.
+func (s Stats) PairsPerCall() float64 {
+	if s.RemoteCalls == 0 {
+		return 0
+	}
+	return float64(s.RemotePairs) / float64(s.RemoteCalls)
+}
+
+// BlockedShare is the mean share of the run a worker spent waiting on
+// remote calls — one trainer's wall-clock split into compute and wire.
+func (s Stats) BlockedShare() float64 {
+	if s.Elapsed <= 0 || s.Workers == 0 {
+		return 0
+	}
+	return s.RemoteBlocked.Seconds() / (s.Elapsed.Seconds() * float64(s.Workers))
 }
 
 // TokensPerSec returns cluster throughput (the y-axis of Figure 7(b)).

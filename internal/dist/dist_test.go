@@ -231,8 +231,8 @@ func TestCostModelScaling(t *testing.T) {
 }
 
 func TestStatsHelpers(t *testing.T) {
-	st := Stats{Pairs: 100, RemotePairs: 25, PairsPerWorker: []uint64{60, 40},
-		Tokens: 1000, SimElapsed: time.Second, Elapsed: 2 * time.Second}
+	st := Stats{Workers: 2, Pairs: 100, RemotePairs: 25, RemoteCalls: 5, PairsPerWorker: []uint64{60, 40},
+		Tokens: 1000, SimElapsed: time.Second, Elapsed: 2 * time.Second, RemoteBlocked: time.Second}
 	if st.RemoteFraction() != 0.25 {
 		t.Fatal("RemoteFraction")
 	}
@@ -244,5 +244,11 @@ func TestStatsHelpers(t *testing.T) {
 	}
 	if st.TokensPerSec() != 500 {
 		t.Fatal("TokensPerSec")
+	}
+	if st.PairsPerCall() != 5 || (Stats{}).PairsPerCall() != 0 {
+		t.Fatal("PairsPerCall")
+	}
+	if st.BlockedShare() != 0.25 || (Stats{}).BlockedShare() != 0 {
+		t.Fatalf("BlockedShare = %v", st.BlockedShare())
 	}
 }

@@ -16,16 +16,38 @@ import (
 	"sisg/internal/vocab"
 )
 
-// tnsReq is one remote TNS invocation (Algorithm 1, line 7): the requester
-// ships a copy of the target's input vector; the context's owner applies
-// the positive + negative output updates and returns the input gradient.
-// Each delivery attempt uses a fresh req with its own 1-buffered reply
-// channel, so a server answering a request its requester already abandoned
-// (deadline expired, pair degraded) never blocks.
+// tnsBatch is the payload of one remote TNS request (Algorithm 1, line 7,
+// a sequence's worth at a time): entry k is one window centre v_i of the
+// requester — a copy of in(v_i) in vecs[k*dim:(k+1)*dim] — and the counts[k]
+// contexts of that centre the receiving worker owns, consecutive in ctxs.
+// The receiver trains each entry's contexts in order against the entry's
+// vector, folding every gradient into it before the next context, and
+// answers one summed input gradient per entry.
+type tnsBatch struct {
+	lr     float32
+	counts []int32   // contexts per entry
+	ctxs   []int32   // every entry's contexts, entry order
+	vecs   []float32 // len(counts) × dim; the receiver's to overwrite
+}
+
+// clone returns a batch sharing nothing with b: the receiver writes into
+// vecs, and may still be reading an abandoned attempt after the requester
+// has reused its buffers for the next one.
+func (b *tnsBatch) clone() tnsBatch {
+	return tnsBatch{
+		lr:     b.lr,
+		counts: append([]int32(nil), b.counts...),
+		ctxs:   append([]int32(nil), b.ctxs...),
+		vecs:   append([]float32(nil), b.vecs...),
+	}
+}
+
+// tnsReq is one delivery attempt of a batch. Each attempt has its own
+// 1-buffered reply channel, so a server answering a request its requester
+// already abandoned (deadline expired, pairs degraded) never blocks. The
+// reply is len(counts) × dim: entry k's summed gradient for in(v_i).
 type tnsReq struct {
-	vec   []float32 // copy of in(v_i)
-	ctx   int32     // v_j, owned by the receiving worker
-	lr    float32
+	tnsBatch
 	reply chan []float32
 }
 
@@ -313,12 +335,13 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 const checkpointBlockSeqs = 512
 
 // workerCounterLen is the per-worker slot count in a snapshot's Counters
-// (see worker.saveCounters). PR 3 grew it from 9: recovery state
-// (recovered pairs, restarts, takeover flag, the ever-dead ledger bit) and
-// crash-trigger state (fired count, armed position) must survive a
-// mid-chaos resume, or the resumed run would re-fire crashes that already
-// happened and diverge from the uninterrupted run.
-const workerCounterLen = 15
+// (see worker.saveCounters). Recovery state (recovered pairs, restarts,
+// takeover flag, the ever-dead ledger bit) and crash-trigger state (fired
+// count, armed position) must survive a mid-chaos resume, or the resumed run
+// would re-fire crashes that already happened and diverge from the
+// uninterrupted run; RemoteCalls is part of the replayed accounting. A
+// snapshot with another slot count is refused.
+const workerCounterLen = 16
 
 // selectHot returns the shared set Q: tokens above the frequency threshold,
 // or the top-K most frequent when threshold is zero.
@@ -469,6 +492,8 @@ func (e *engine) run() (*emb.Model, Stats, error) {
 		st.Pairs += wk.pairs.Load()
 		st.LocalPairs += wk.localPairs.Load()
 		st.RemotePairs += wk.remotePairs.Load()
+		st.RemoteCalls += wk.remoteCalls.Load()
+		st.RemoteBlocked += time.Duration(wk.remoteBlockedNs.Load())
 		st.BytesSent += wk.bytesSent.Load()
 		st.HotSyncs += wk.hotSyncs.Load()
 		st.Retries += wk.retries.Load()

@@ -44,6 +44,7 @@ func TestRegistryMirrorsStats(t *testing.T) {
 		want uint64
 	}{
 		{"train_pairs", st.Pairs},
+		{"train_remote_calls", st.RemoteCalls},
 		{"train_retries", st.Retries},
 		{"train_degraded", st.Degraded},
 		{"train_dropped_pairs", st.DroppedPairs},
@@ -53,6 +54,9 @@ func TestRegistryMirrorsStats(t *testing.T) {
 			t.Errorf("%s = %v, want %d (Stats)", g.name, got, g.want)
 		}
 	}
+	if got := read("train_remote_blocked_seconds"); got != st.RemoteBlocked.Seconds() {
+		t.Errorf("train_remote_blocked_seconds = %v, want %v (Stats)", got, st.RemoteBlocked.Seconds())
+	}
 	if got := read("train_workers"); got != 4 {
 		t.Errorf("train_workers = %v, want 4", got)
 	}
@@ -61,6 +65,9 @@ func TestRegistryMirrorsStats(t *testing.T) {
 	// equality with an all-zero Stats would prove nothing.
 	if st.Retries == 0 || st.Degraded == 0 {
 		t.Errorf("fault plan produced no retries/degrades (%d/%d); test is vacuous", st.Retries, st.Degraded)
+	}
+	if st.RemoteCalls == 0 || st.RemoteBlocked <= 0 {
+		t.Errorf("run made %d remote calls and blocked %v in them; test is vacuous", st.RemoteCalls, st.RemoteBlocked)
 	}
 	if len(st.DeadWorkers) != 1 {
 		t.Errorf("DeadWorkers = %v, want exactly the crashed worker", st.DeadWorkers)

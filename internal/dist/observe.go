@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"time"
+
 	"sisg/internal/metrics"
 	"sisg/internal/sgns"
 )
@@ -18,6 +20,16 @@ func (e *engine) liveStats() (pairs, retries, degraded, dropped uint64) {
 		retries += wk.retries.Load()
 		degraded += wk.degraded.Load()
 		dropped += wk.droppedPairs.Load()
+	}
+	return
+}
+
+// liveRemote reads the cluster-wide remote-call counters mid-run: successful
+// round trips, and the wall-clock workers have spent inside remoteCall.
+func (e *engine) liveRemote() (calls uint64, blocked time.Duration) {
+	for _, wk := range e.workers {
+		calls += wk.remoteCalls.Load()
+		blocked += time.Duration(wk.remoteBlockedNs.Load())
 	}
 	return
 }
@@ -66,6 +78,8 @@ func (e *engine) registerMetrics(reg *metrics.Registry) {
 		fn         func() float64
 	}{
 		{"train_pairs", "positive pairs trained so far", func() float64 { p, _, _, _ := e.liveStats(); return float64(p) }},
+		{"train_remote_calls", "successful remote TNS round trips, each carrying one owner's share of a sequence", func() float64 { c, _ := e.liveRemote(); return float64(c) }},
+		{"train_remote_blocked_seconds", "wall-clock workers spent waiting on remote TNS calls, summed over workers", func() float64 { _, b := e.liveRemote(); return b.Seconds() }},
 		{"train_retries", "remote TNS re-sends after a deadline expired", func() float64 { _, r, _, _ := e.liveStats(); return float64(r) }},
 		{"train_degraded", "pairs trained against local noise only after retries were exhausted", func() float64 { _, _, d, _ := e.liveStats(); return float64(d) }},
 		{"train_dropped_pairs", "pairs lost to dead workers, untrained cluster-wide", func() float64 { _, _, _, d := e.liveStats(); return float64(d) }},

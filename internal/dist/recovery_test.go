@@ -24,11 +24,12 @@ func recoveryOptions(workers int) Options {
 }
 
 // deterministicStats is the subset of Stats that must replay exactly under
-// one seed — pair accounting and recovery attribution. Timing-shaped
+// one seed — pair accounting (with the round trips the remote pairs took:
+// fixed by the scan and the batch cap) and recovery attribution. Timing-shaped
 // figures (Retries, BytesSent, HotSyncs, Elapsed) are excluded by design.
 func deterministicStats(t *testing.T, st Stats) []uint64 {
 	t.Helper()
-	out := []uint64{st.Pairs, st.LocalPairs, st.RemotePairs, st.Degraded,
+	out := []uint64{st.Pairs, st.LocalPairs, st.RemotePairs, st.RemoteCalls, st.Degraded,
 		st.DroppedPairs, st.RecoveredPairs, st.Restarts, st.Takeovers}
 	out = append(out, st.PairsPerWorker...)
 	for _, d := range st.DeadWorkers {

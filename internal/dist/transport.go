@@ -31,18 +31,20 @@ type Transport interface {
 	Done() <-chan struct{}
 
 	// Call performs one remote TNS attempt from src to dst: deliver the
-	// request, await the gradient. It serves src's own inbox through the
-	// serve callback while blocked, returns (grad, true) on success and
-	// (nil, false) when timeout expires or abort closes. abort may be nil
-	// (never fires). A failed Call leaves no obligation on the callee: a
-	// reply arriving after Call returned is discarded.
-	Call(src, dst int32, vec []float32, ctx int32, lr float32,
-		timeout time.Duration, abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool)
+	// batch, await its gradients (one per entry). It serves src's own
+	// inbox through the serve callback while blocked, returns (grads,
+	// true) on success and (nil, false) when timeout expires or abort
+	// closes. abort may be nil (never fires). The batch is the caller's
+	// again once Call returns: the transport ships a copy. A failed Call
+	// leaves no obligation on the callee: a reply arriving after Call
+	// returned is discarded.
+	Call(src, dst int32, b *tnsBatch, timeout time.Duration,
+		abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool)
 
 	// SendOneWay ships a request whose reply nobody awaits — a duplicate
 	// delivery on the wire. Best-effort: a full queue or broken link drops
 	// it silently. It must never block.
-	SendOneWay(src, dst int32, vec []float32, ctx int32, lr float32)
+	SendOneWay(src, dst int32, b *tnsBatch)
 
 	// CloseInboxes ends the serve phase by closing Done. Safe to call
 	// once, after every scan role has finished (no new Calls can start).

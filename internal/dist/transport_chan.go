@@ -32,17 +32,12 @@ func (t *chanTransport) Done() <-chan struct{}         { return t.done }
 // Call preserves the exact two-phase select of the pre-Transport
 // remoteCall: block on delivering to dst's queue (serving our own all the
 // while), then block on the reply. The request carries a private copy of
-// vec and a 1-buffered reply channel, so a server answering after we
-// abandoned the attempt never blocks and never reads a row the requester
-// has since mutated.
-func (t *chanTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32,
-	timeout time.Duration, abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
-	req := &tnsReq{
-		vec:   append([]float32(nil), vec...),
-		ctx:   ctx,
-		lr:    lr,
-		reply: make(chan []float32, 1),
-	}
+// the batch and a 1-buffered reply channel, so a server answering after we
+// abandoned the attempt never blocks and never reads a buffer the
+// requester has since refilled.
+func (t *chanTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
 	own := t.inboxes[src]
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -62,9 +57,9 @@ func (t *chanTransport) Call(src, dst int32, vec []float32, ctx int32, lr float3
 	t.frames.Add(1)
 	for {
 		select {
-		case grad := <-req.reply:
+		case grads := <-req.reply:
 			t.frames.Add(1)
-			return grad, true
+			return grads, true
 		case in := <-own:
 			serve(in)
 		case <-abort:
@@ -75,13 +70,8 @@ func (t *chanTransport) Call(src, dst int32, vec []float32, ctx int32, lr float3
 	}
 }
 
-func (t *chanTransport) SendOneWay(src, dst int32, vec []float32, ctx int32, lr float32) {
-	req := &tnsReq{
-		vec:   append([]float32(nil), vec...),
-		ctx:   ctx,
-		lr:    lr,
-		reply: make(chan []float32, 1),
-	}
+func (t *chanTransport) SendOneWay(src, dst int32, b *tnsBatch) {
+	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
 	select {
 	case t.inboxes[dst] <- req:
 		t.frames.Add(1)

@@ -45,8 +45,8 @@ func newFaultTransport(base Transport, workers int, seed uint64, plan FaultPlan)
 	return f
 }
 
-func (f *faultTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32,
-	timeout time.Duration, abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+func (f *faultTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
 	k := f.sends[src][dst].Add(1)
 	for _, s := range f.plan.Wire.Severs {
 		if int32(s.From) == src && int32(s.To) == dst && s.AtSends == k {
@@ -77,9 +77,9 @@ func (f *faultTransport) Call(src, dst int32, vec []float32, ctx int32, lr float
 		timeout -= delay
 	}
 	if dup {
-		f.Transport.SendOneWay(src, dst, vec, ctx, lr)
+		f.Transport.SendOneWay(src, dst, b)
 	}
-	return f.Transport.Call(src, dst, vec, ctx, lr, timeout, abort, serve)
+	return f.Transport.Call(src, dst, b, timeout, abort, serve)
 }
 
 // decide draws this request's probabilistic faults from src's stream.

@@ -181,11 +181,11 @@ func (t *tcpTransport) Sever(src, dst int32) {
 }
 
 // Call registers a reply slot, queues the encoded request for the link
-// writer and awaits the demultiplexed gradient, serving src's own inbox
-// throughout. The frame is encoded up front: Call is synchronous in the
-// caller, so vec cannot be mutated underneath the snapshot.
-func (t *tcpTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32,
-	timeout time.Duration, abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+// writer and awaits the demultiplexed gradients, serving src's own inbox
+// throughout. The frame is encoded up front: it is the copy of the batch
+// the Transport contract asks for.
+func (t *tcpTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
 	l := t.links[src][dst]
 	id := l.nextID.Add(1)
 	reply := make(chan []float32, 1)
@@ -198,7 +198,7 @@ func (t *tcpTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32
 		l.pendMu.Unlock()
 	}()
 
-	frame := encodeReq(id, vec, ctx, lr)
+	frame := encodeReq(id, b)
 	own := t.inboxes[src]
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -217,8 +217,8 @@ func (t *tcpTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32
 	}
 	for {
 		select {
-		case grad := <-reply:
-			return grad, true
+		case grads := <-reply:
+			return grads, true
 		case in := <-own:
 			serve(in)
 		case <-abort:
@@ -229,12 +229,12 @@ func (t *tcpTransport) Call(src, dst int32, vec []float32, ctx int32, lr float32
 	}
 }
 
-func (t *tcpTransport) SendOneWay(src, dst int32, vec []float32, ctx int32, lr float32) {
+func (t *tcpTransport) SendOneWay(src, dst int32, b *tnsBatch) {
 	l := t.links[src][dst]
 	// The id is never registered in pending, so the reply — if one comes
 	// back — is discarded as late. Best-effort: a full writer queue drops
 	// the frame rather than block the caller.
-	frame := encodeReq(l.nextID.Add(1), vec, ctx, lr)
+	frame := encodeReq(l.nextID.Add(1), b)
 	select {
 	case l.out <- frame:
 	default:
@@ -410,7 +410,7 @@ func (t *tcpTransport) acceptLoop(id int32, ln net.Listener) {
 }
 
 // serveConn is the server half of one connection: decode a request,
-// deliver it to the worker's inbox, await the gradient and write the
+// deliver it to the worker's inbox, await the gradients and write the
 // reply. Replies are flushed per request — the server cannot know when
 // the next request comes, and a parked reply is a stalled caller.
 func (t *tcpTransport) serveConn(dst int32, conn net.Conn) {
@@ -432,11 +432,11 @@ func (t *tcpTransport) serveConn(dst int32, conn net.Conn) {
 		if len(payload) == 0 || payload[0] != frameReq {
 			return
 		}
-		id, vec, ctx, lr, err := decodeReq(payload)
+		id, batch, err := decodeReq(payload)
 		if err != nil {
 			return
 		}
-		req := &tnsReq{vec: vec, ctx: ctx, lr: lr, reply: make(chan []float32, 1)}
+		req := &tnsReq{tnsBatch: batch, reply: make(chan []float32, 1)}
 		select {
 		case t.inboxes[dst] <- req:
 		case <-t.done:
@@ -444,13 +444,13 @@ func (t *tcpTransport) serveConn(dst int32, conn net.Conn) {
 		case <-t.closed:
 			return
 		}
-		var grad []float32
+		var grads []float32
 		select {
-		case grad = <-req.reply:
+		case grads = <-req.reply:
 		case <-t.closed:
 			return // the worker will never answer (teardown); drop the connection
 		}
-		resp := encodeResp(id, grad)
+		resp := encodeResp(id, grads)
 		if err := conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {
 			return
 		}

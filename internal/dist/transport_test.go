@@ -51,12 +51,20 @@ func TestTransportStatsEquivalence(t *testing.T) {
 					// WireFrames is requests + replies on both transports: a
 					// run in which no attempt timed out (Retries is shaped by
 					// timing) puts exactly two frames on the wire per remote
-					// pair, so frames per remote pair compare across them.
+					// call, so frames per remote pair compare across them.
 					if st.Retries != 0 {
 						t.Logf("%s: %d retries, frame count not checked", tr, st.Retries)
-					} else if st.WireFrames != 2*st.RemotePairs {
-						t.Errorf("%s: %d wire frames for %d remote pairs, want one request and one reply each",
-							tr, st.WireFrames, st.RemotePairs)
+					} else if st.WireFrames != 2*st.RemoteCalls {
+						t.Errorf("%s: %d wire frames for %d remote calls, want one request and one reply each",
+							tr, st.WireFrames, st.RemoteCalls)
+					}
+					// A call carries one owner's share of a sequence, not a pair.
+					// With two workers every remote pair of a sequence has the
+					// same owner, so a call carries them all (14 on average on
+					// this corpus; a regression to per-centre calls reads ≈ 3).
+					if workers == 2 && st.RemotePairs < 4*st.RemoteCalls {
+						t.Errorf("%s: %d remote pairs in %d calls, want at least 4 per call",
+							tr, st.RemotePairs, st.RemoteCalls)
 					}
 				}
 				if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
@@ -138,7 +146,7 @@ func drainInbox(tr Transport, id int32, f func(*tnsReq) []float32) chan struct{}
 	return stop
 }
 
-// The wire must not alter payloads: a seeded workload of vectors pushed
+// The wire must not alter payloads: a seeded workload of batches pushed
 // through Call comes back bit-identical on both transports, including
 // every float32's exact bits (negative zero, denormals, the lot).
 func TestTransportPayloadBitIdentity(t *testing.T) {
@@ -156,9 +164,14 @@ func TestTransportPayloadBitIdentity(t *testing.T) {
 		}
 	}
 	echo := func(req *tnsReq) []float32 {
-		out := make([]float32, 0, len(req.vec)+2)
-		out = append(out, req.lr, float32(req.ctx))
-		return append(out, req.vec...)
+		out := []float32{req.lr, float32(len(req.counts))}
+		for _, c := range req.counts {
+			out = append(out, float32(c))
+		}
+		for _, c := range req.ctxs {
+			out = append(out, float32(c))
+		}
+		return append(out, req.vecs...)
 	}
 	var replies [2][]byte
 	for i, name := range []string{TransportChan, TransportTCP} {
@@ -167,20 +180,26 @@ func TestTransportPayloadBitIdentity(t *testing.T) {
 		r := rng.New(99)
 		var buf []byte
 		for c := 0; c < calls; c++ {
-			vec := make([]float32, dim)
-			for j := range vec {
-				vec[j] = math.Float32frombits(r.Uint32())
-				if vec[j] != vec[j] {
-					vec[j] = 0 // NaN payloads cannot be compared for equality downstream
+			b := tnsBatch{lr: r.Float32()}
+			for e := r.Intn(5); e > 0; e-- { // 0..4 entries of 0..3 contexts
+				n := r.Intn(4)
+				b.counts = append(b.counts, int32(n))
+				for ; n > 0; n-- {
+					b.ctxs = append(b.ctxs, int32(r.Uint32()))
+				}
+				for j := 0; j < dim; j++ {
+					v := math.Float32frombits(r.Uint32())
+					if v != v {
+						v = 0 // NaN payloads cannot be compared for equality downstream
+					}
+					b.vecs = append(b.vecs, v)
 				}
 			}
-			ctx := int32(r.Uint32())
-			lr := r.Float32()
-			grad, ok := tr.Call(0, 1, vec, ctx, lr, 5*time.Second, nil, func(*tnsReq) {})
+			grads, ok := tr.Call(0, 1, &b, 5*time.Second, nil, func(*tnsReq) {})
 			if !ok {
 				t.Fatalf("%s: call %d failed", name, c)
 			}
-			for _, v := range grad {
+			for _, v := range grads {
 				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 			}
 		}

@@ -33,6 +33,12 @@ type worker struct {
 	kept []int32
 	negs []int32 // the current pair's negative samples
 
+	// pend[p] is the current sequence's remote pairs for owner p, recorded
+	// by the scan and sent by flushRemote; send is the request it builds
+	// (its vecs the scratch the input vectors are gathered into).
+	pend []remoteBuf
+	send tnsBatch
+
 	lr float32
 
 	// srng draws the negatives for SERVED requests. How many requests a
@@ -84,6 +90,8 @@ type worker struct {
 	// between incarnations), so the atomics cost one uncontended add per
 	// event.
 	pairs, localPairs, remotePairs atomic.Uint64
+	remoteCalls                    atomic.Uint64 // successful remote round trips
+	remoteBlockedNs                atomic.Int64  // wall-clock inside remoteCall; timing, not persisted
 	servedPairs                    atomic.Uint64
 	bytesSent                      atomic.Uint64
 	hotSyncs                       atomic.Uint64
@@ -103,6 +111,7 @@ func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
 		grad: make([]float32, e.opt.Dim),
 		kept: make([]int32, 0, 128),
 		negs: make([]int32, e.opt.Negatives),
+		pend: make([]remoteBuf, e.opt.Workers),
 		lr:   e.opt.LR,
 		srng: rng.New(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1))),
 		frng: rng.New(e.opt.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
@@ -156,16 +165,16 @@ func (w *worker) saveCounters() []uint64 {
 	return []uint64{w.pairs.Load(), w.localPairs.Load(), w.remotePairs.Load(), w.servedPairs.Load(),
 		w.bytesSent.Load(), w.hotSyncs.Load(), w.retries.Load(), w.degraded.Load(), w.droppedPairs.Load(),
 		w.recoveredPairs.Load(), w.restarts.Load(), w.takenOver.Load(), w.crashesFired.Load(),
-		w.crashArmAt.Load(), everDead}
+		w.crashArmAt.Load(), w.remoteCalls.Load(), everDead}
 }
 
 func (w *worker) restoreCounters(c []uint64) {
 	for i, dst := range []*atomic.Uint64{&w.pairs, &w.localPairs, &w.remotePairs, &w.servedPairs,
 		&w.bytesSent, &w.hotSyncs, &w.retries, &w.degraded, &w.droppedPairs,
-		&w.recoveredPairs, &w.restarts, &w.takenOver, &w.crashesFired, &w.crashArmAt} {
+		&w.recoveredPairs, &w.restarts, &w.takenOver, &w.crashesFired, &w.crashArmAt, &w.remoteCalls} {
 		dst.Store(c[i])
 	}
-	if c[14] != 0 {
+	if c[15] != 0 {
 		w.e.everDead[w.id].Store(true)
 		w.e.anyDead.Store(true)
 	}
@@ -367,9 +376,13 @@ serving:
 // sequence with its own RNG; a pair is trained only by its processor, so
 // each pair is handled exactly once per scanning worker that owns it
 // (Algorithm 1: "If v_i is not managed by Worker A, the pair is ignored").
+// Local pairs train in place; remote pairs are recorded per owner and sent
+// as the scan leaves the sequence — however it leaves it — so every pair of
+// a sequence is applied (or un-counted) before the cursor moves past it.
 func (w *worker) scanSequence(seq []int32) {
 	e := w.e
 	opt := w.opt
+	defer w.flushAll()
 	// Scanning itself is liveness, even when this worker ends up training
 	// no pair in the sequence (it may own nothing in this region).
 	e.heartbeat[w.id].Add(1)
@@ -434,7 +447,7 @@ func (w *worker) scanSequence(seq []int32) {
 				}
 				continue
 			}
-			w.trainPair(vi, vj)
+			w.trainPair(vi, vj, i)
 			if w.crashed || (recovery && w.fenced.Load()) {
 				return
 			}
@@ -477,10 +490,12 @@ func (w *worker) processor(vi, vj int32) int32 {
 	return int32((uint32(vi)*31 + uint32(vj)) % uint32(w.opt.Workers))
 }
 
-// trainPair runs one positive+negatives update for (v_i, v_j), or the
-// degraded fallback when the remote owner is unreachable. Fault triggers
-// fire here, on the pair counter, so a plan replays exactly under a seed.
-func (w *worker) trainPair(vi, vj int32) {
+// trainPair handles pair (v_i, v_j) of window centre kept[i]: one
+// positive+negatives update when out(v_j) is local, a record in the owner's
+// buffer when it is not. Fault triggers fire here, on the pair counter — for
+// a remote pair when it is recorded, not when it is sent — so a plan replays
+// exactly under a seed.
+func (w *worker) trainPair(vi, vj int32, i int) {
 	e := w.e
 	if arm := w.crashArmAt.Load(); arm > 0 && w.pairs.Load() >= arm {
 		w.crashed = true
@@ -502,38 +517,102 @@ func (w *worker) trainPair(vi, vj int32) {
 	if w.replacement {
 		w.recoveredPairs.Add(1)
 	}
-	recovery := w.opt.Recovery
-	vin := e.rowIn(w, vi)
-	local := e.hotIdx[vj] >= 0 || e.owner[vj] == w.id
-	if local {
+	if e.hotIdx[vj] >= 0 || e.owner[vj] == w.id {
 		w.localPairs.Add(1)
+		vin := e.rowIn(w, vi)
 		grad := w.tns(vin, vj, w.lr, w.r)
 		vecmath.Add(grad, vin)
-	} else if dst := e.owner[vj]; !recovery && e.isDead(dst) {
-		// Known-dead owner: skip the network entirely and degrade.
-		w.degraded.Add(1)
-		w.degradePair(vin, vj)
-	} else if grad, ok := w.remoteCall(dst, vin, vj); ok {
-		w.remotePairs.Add(1)
-		vecmath.Add(grad, vin)
-	} else if recovery {
-		// Under recovery remoteCall fails only because THIS incarnation was
-		// fenced mid-call. Un-count the pair: the replacement resumes from
-		// the cursor and retrains it, so counting it here would double it.
-		w.pairs.Add(^uint64(0))
-		if w.replacement {
-			w.recoveredPairs.Add(^uint64(0))
-		}
-		return
 	} else {
-		w.degraded.Add(1)
-		w.degradePair(vin, vj)
+		w.recordRemote(e.owner[vj], vi, vj, i)
 	}
 	w.sincSync++
 	if w.sincSync >= w.opt.SyncEvery && len(e.hotIDs) > 0 {
 		w.sincSync = 0
 		e.hotSync(w)
 	}
+}
+
+// remoteBuf is one owner's share of the sequence being scanned: entry k is
+// window centre centres[k] with counts[k] contexts, consecutive in ctxs — a
+// tnsBatch minus the vectors, which are read when it is sent. at is the
+// position in kept of the last entry's centre: the contexts of one centre
+// share an entry, and a token that recurs as a later centre gets its own.
+type remoteBuf struct {
+	centres []int32
+	counts  []int32
+	ctxs    []int32
+	at      int
+}
+
+// maxBatchEntries caps the entries of one request: a full buffer is sent
+// before the next centre is recorded, so a frame holds at most
+// maxBatchEntries × (dim floats + 2·Window contexts) however long the
+// sequence is.
+const maxBatchEntries = 64
+
+func (w *worker) recordRemote(dst, vi, vj int32, i int) {
+	buf := &w.pend[dst]
+	if n := len(buf.counts); n > 0 && buf.at == i {
+		buf.counts[n-1]++
+	} else {
+		if n == maxBatchEntries {
+			w.flushRemote(dst)
+		}
+		buf.centres = append(buf.centres, vi)
+		buf.counts = append(buf.counts, 1)
+		buf.at = i
+	}
+	buf.ctxs = append(buf.ctxs, vj)
+}
+
+func (w *worker) flushAll() {
+	for dst := range w.pend {
+		w.flushRemote(int32(dst))
+	}
+}
+
+// flushRemote sends owner dst its recorded entries in one request — the
+// centres' input vectors as they are now, local pairs of the sequence
+// included — and adds entry k's returned gradient to in(centres[k]). A
+// request that fails is settled for all its pairs at once, the way a
+// failed call used to settle one: without recovery each pair is degraded;
+// under recovery remoteCall fails only because THIS incarnation was fenced
+// mid-call, and the pairs are un-counted — the replacement resumes from the
+// cursor and retrains them, so counting them here would double them.
+func (w *worker) flushRemote(dst int32) {
+	buf := &w.pend[dst]
+	if len(buf.counts) == 0 {
+		return
+	}
+	e := w.e
+	dim := w.opt.Dim
+	n := uint64(len(buf.ctxs))
+	b := &w.send
+	b.lr, b.counts, b.ctxs, b.vecs = w.lr, buf.counts, buf.ctxs, b.vecs[:0]
+	for _, vi := range buf.centres {
+		b.vecs = append(b.vecs, e.rowIn(w, vi)...)
+	}
+	if grads, ok := w.remoteCall(dst, b); ok {
+		w.remotePairs.Add(n)
+		for k, vi := range buf.centres {
+			vecmath.Add(grads[k*dim:(k+1)*dim], e.rowIn(w, vi))
+		}
+	} else if w.opt.Recovery {
+		w.pairs.Add(-n)
+		if w.replacement {
+			w.recoveredPairs.Add(-n)
+		}
+	} else {
+		w.degraded.Add(n)
+		ctxs := buf.ctxs
+		for k, vi := range buf.centres {
+			for _, vj := range ctxs[:buf.counts[k]] {
+				w.degradePair(e.rowIn(w, vi), vj)
+			}
+			ctxs = ctxs[buf.counts[k]:]
+		}
+	}
+	buf.centres, buf.counts, buf.ctxs = buf.centres[:0], buf.counts[:0], buf.ctxs[:0]
 }
 
 // tns is Algorithm 1's TNS function run locally: positive update on
@@ -599,24 +678,28 @@ func (w *worker) degradePair(vin []float32, ctx int32) {
 	}
 }
 
-// remoteCall ships in(v_i) to the owner of v_j and waits for the gradient,
+// remoteCall ships one batch to owner dst and waits for its gradients,
 // serving incoming requests while blocked (deadlock freedom; the transport
 // calls back into w.serve). Each attempt is one Transport.Call bounded by
 // RemoteTimeout; retries wait out a jittered exponential backoff (serving
 // all the while). Without recovery: after 1+RemoteRetries attempts, or as
-// soon as the destination is declared dead, it gives up and the caller
-// degrades. With recovery: a dead owner is guaranteed to come back
-// (resurrection or takeover), so death is not an abort signal and the
-// attempt budget is unbounded — the only way out besides success is this
-// incarnation itself being fenced. Transports use a fresh request (or
-// request id) per attempt, so a late server answer to an abandoned
-// attempt never blocks the server and never corrupts a newer attempt.
+// soon as the destination is declared (or already known) dead, it gives up
+// and the caller degrades. With recovery: a dead owner is guaranteed to
+// come back (resurrection or takeover), so death is not an abort signal and
+// the attempt budget is unbounded — the only way out besides success is
+// this incarnation itself being fenced. Transports use a fresh request (or
+// request id) per attempt, so a late server answer to an abandoned attempt
+// never blocks the server and never corrupts a newer attempt.
 //
-// BytesSent stays the MODEL's payload accounting — vector + ids per
-// attempted request, gradient per success — independent of what any
-// transport serializes; Stats.WireBytesSent carries the measured figure,
-// and the CostModel honesty test keeps the two within tolerance.
-func (w *worker) remoteCall(dst int32, vin []float32, ctx int32) ([]float32, bool) {
+// BytesSent stays the MODEL's payload accounting — lr, entry count, counts,
+// contexts and vectors per attempted request, gradients per success —
+// independent of what any transport serializes; Stats.WireBytesSent carries
+// the measured figure, and the CostModel honesty test keeps the two within
+// tolerance. The time spent in here is the worker's blocked-on-wire share
+// (Stats.RemoteBlocked).
+func (w *worker) remoteCall(dst int32, b *tnsBatch) ([]float32, bool) {
+	start := time.Now()
+	defer func() { w.remoteBlockedNs.Add(int64(time.Since(start))) }()
 	e := w.e
 	recovery := w.opt.Recovery
 	timeout := w.opt.remoteTimeout()
@@ -642,11 +725,12 @@ func (w *worker) remoteCall(dst int32, vin []float32, ctx int32) ([]float32, boo
 		} else if e.isDead(dst) {
 			return nil, false
 		}
-		w.bytesSent.Add(uint64(len(vin))*4 + 8)
-		grad, ok := e.tr.Call(w.id, dst, vin, ctx, w.lr, timeout, deadc, w.serve)
+		w.bytesSent.Add(8 + 4*uint64(len(b.counts)+len(b.ctxs)+len(b.vecs)))
+		grads, ok := e.tr.Call(w.id, dst, b, timeout, deadc, w.serve)
 		if ok {
-			w.bytesSent.Add(uint64(len(grad)) * 4)
-			return grad, true
+			w.bytesSent.Add(4 * uint64(len(grads)))
+			w.remoteCalls.Add(1)
+			return grads, true
 		}
 		if !recovery && e.isDead(dst) {
 			return nil, false // deadc fired mid-call: give up immediately
@@ -697,15 +781,29 @@ func (w *worker) backoffWait(a int) bool {
 	}
 }
 
-// serve executes a TNS request against this worker's rows.
+// serve executes a TNS request against this worker's rows: each entry's
+// contexts in order, every gradient folded into the entry's vector before
+// the next context (what the requester would do between one-pair calls),
+// and their sum returned as the entry's gradient.
 func (w *worker) serve(req *tnsReq) {
 	if w.opt.SlowWorker == int(w.id) && w.opt.SlowWorkerDelay > 0 {
 		time.Sleep(w.opt.SlowWorkerDelay)
 	}
 	w.e.heartbeat[w.id].Add(1)
-	w.servedPairs.Add(1)
-	grad := w.tns(req.vec, req.ctx, req.lr, w.srng)
-	req.reply <- append([]float32(nil), grad...)
+	w.servedPairs.Add(uint64(len(req.ctxs)))
+	dim := w.opt.Dim
+	grads := make([]float32, len(req.vecs))
+	ctxs := req.ctxs
+	for k, n := range req.counts {
+		vin, sum := req.vecs[k*dim:(k+1)*dim], grads[k*dim:(k+1)*dim]
+		for _, ctx := range ctxs[:n] {
+			grad := w.tns(vin, ctx, req.lr, w.srng)
+			vecmath.Add(grad, vin)
+			vecmath.Add(grad, sum)
+		}
+		ctxs = ctxs[n:]
+	}
+	req.reply <- grads
 }
 
 // maybeServe opportunistically drains the inbox between sequences so a
