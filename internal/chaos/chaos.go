@@ -25,6 +25,7 @@ import (
 	"sisg/internal/corpus"
 	"sisg/internal/dist"
 	"sisg/internal/graph"
+	"sisg/internal/race"
 	"sisg/internal/rng"
 	"sisg/internal/sisg"
 )
@@ -244,7 +245,8 @@ func dataset(sc Scenario) (*corpus.Dataset, [][]int32, *graph.Partition, error) 
 
 // options builds the dist configuration for a scenario: test-tight failure
 // detection so a multi-death scenario still finishes in well under a
-// second of wall clock.
+// second of wall clock, its deadlines stretched under the race detector
+// (race.Deadline).
 func options(sc Scenario) dist.Options {
 	opt := dist.DefaultOptions(sc.Workers)
 	opt.Options = sisg.TrainOptions(opt.Options, sisg.VariantSISGFUD, 3)
@@ -258,10 +260,10 @@ func options(sc Scenario) dist.Options {
 	opt.Faults = sc.Faults
 	opt.Recovery = sc.Recovery
 	opt.MaxRestarts = sc.MaxRestarts
-	opt.RemoteTimeout = 8 * time.Millisecond
+	opt.RemoteTimeout = race.Deadline(8 * time.Millisecond)
 	opt.RemoteRetries = 1
-	opt.HeartbeatEvery = 2 * time.Millisecond
-	opt.DeadAfter = 40 * time.Millisecond
+	opt.HeartbeatEvery = race.Deadline(2 * time.Millisecond)
+	opt.DeadAfter = race.Deadline(40 * time.Millisecond)
 	opt.RestartBackoff = 2 * time.Millisecond
 	opt.RetryBackoff = time.Millisecond
 	return opt

@@ -19,20 +19,14 @@ import (
 
 // faultOptions are tinyOptions with failure detection tightened to
 // test-sized timings: a dead worker is flagged within tens of
-// milliseconds instead of the production-scale 10s default. Under the race
-// detector everything runs several times slower, so the timings stretch by
-// the same factor: a live worker on a loaded 2-vCPU box must not miss its
-// DeadAfter just because the detector is on.
+// milliseconds instead of the production-scale 10s default, stretched
+// under the race detector (race.Deadline).
 func faultOptions(workers int) Options {
-	scale := time.Duration(1)
-	if race.Enabled {
-		scale = 4
-	}
 	opt := tinyOptions(workers)
-	opt.RemoteTimeout = scale * 8 * time.Millisecond
+	opt.RemoteTimeout = race.Deadline(8 * time.Millisecond)
 	opt.RemoteRetries = 1
-	opt.HeartbeatEvery = scale * time.Millisecond
-	opt.DeadAfter = scale * 25 * time.Millisecond
+	opt.HeartbeatEvery = race.Deadline(time.Millisecond)
+	opt.DeadAfter = race.Deadline(25 * time.Millisecond)
 	return opt
 }
 

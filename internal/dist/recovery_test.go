@@ -3,6 +3,8 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"sisg/internal/race"
 )
 
 // recoveryOptions are faultOptions with the supervisor enabled and
@@ -10,14 +12,15 @@ import (
 // comfortable multiple of every bounded wait in the system (attempt
 // deadline, retry backoff ceiling) so only genuinely-dead workers are ever
 // flagged — a false positive would make the pair accounting
-// timing-dependent and the determinism assertions flaky.
+// timing-dependent and the determinism assertions flaky. The deadlines
+// stretch under the race detector (race.Deadline).
 func recoveryOptions(workers int) Options {
 	opt := tinyOptions(workers)
 	opt.Recovery = true
-	opt.RemoteTimeout = 8 * time.Millisecond
+	opt.RemoteTimeout = race.Deadline(8 * time.Millisecond)
 	opt.RemoteRetries = 1
-	opt.HeartbeatEvery = 2 * time.Millisecond
-	opt.DeadAfter = 40 * time.Millisecond
+	opt.HeartbeatEvery = race.Deadline(2 * time.Millisecond)
+	opt.DeadAfter = race.Deadline(40 * time.Millisecond)
 	opt.RestartBackoff = 2 * time.Millisecond
 	opt.RetryBackoff = time.Millisecond
 	return opt

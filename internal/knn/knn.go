@@ -6,13 +6,14 @@
 //     first. The matrix is split into row shards and every query fans out
 //     across shards on a bounded worker pool. A worker scores each 256-row
 //     tile of the index's int8 mirror with the integer SIMD kernel in
-//     internal/vecmath, turns every integer score into an interval that
-//     provably contains the row's float32 score, and drops the rows whose
-//     interval lies below K intervals already seen (see scan.prune for the
-//     bound and the two pruning rules). The few survivors are scored with
-//     the float32 kernel on the float rows and selected under the total
-//     order (score desc, id asc), so the answer is exactly the full float
-//     scan's — ids, scores and tie-breaks — for a quarter of the bytes.
+//     internal/vecmath, which in the same pass turns every integer score
+//     into an interval that provably contains the row's float32 score and
+//     flags only the rows whose interval does not lie below K intervals
+//     already seen (see scan.prune for the bound and the two pruning
+//     rules). The few survivors are scored with the float32 kernel on the
+//     float rows and selected under the total order (score desc, id asc),
+//     so the answer is exactly the full float scan's — ids, scores and
+//     tie-breaks — for a quarter of the bytes.
 //
 //   - Index "ivf": a sub-linear approximate scan, the shape production
 //     systems put in front of a 25M–800M item corpus. Rows are clustered
@@ -408,9 +409,7 @@ func (ix *Index) scanShard(ctx context.Context, sc *scratch, mir *quantMirror, s
 				ix.scanTileFloat(sc, st, b, n, opts)
 				continue
 			}
-			dots := sc.dots[:n]
-			vecmath.DotRowsI8(dots, mir.codes[b*dim:(b+n)*dim], st.u)
-			st.prune(dots, mir.scales[b:b+n], int32(b), opts.K, opts.Skip)
+			st.prune(sc.dots[:n], sc.mask[:(n+63)/64], mir.codes[b*dim:(b+n)*dim], mir.scales[b:b+n], int32(b), opts.K, opts.Skip)
 		}
 		ix.tiles.Add(uint64(len(sc.qs)))
 	}

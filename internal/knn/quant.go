@@ -7,6 +7,7 @@ package knn
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -43,14 +44,8 @@ func newQuantMirror(rows, dim int) *quantMirror {
 // fill quantises row r.
 func (m *quantMirror) fill(r int, row []float32) {
 	dim := len(row)
-	s := vecmath.QuantizeRow(m.codes[r*dim:(r+1)*dim], row)
-	covered := s == 0 || (s >= minMag && s <= maxMag)
-	for _, v := range row {
-		if v != v { // QuantizeRow's max-abs skips a NaN
-			covered = false
-		}
-	}
-	if !covered {
+	s, nan := vecmath.QuantizeRowNaN(m.codes[r*dim:(r+1)*dim], row)
+	if nan || !(s == 0 || (s >= minMag && s <= maxMag)) {
 		s = float32(math.NaN())
 	}
 	m.scales[r] = s
@@ -105,12 +100,13 @@ func eachRowBlock(rows, workers int, work func(lo, hi int)) {
 	wg.Wait()
 }
 
-// scratch is what one worker needs to run one call: the two tile buffers
-// and one scan state per query. Pooled, so that a query at steady state
+// scratch is what one worker needs to run one call: the tile buffers and
+// one scan state per query. Pooled, so that a query at steady state
 // allocates its result and nothing that grows with the rows.
 type scratch struct {
-	dots   [blockRows]int32   // integer scores of one tile
-	scores [blockRows]float32 // float scores of one tile, or of one re-ranked row
+	dots   [blockRows]int32       // integer scores of one tile
+	mask   [blockRows / 64]uint64 // the tile's candidate bits, 64 rows a word
+	scores [blockRows]float32     // float scores of one tile, or of one re-ranked row
 	qs     []scan
 }
 
@@ -189,9 +185,9 @@ func (st *scan) begin(q []float32, normalize bool) {
 	st.los, st.ids, st.ups, st.top, st.seen = st.los[:0], st.ids[:0], st.ups[:0], st.top[:0], 0
 }
 
-// prune is the int8-first step of the exact scan: given the integer scores
-// dots of one tile (rows base, base+1, …, with their scales) it keeps as
-// candidates only the rows that can still be in the top-K.
+// prune is the int8-first step of the exact scan over one tile: rows base,
+// base+1, …, with their codes and scales. It keeps as candidates only the
+// rows that can still be in the top-K.
 //
 // The bound. A row x is stored as codes c and a scale s with
 // |x_i - s·c_i| <= s/2, the query as u and a step t with |q_i - t·u_i| <=
@@ -207,9 +203,10 @@ func (st *scan) begin(q []float32, normalize bool) {
 //
 // which charges the rounding term four times over and is then inflated by
 // 2^-20 for the float64 arithmetic here and the last-bit slack of both
-// quantisers, the exact score of the row lies in [lo, up] = s·(t·D ∓ b).
-// A zero row has s = 0 and scores exactly 0: lo = up = 0. A NaN scale
-// makes both NaN, and every comparison below then keeps the row.
+// quantisers, the exact score of the row lies in [lo, up] = s·(t·D ∓ b)
+// (vecmath.ScoreInterval). A zero row has s = 0 and scores exactly 0:
+// lo = up = 0. A NaN scale makes both NaN, and every comparison below then
+// keeps the row.
 //
 // The rules. τ is the K-th largest lo among the non-skipped rows seen so
 // far by this worker, all of which have smaller ids than the row at hand.
@@ -222,34 +219,41 @@ func (st *scan) begin(q []float32, normalize bool) {
 // so the result is the full float scan's. Rule (1) being non-strict is
 // what keeps a corpus with many equal rows (the served model's all-zero
 // output rows tie at 0 by the thousand) from re-ranking every one of them.
-func (st *scan) prune(dots []int32, scales []float32, base int32, k int, skip func(int32) bool) {
+//
+// Where rule (1) runs. vecmath.DotRowsI8Mask scores the tile and, in the
+// same pass, flags the rows with !(up <= τ) for τ as it stood when the tile
+// began; only flagged rows reach the loop below, which re-tests each
+// against the current τ. τ only rises within a tile, so a row the kernel
+// leaves out is one the loop would drop anyway: the candidates, their ups
+// and τ are exactly those of applying rule (1) to every row in turn.
+func (st *scan) prune(dots []int32, mask []uint64, codes []int8, scales []float32, base int32, k int, skip func(int32) bool) {
 	t, b, tau := st.t, st.b, st.floor
-	scales = scales[:len(dots)]
-	for i, d := range dots {
-		s := float64(scales[i])
-		a := t * float64(d)
-		up := s * (a + b)
-		if up <= tau {
-			continue
-		}
-		id := base + int32(i)
-		if skip != nil && skip(id) {
-			continue
-		}
-		st.ids = append(st.ids, id)
-		st.ups = append(st.ups, up)
-		lo := s * (a - b)
-		switch {
-		case len(st.los) == k:
-			if lo > tau {
-				st.los[0] = lo
-				heapFixRoot(st.los, lessFloat)
-				tau = st.los[0]
+	vecmath.DotRowsI8Mask(dots, mask, codes, st.u, scales, t, b, tau)
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			lo, up := vecmath.ScoreInterval(scales[i], dots[i], t, b)
+			if up <= tau {
+				continue
 			}
-		case lo > tau: // tau is still -Inf: any finite lower bound counts
-			st.los = heapPush(st.los, lo, lessFloat)
-			if len(st.los) == k {
-				tau = st.los[0]
+			id := base + int32(i)
+			if skip != nil && skip(id) {
+				continue
+			}
+			st.ids = append(st.ids, id)
+			st.ups = append(st.ups, up)
+			switch {
+			case len(st.los) == k:
+				if lo > tau {
+					st.los[0] = lo
+					heapFixRoot(st.los, lessFloat)
+					tau = st.los[0]
+				}
+			case lo > tau: // tau is still -Inf: any finite lower bound counts
+				st.los = heapPush(st.los, lo, lessFloat)
+				if len(st.los) == k {
+					tau = st.los[0]
+				}
 			}
 		}
 	}

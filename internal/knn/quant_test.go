@@ -197,6 +197,141 @@ func TestScoreIntervalHoldsWhereTight(t *testing.T) {
 	}
 }
 
+// pruneSpec is rule (1) of scan.prune as a loop over every row of a tile,
+// which is what the scan ran before the kernel made the decision: the
+// specification the kernel-side prune must match tile for tile. interval
+// and drop are the bound and the compare, so that a broken variant of
+// either can be shown to be told apart.
+func pruneSpec(st *scan, dots []int32, scales []float32, base int32, k int, skip func(int32) bool,
+	interval func(s float32, d int32, t, b float64) (lo, up float64), drop func(up, tau float64) bool) {
+	tau := st.floor
+	for i, d := range dots {
+		lo, up := interval(scales[i], d, st.t, st.b)
+		if drop(up, tau) {
+			continue
+		}
+		id := base + int32(i)
+		if skip != nil && skip(id) {
+			continue
+		}
+		st.ids = append(st.ids, id)
+		st.ups = append(st.ups, up)
+		switch {
+		case len(st.los) == k:
+			if lo > tau {
+				st.los[0] = lo
+				heapFixRoot(st.los, lessFloat)
+				tau = st.los[0]
+			}
+		case lo > tau:
+			st.los = heapPush(st.los, lo, lessFloat)
+			if len(st.los) == k {
+				tau = st.los[0]
+			}
+		}
+	}
+	st.floor = tau
+}
+
+// sameState reports whether two scan states hold the same candidates, the
+// same upper bounds (bit for bit, NaNs included) and the same floor.
+func sameState(a, b *scan) bool {
+	if !slices.Equal(a.ids, b.ids) || len(a.ups) != len(b.ups) || math.Float64bits(a.floor) != math.Float64bits(b.floor) {
+		return false
+	}
+	for i := range a.ups {
+		if math.Float64bits(a.ups[i]) != math.Float64bits(b.ups[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The kernel decides which rows the prune loop sees, with τ as it stood
+// when the tile began; the loop re-tests them against the current τ. On the
+// corpora of TestFlatPrunedBitIdenticalToFloatScan that must leave, after
+// every tile, exactly the candidates, ups and floor of rule (1) applied to
+// every row in turn. Two broken specs — an ordered compare, which drops the
+// NaN-scale rows, and a bound from t·(D−1) — must each be told apart from
+// the scan somewhere, or this test could not see the kernel make either
+// mistake.
+func TestKernelPruneMatchesPerRowSpec(t *testing.T) {
+	ruleOne := func(up, tau float64) bool { return up <= tau }
+	broken := []struct {
+		name     string
+		interval func(s float32, d int32, t, b float64) (lo, up float64)
+		drop     func(up, tau float64) bool
+	}{
+		{"ordered compare", vecmath.ScoreInterval, func(up, tau float64) bool { return !(up > tau) }},
+		{"bound from t·(D−1)", func(s float32, d int32, t, b float64) (float64, float64) {
+			return vecmath.ScoreInterval(s, d-1, t, b)
+		}, ruleOne},
+	}
+	caught := make([]bool, len(broken))
+	tiles := 0
+	for ci, c := range prunedCorpora {
+		for trial := 0; trial < 12; trial++ {
+			r := rng.New(uint64(1000*ci + trial))
+			rows := 300 + r.Intn(1500)
+			dim := 1 + r.Intn(80)
+			m := emb.NewMatrix(rows, dim)
+			c.fill(r, m)
+			mir := NewIndex(m, 0, false).quantized()
+			for qi := 0; qi < 12; qi++ {
+				q := make([]float32, dim)
+				switch qi % 4 {
+				case 0: // stays zero
+				case 1:
+					copy(q, m.Row(int32(r.Intn(rows))))
+				default:
+					gaussianRow(r, q, math.Pow(10, r.Float64()*4-2))
+				}
+				k := []int{1, 1 + r.Intn(50), rows}[r.Intn(3)]
+				var skip func(int32) bool
+				if qi%3 == 0 {
+					skip = func(id int32) bool { return id%11 == 3 }
+				}
+				var got, want scan
+				bad := make([]scan, len(broken))
+				got.begin(q, qi%2 == 0)
+				want.begin(q, qi%2 == 0)
+				for i := range bad {
+					bad[i].begin(q, qi%2 == 0)
+				}
+				if !got.bounded {
+					continue
+				}
+				sc := new(scratch)
+				for b := 0; b < rows; b += blockRows {
+					n := min(blockRows, rows-b)
+					codes, scales := mir.codes[b*dim:(b+n)*dim], mir.scales[b:b+n]
+					got.prune(sc.dots[:n], sc.mask[:(n+63)/64], codes, scales, int32(b), k, skip)
+					dots := make([]int32, n)
+					vecmath.DotRowsI8Ref(dots, codes, want.u)
+					pruneSpec(&want, dots, scales, int32(b), k, skip, vecmath.ScoreInterval, ruleOne)
+					if !sameState(&got, &want) {
+						t.Fatalf("%s trial=%d q=%d k=%d tile at %d: the scan holds %d candidates (floor %g), the per-row spec %d (floor %g)",
+							c.name, trial, qi, k, b, len(got.ids), got.floor, len(want.ids), want.floor)
+					}
+					for i, bk := range broken {
+						pruneSpec(&bad[i], dots, scales, int32(b), k, skip, bk.interval, bk.drop)
+						caught[i] = caught[i] || !sameState(&got, &bad[i])
+					}
+					tiles++
+				}
+			}
+		}
+	}
+	if tiles < 2000 {
+		t.Fatalf("only %d tiles compared", tiles)
+	}
+	for i, bk := range broken {
+		if !caught[i] {
+			t.Fatalf("a spec with the %s was never told apart from the scan", bk.name)
+		}
+	}
+}
+
 // survivorsOf runs the int8 pass of one query over the whole index on one
 // worker and returns how many rows it leaves for the float32 kernel.
 func survivorsOf(ix *Index, q []float32, opts Options) int {

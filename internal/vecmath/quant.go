@@ -16,24 +16,36 @@
 // A query is quantized finer than a row, to int16 (QuantizeQueryI16), and
 // scored against a block of code rows by DotRowsI8: AVX2 on amd64, a
 // pure-Go reference elsewhere. Integer sums have no rounding, so the two
-// agree on every input without a fixed accumulation schedule.
+// agree on every input without a fixed accumulation schedule. The flat
+// scan calls it as DotRowsI8Mask, which also makes the scan's prune
+// decision per row in float64 steps both implementations round alike.
 package vecmath
 
 import "math"
 
 // maxAbs returns the largest magnitude in x, skipping NaNs (0 for an empty
-// or all-NaN slice).
-func maxAbs(x []float32) float32 {
-	var m float32
+// or all-NaN slice), and whether x holds a NaN. |v| clears the sign bit: a
+// branch on the sign mispredicts on every other element of a trained row.
+func maxAbs(x []float32) (m float32, nan bool) {
 	for _, v := range x {
-		if v < 0 {
-			v = -v
+		a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+		if a > m {
+			m = a
 		}
-		if v > m {
-			m = v
+		if a != a {
+			nan = true
 		}
 	}
-	return m
+	return m, nan
+}
+
+// roundHalfAway is math.Round (to the nearest integer, halves away from
+// zero) without its branches on the exponent, which mispredict on random
+// data. Adding the largest float64 below 1/2, with x's sign, and truncating
+// rounds every float64 as math.Round does, ±0, ±Inf and NaN included: the
+// sum can only reach the next integer when x's fraction is at least 1/2.
+func roundHalfAway(x float64) float64 {
+	return math.Trunc(x + math.Copysign(0.49999999999999994, x))
 }
 
 // QuantizeRow quantizes src into dst (same length) with symmetric per-row
@@ -42,18 +54,26 @@ func maxAbs(x []float32) float32 {
 // Reconstruction is scale*dst[i], with per-element error <= scale/2.
 // Non-finite inputs are clamped deterministically (NaN quantizes to -127).
 func QuantizeRow(dst []int8, src []float32) float32 {
+	scale, _ := QuantizeRowNaN(dst, src)
+	return scale
+}
+
+// QuantizeRowNaN is QuantizeRow that also reports whether src holds a NaN,
+// which the scale does not show (the max-abs pass skips NaNs), from the same
+// pass over src.
+func QuantizeRowNaN(dst []int8, src []float32) (scale float32, nan bool) {
 	if len(dst) != len(src) {
 		panic("vecmath: QuantizeRow length mismatch")
 	}
-	maxAbs := maxAbs(src)
+	maxAbs, nan := maxAbs(src)
 	if maxAbs == 0 {
 		clear(dst)
-		return 0
+		return 0, nan
 	}
-	scale := maxAbs / 127
+	scale = maxAbs / 127
 	inv := 1 / float64(scale)
 	for i, v := range src {
-		c := math.Round(float64(v) * inv)
+		c := roundHalfAway(float64(v) * inv)
 		if !(c >= -127) { // also catches NaN
 			c = -127
 		} else if c > 127 {
@@ -61,7 +81,7 @@ func QuantizeRow(dst []int8, src []float32) float32 {
 		}
 		dst[i] = int8(c)
 	}
-	return scale
+	return scale, nan
 }
 
 // DequantizeRow reconstructs codes into dst: dst[i] = scale * codes[i].
@@ -123,7 +143,7 @@ func QuantizeQueryI16(dst []int16, src []float32) float64 {
 	if len(dst) != len(src) {
 		panic("vecmath: QuantizeQueryI16 length mismatch")
 	}
-	maxAbs := maxAbs(src)
+	maxAbs, _ := maxAbs(src)
 	if maxAbs == 0 {
 		clear(dst)
 		return 0
@@ -131,7 +151,7 @@ func QuantizeQueryI16(dst []int16, src []float32) float64 {
 	limit := float64(queryLimitI16(len(src)))
 	inv := limit / float64(maxAbs)
 	for i, v := range src {
-		c := math.Round(float64(v) * inv)
+		c := roundHalfAway(float64(v) * inv)
 		if !(c >= -limit) { // also catches NaN
 			c = -limit
 		} else if c > limit {
@@ -146,40 +166,68 @@ func QuantizeQueryI16(dst []int16, src []float32) float64 {
 // [0, len(dst)), where dim = len(q): the integer scores of one int16 query
 // against a contiguous block of int8 code rows. codes must hold exactly
 // len(dst)*len(q) values. The sums are exact for any q that
-// QuantizeQueryI16 produced (127*max|q|*dim < 2^31). Uses the AVX2 kernel when the platform has one;
-// always equal to DotRowsI8Ref.
+// QuantizeQueryI16 produced (127*max|q|*dim < 2^31). Uses the AVX2 kernel
+// when the platform has one; always equal to DotRowsI8Ref.
 func DotRowsI8(dst []int32, codes []int8, q []int16) {
-	dim := len(q)
-	if len(codes) != len(dst)*dim {
+	if len(codes) != len(dst)*len(q) {
 		panic("vecmath: DotRowsI8 shape mismatch")
 	}
-	if dotRowsI8Asm == nil || dim < 16 {
+	if dotRowsI8Asm == nil {
 		DotRowsI8Ref(dst, codes, q)
 		return
 	}
-	if len(dst) == 0 {
-		return
-	}
-	dotRowsI8Asm(dst, codes, q)
-	body := dim &^ 15
-	if body == dim {
-		return
-	}
-	for r := range dst {
-		row := codes[r*dim+body : (r+1)*dim]
-		s := dst[r]
-		for i, c := range row {
-			s += int32(c) * int32(q[body+i])
-		}
-		dst[r] = s
+	if len(dst) > 0 {
+		dotRowsI8Asm(dst, nil, codes, q, nil, 0, 0, 0)
 	}
 }
 
-// dotRowsI8Asm, when non-nil, is the platform SIMD kernel behind
-// DotRowsI8. It scores only the first len(q)&^15 elements of every row (the
-// wrapper adds the rest) and may assume matching shapes and len(dst) > 0.
-// Installed from an arch-specific init (see quant_amd64.go).
-var dotRowsI8Asm func(dst []int32, codes []int8, q []int16)
+// DotRowsI8Mask is DotRowsI8 that also makes the flat scan's prune
+// decision for every row in the same pass: it sets bit r%64 of mask[r/64]
+// exactly when
+//
+//	!(up <= tau), where _, up = ScoreInterval(scales[r], dst[r], t, b),
+//
+// and clears every other bit of mask. The compare is unordered: a row whose
+// up is NaN is flagged. mask must hold (len(dst)+63)/64 words and scales
+// len(dst) values. Uses the AVX2 kernel when the platform has one; always
+// equal to DotRowsI8MaskRef.
+func DotRowsI8Mask(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64) {
+	checkMaskShape(dst, mask, codes, q, scales)
+	if dotRowsI8Asm == nil {
+		DotRowsI8MaskRef(dst, mask, codes, q, scales, t, b, tau)
+		return
+	}
+	clear(mask)
+	if len(dst) > 0 {
+		dotRowsI8Asm(dst, mask, codes, q, scales, t, b, tau)
+	}
+}
+
+func checkMaskShape(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32) {
+	if len(codes) != len(dst)*len(q) || len(mask) != (len(dst)+63)/64 || len(scales) != len(dst) {
+		panic("vecmath: DotRowsI8Mask shape mismatch")
+	}
+}
+
+// ScoreInterval returns s·(t·d ∓ b) in float64: the interval the int8-first
+// flat scan (internal/knn, scan.prune) proves a row's float32 score lies in,
+// from the row's scale s, its integer score d, the query's step t and the
+// half-width b. Each product is converted explicitly, the Go spec's fusion
+// barrier, so that no platform contracts one into a fused multiply-add:
+// DotRowsI8Mask's kernel rounds every step, and the scan re-tests the rows
+// it flags with this function.
+func ScoreInterval(s float32, d int32, t, b float64) (lo, up float64) {
+	w := float64(s)
+	a := float64(t * float64(d))
+	return float64(w * (a - b)), float64(w * (a + b))
+}
+
+// dotRowsI8Asm, when non-nil, is the platform SIMD kernel behind DotRowsI8
+// and DotRowsI8Mask: it writes the integer scores, and with a non-nil mask
+// (cleared by the caller) ORs in the bits DotRowsI8Mask defines. It may
+// assume matching shapes and len(dst) > 0. Installed from an arch-specific
+// init (see quant_amd64.go).
+var dotRowsI8Asm func(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64)
 
 // DotRowsI8Ref is the portable reference for DotRowsI8: same shapes, same
 // results.
@@ -196,5 +244,18 @@ func DotRowsI8Ref(dst []int32, codes []int8, q []int16) {
 			s += int32(c) * int32(qq[i])
 		}
 		dst[r] = s
+	}
+}
+
+// DotRowsI8MaskRef is the portable reference for DotRowsI8Mask: the scores
+// of DotRowsI8Ref, then the predicate row by row.
+func DotRowsI8MaskRef(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64) {
+	checkMaskShape(dst, mask, codes, q, scales)
+	DotRowsI8Ref(dst, codes, q)
+	clear(mask)
+	for r, d := range dst {
+		if _, up := ScoreInterval(scales[r], d, t, b); !(up <= tau) {
+			mask[r>>6] |= 1 << (r & 63)
+		}
 	}
 }

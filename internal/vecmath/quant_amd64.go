@@ -13,12 +13,14 @@ func init() {
 // quant_amd64.s.
 func hasAVX2() bool
 
-// dotRowsI8AVX2 computes, for every row r, the integer dot product of the
-// first len(q)&^15 elements of codes[r*dim:(r+1)*dim] and q, four rows per
-// iteration: VPMOVSXBW widens 16 codes, VPMADDWD multiplies them with 16
-// query values and adds adjacent products, VPADDD accumulates. Requires
-// len(codes) == len(dst)*len(q) and len(dst) > 0 (enforced by the
-// DotRowsI8 wrapper). Implemented in quant_amd64.s.
+// dotRowsI8AVX2 computes, for every row r, the integer dot product of
+// codes[r*dim:(r+1)*dim] and q, four rows per iteration: VPMOVSXBW widens 16
+// codes, VPMADDWD multiplies them with 16 query values and adds adjacent
+// products, VPADDD accumulates; elements past len(q)&^15 are added one at a
+// time. With a non-nil mask it also sets DotRowsI8Mask's bits, formed from
+// the folded dots of each group of four rows. Requires the shapes
+// DotRowsI8Mask checks, len(dst) > 0 and a zeroed mask (enforced by the
+// wrappers). Implemented in quant_amd64.s.
 //
 //go:noescape
-func dotRowsI8AVX2(dst []int32, codes []int8, q []int16)
+func dotRowsI8AVX2(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64)
