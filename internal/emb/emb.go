@@ -43,6 +43,11 @@ func (m *Matrix) Row(i int32) []float32 {
 	return m.data[off : off+m.Dim : off+m.Dim]
 }
 
+// View returns rows [lo, hi) as a matrix over the same storage: no copy.
+func (m *Matrix) View(lo, hi int) *Matrix {
+	return &Matrix{Dim: m.Dim, data: m.data[lo*m.Dim : hi*m.Dim : hi*m.Dim]}
+}
+
 // Data exposes the backing slice (used by persistence and the distributed
 // engine's shard transfers).
 func (m *Matrix) Data() []float32 { return m.data }

@@ -30,6 +30,24 @@ func TestMatrixRows(t *testing.T) {
 	_ = r
 }
 
+func TestMatrixView(t *testing.T) {
+	m := NewMatrix(5, 2)
+	for i := range m.Data() {
+		m.Data()[i] = float32(i)
+	}
+	v := m.View(1, 4)
+	if v.Rows() != 3 || v.Dim != 2 || v.Row(0)[0] != 2 || v.Row(2)[1] != 7 {
+		t.Fatalf("view rows %d, first %v, last %v", v.Rows(), v.Row(0), v.Row(2))
+	}
+	v.Row(1)[0] = -1
+	if m.Row(2)[0] != -1 {
+		t.Fatal("view is not aliased into the matrix")
+	}
+	if m.View(5, 5).Rows() != 0 {
+		t.Fatal("empty view has rows")
+	}
+}
+
 func TestNewModelInit(t *testing.T) {
 	m := NewModel(10, 8, rng.New(1))
 	bound := float32(0.5) / 8

@@ -8,6 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"sisg/internal/model"
+	"sisg/internal/sgns"
+	"sisg/internal/sisg"
+	"sisg/internal/vocab"
 )
 
 func fetchBody(t *testing.T, url string) (int, []byte) {
@@ -88,6 +93,33 @@ func TestErrorEnvelope(t *testing.T) {
 	// the same envelope.
 	if env := decodeEnvelope(t, []byte(timeoutBody)); env.Error.Code != "timeout" {
 		t.Fatalf("timeout: code %q, want timeout", env.Error.Code)
+	}
+}
+
+// A stream generation that has not admitted the rows a cold-start answer
+// composes from — here the first one, published before any session — does
+// not serve that answer: 404 not_servable, as /v1/similar, never a 500.
+func TestColdStartNotServableOnEmptyGeneration(t *testing.T) {
+	ds := testDataset(t)
+	st, err := sisg.NewStreamer(ds.Dict, sisg.StreamConfig{
+		Variant: sisg.VariantSISGFUD,
+		Admit:   vocab.AdmitConfig{Budget: 100, MinCount: 1},
+		Live:    sgns.LiveDefaults(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithHolder(ds, model.NewHolder(st.Publish()), Config{MaxK: 100})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/v1/similar?item=3&k=5", "/v1/coldstart/item?item=3&k=5", "/v1/coldstart/user?gender=F&k=5"} {
+		code, body := fetchBody(t, ts.URL+path)
+		if code != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404: %s", path, code, body)
+		}
+		if env := decodeEnvelope(t, body); env.Error.Code != "not_servable" {
+			t.Fatalf("%s: code %q, want not_servable", path, env.Error.Code)
+		}
 	}
 }
 

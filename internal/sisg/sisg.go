@@ -106,30 +106,29 @@ type Model struct {
 	Emb     *emb.Model
 	Stats   sgns.Stats
 
-	itemIndex lazyIndex // retrieval index over item rows
-	userIndex lazyIndex // user→item index (directed models)
+	snap lazySnapshot // the model as a one-generation Snapshot
 }
 
-// lazyIndex is a knn.Index built on first use and safe for concurrent first
-// use: evaluation and experiment drivers fan queries out over a model
+// lazySnapshot is a Snapshot built on first use and safe for concurrent
+// first use: evaluation and experiment drivers fan queries out over a model
 // nobody has queried yet.
-type lazyIndex struct {
+type lazySnapshot struct {
 	mu sync.Mutex // serialises the build
-	p  atomic.Pointer[knn.Index]
+	p  atomic.Pointer[Snapshot]
 }
 
-func (l *lazyIndex) get(build func() *knn.Index) *knn.Index {
-	if ix := l.p.Load(); ix != nil {
-		return ix
+func (l *lazySnapshot) get(build func() *Snapshot) *Snapshot {
+	if s := l.p.Load(); s != nil {
+		return s
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ix := l.p.Load()
-	if ix == nil {
-		ix = build()
-		l.p.Store(ix)
+	s := l.p.Load()
+	if s == nil {
+		s = build()
+		l.p.Store(s)
 	}
-	return ix
+	return s
 }
 
 // TrainOptions adapts sgns.Options for a variant: SI-enhanced sequences are
@@ -164,25 +163,30 @@ func Train(d *corpus.Dict, sessions []corpus.Session, v Variant, base sgns.Optio
 	return &Model{Variant: v, Dict: d, Emb: m, Stats: st}, nil
 }
 
-// ItemIndex returns (building on first use) the retrieval index with the
-// variant's scoring rule: directed models search raw dot products against
-// OUTPUT vectors; symmetric models search cosine against INPUT vectors.
-func (m *Model) ItemIndex() *knn.Index {
-	return m.itemIndex.get(func() *knn.Index {
-		if m.Variant.Directed {
-			return knn.NewIndex(m.Emb.Out, m.Dict.NumItems, false)
+// snapshot returns (building on first use) the model as a one-generation
+// Snapshot: identity tables — item i in item row i, side token t in side
+// row t − NumItems — over row-range views of the model's own matrices, so
+// nothing is copied.
+func (m *Model) snapshot() *Snapshot {
+	return m.snap.get(func() *Snapshot {
+		n, v := m.Dict.NumItems, m.Dict.Len()
+		slot := make([]int32, v)
+		for tok := range slot {
+			slot[tok] = int32(tok)
+			if tok >= n {
+				slot[tok] -= int32(n)
+			}
 		}
-		return knn.NewIndex(m.Emb.In, m.Dict.NumItems, true)
+		items := slot[:n:n] // the item half of slot is the identity list
+		in, out := m.Emb.In, m.Emb.Out
+		return newSnapshot(0, m.Variant, m.Dict, slot, items,
+			in.View(n, v), out.View(n, v), in.View(0, n), out.View(0, n))
 	})
 }
 
-// coldUserIndex returns (building on first use) the directed models'
-// user→item index: item INPUT vectors under raw dot product.
-func (m *Model) coldUserIndex() *knn.Index {
-	return m.userIndex.get(func() *knn.Index {
-		return knn.NewIndex(m.Emb.In, m.Dict.NumItems, false)
-	})
-}
+// ItemIndex returns (building on first use) the retrieval index with the
+// variant's scoring rule — the one index the model's snapshots share.
+func (m *Model) ItemIndex() *knn.Index { return m.snapshot().index }
 
 // QueryVector returns the vector to search with for item `query` under the
 // variant's scoring rule. The slice must be treated as read-only.
@@ -190,44 +194,9 @@ func (m *Model) QueryVector(query int32) []float32 {
 	return m.Emb.In.Row(query)
 }
 
-// Similar is the unified matching-stage read path: the top-opts.K most
-// similar items per seed, each seed's own id excluded — "a candidate set of
-// similar items is obtained for each item that users have interacted with".
-// One seed runs a single scan with a skip-self predicate; several seeds
-// ride the engine's batched scan (each shard's rows streamed once for the
-// whole batch), requesting k+1 neighbours and dropping each seed's own id
-// afterwards, which is bit-identical to per-seed calls. opts.Index, NProbe
-// and Quantized select the scan strategy (flat brute force or IVF ANN);
-// Normalize and Skip are owned by the model so the variant's scoring rule
-// and self-exclusion cannot be overridden. The context cancels the scan at
-// tile boundaries; a cancelled call returns an error wrapping
-// knn.ErrCanceled. Cancellation fails the whole batch.
+// Similar is Snapshot.Similar on the model's one generation.
 func (m *Model) Similar(ctx context.Context, seeds []int32, opts knn.Options) ([][]knn.Result, error) {
-	opts.Normalize = !m.Variant.Directed
-	if len(seeds) == 1 {
-		seed := seeds[0]
-		opts.Skip = func(id int32) bool { return id == seed }
-		rs, err := m.ItemIndex().Query(ctx, m.QueryVector(seed), opts)
-		if err != nil {
-			return nil, err
-		}
-		return [][]knn.Result{rs}, nil
-	}
-	k := opts.K
-	opts.K = k + 1
-	opts.Skip = nil
-	qvs := make([][]float32, len(seeds))
-	for i, q := range seeds {
-		qvs[i] = m.QueryVector(q)
-	}
-	batch, err := m.ItemIndex().QueryBatch(ctx, qvs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, rs := range batch {
-		batch[i] = dropSelf(rs, seeds[i], k)
-	}
-	return batch, nil
+	return m.snapshot().Similar(ctx, seeds, opts)
 }
 
 // SimilarOne is Similar for exactly one seed — the thin delegation the HTTP
@@ -240,29 +209,15 @@ func (m *Model) SimilarOne(ctx context.Context, seed int32, opts knn.Options) ([
 	return batch[0], nil
 }
 
-// dropSelf removes self from a k+1-sized candidate list and trims to k.
-func dropSelf(rs []knn.Result, self int32, k int) []knn.Result {
-	out := rs[:0:len(rs)]
-	for _, r := range rs {
-		if r.ID != self {
-			out = append(out, r)
-		}
-	}
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+// SimilarToVector is Snapshot.SimilarToVector on the model's one generation.
+func (m *Model) SimilarToVector(ctx context.Context, qv []float32, k int, skip func(int32) bool) ([]knn.Result, error) {
+	return m.snapshot().SimilarToVector(ctx, qv, k, skip)
 }
 
-// SimilarToVector retrieves the top-k items for an arbitrary query vector
-// (used by both cold-start paths). Directed models still search output
-// vectors; symmetric models use cosine.
-func (m *Model) SimilarToVector(ctx context.Context, qv []float32, k int, skip func(int32) bool) ([]knn.Result, error) {
-	return m.ItemIndex().Query(ctx, qv, knn.Options{
-		K:         k,
-		Normalize: !m.Variant.Directed,
-		Skip:      skip,
-	})
+// RecommendForColdUser is Snapshot.RecommendForColdUser on the model's one
+// generation.
+func (m *Model) RecommendForColdUser(ctx context.Context, types []int32, k int) ([]knn.Result, error) {
+	return m.snapshot().RecommendForColdUser(ctx, types, k)
 }
 
 // ColdStartItemVector infers an embedding for a new item from its side
@@ -285,8 +240,9 @@ func (m *Model) ColdStartItemVector(si [corpus.NumSIColumns]vocab.ID) []float32 
 // means rather than raw sums so seeded rows live on the same scale as
 // trained rows inside the shared retrieval index. Call before ItemIndex.
 func (m *Model) SeedColdItems(ids []int32) {
-	// The index may hold a normalized copy; force a rebuild.
-	m.itemIndex.p.Store(nil)
+	// The snapshot's index may hold a normalized copy and an int8 mirror of
+	// the rows about to change; rebuild it on next use.
+	m.snap.p.Store(nil)
 	cold := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		cold[id] = true
@@ -340,82 +296,7 @@ func scaleTo(v []float32, norm float32) {
 	}
 }
 
-// ColdStartItemVectorFromNames resolves SI token names through the
-// dictionary and applies Eq. 6. Unknown names are skipped; if none resolve,
-// an error is returned.
-func (m *Model) ColdStartItemVectorFromNames(names []string) ([]float32, error) {
-	v := make([]float32, m.Emb.Dim())
-	resolved := 0
-	for _, n := range names {
-		if id, ok := m.Dict.Lookup(n); ok {
-			vecmath.Add(m.Emb.In.Row(id), v)
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return nil, fmt.Errorf("sisg: no SI names resolved out of %d", len(names))
-	}
-	return v, nil
-}
-
-// ColdStartUserVector implements §IV-C1: the average of the input vectors
-// of every user type matching the given constraints ("we can take the
-// average of all user type vectors which belong to a user type containing
-// the 'female' and 'age 21-25' features"). types holds user-type indices
-// into Dict.UserType.
-func (m *Model) ColdStartUserVector(types []int32) ([]float32, error) {
-	if len(types) == 0 {
-		return nil, errors.New("sisg: no matching user types")
-	}
-	v := make([]float32, m.Emb.Dim())
-	for _, t := range types {
-		vecmath.Add(m.Emb.In.Row(m.Dict.UserType[t]), v)
-	}
-	vecmath.Scale(1/float32(len(types)), v)
-	return v, nil
-}
-
 // UserTypeVector returns the input vector of a user type (read-only).
 func (m *Model) UserTypeVector(t int32) []float32 {
 	return m.Emb.In.Row(m.Dict.UserType[t])
-}
-
-// userQueryVector returns the averaged user-type vector used for cold-start
-// user retrieval. Symmetric models average INPUT vectors (§IV-C1 verbatim).
-// Directed models must average OUTPUT vectors: with right-window sampling
-// the sequence-final user-type token never has a context, so its input
-// vector is untrained; its output vector, however, is trained by every
-// (item → UT) pair — "items clicked by this audience" — which is exactly
-// the signal a cold-start recommendation needs.
-func (m *Model) userQueryVector(types []int32) ([]float32, error) {
-	if len(types) == 0 {
-		return nil, errors.New("sisg: no matching user types")
-	}
-	v := make([]float32, m.Emb.Dim())
-	src := m.Emb.In
-	if m.Variant.Directed {
-		src = m.Emb.Out
-	}
-	for _, t := range types {
-		vecmath.Add(src.Row(m.Dict.UserType[t]), v)
-	}
-	vecmath.Scale(1/float32(len(types)), v)
-	return v, nil
-}
-
-// RecommendForColdUser implements §IV-C1 end-to-end: average the vectors of
-// all user types matching the user's known demographics, then retrieve the
-// top-k items. For directed models the query is an averaged user-type
-// OUTPUT vector scored against item INPUT vectors (in(item)·out(UT) is the
-// trained "this audience clicks this item" direction); symmetric models use
-// cosine between input vectors throughout.
-func (m *Model) RecommendForColdUser(ctx context.Context, types []int32, k int) ([]knn.Result, error) {
-	qv, err := m.userQueryVector(types)
-	if err != nil {
-		return nil, err
-	}
-	if m.Variant.Directed {
-		return m.coldUserIndex().Query(ctx, qv, knn.Options{K: k})
-	}
-	return m.ItemIndex().Query(ctx, qv, knn.Options{K: k, Normalize: true})
 }

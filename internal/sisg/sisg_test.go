@@ -196,29 +196,47 @@ func TestColdStartItemVectorFromNames(t *testing.T) {
 		corpus.SIToken(4, it.Brand),
 		"not_a_real_token",
 	}
-	v, err := m.ColdStartItemVectorFromNames(names)
+	snap := NewModelSnapshot(m, 1)
+	v, err := snap.ColdItemVectorFromNames(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Norm(v) == 0 {
-		t.Fatal("vector is zero")
+	want := make([]float32, m.Emb.Dim())
+	for _, n := range names[:2] {
+		id, _ := ds.Dict.Lookup(n)
+		vecmath.Add(m.Emb.In.Row(id), want)
 	}
-	if _, err := m.ColdStartItemVectorFromNames([]string{"nope"}); err == nil {
+	for i := range v {
+		if math.Float32bits(v[i]) != math.Float32bits(want[i]) {
+			t.Fatal("Eq. 6 vector from names is not the sum of the resolved SI rows")
+		}
+	}
+	if _, err := snap.ColdItemVectorFromNames([]string{"nope"}); err == nil {
 		t.Fatal("all-unknown names accepted")
 	}
 }
 
+// A symmetric cold user's query is the average of the matching user types'
+// input vectors (§IV-C1), searched by cosine.
 func TestColdStartUserVector(t *testing.T) {
 	ds, m := tinyModel(t, VariantSISGFU)
+	bg := context.Background()
 	types := ds.Pop.TypesMatching(0, -1, -1)
-	v, err := m.ColdStartUserVector(types)
+	v := make([]float32, m.Emb.Dim())
+	for _, ut := range types {
+		vecmath.Add(m.UserTypeVector(ut), v)
+	}
+	vecmath.Scale(1/float32(len(types)), v)
+	want, err := m.ItemIndex().Query(bg, v, knn.Options{K: 8, Normalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v) != m.Emb.Dim() {
-		t.Fatal("wrong dimension")
+	got, err := m.RecommendForColdUser(bg, types, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.ColdStartUserVector(nil); err == nil {
+	sameResults(t, "cold user", got, want)
+	if _, err := m.RecommendForColdUser(bg, nil, 8); err == nil {
 		t.Fatal("empty types accepted")
 	}
 }

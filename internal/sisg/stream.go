@@ -1,15 +1,11 @@
 package sisg
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"sisg/internal/corpus"
 	"sisg/internal/emb"
-	"sisg/internal/knn"
-	"sisg/internal/model"
 	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 	"sisg/internal/vocab"
@@ -244,28 +240,15 @@ func (st *Streamer) Pairs() uint64 { return st.live.Pairs() }
 // snapshot never runs k-means under a request: the server's brownout can
 // switch a fresh generation from flat to IVF at no cost. The streamer keeps
 // training; the snapshot never changes.
-func (st *Streamer) Publish() *StreamSnapshot {
+func (st *Streamer) Publish() *Snapshot {
 	st.gen++
 	m := st.live.Model()
 	n := len(st.items)
-	snap := &StreamSnapshot{
-		gen:     st.gen,
-		at:      time.Now(),
-		v:       st.v,
-		dict:    st.dict,
-		slot:    slices.Clone(st.slot),
-		items:   st.items[:n:n], // appends land beyond n or in a new array: never seen
-		in:      gatherRows(m.In, st.sideRows),
-		out:     gatherRows(m.Out, st.sideRows),
-		itemIn:  gatherRows(m.In, st.itemRows),
-		itemOut: gatherRows(m.Out, st.itemRows),
-	}
-	if st.v.Directed {
-		snap.index = knn.NewIndex(snap.itemOut, n, false)
-		snap.userIndex = knn.NewIndex(snap.itemIn, n, false)
-	} else {
-		snap.index = knn.NewIndex(snap.itemIn, n, true)
-	}
+	snap := newSnapshot(st.gen, st.v, st.dict,
+		slices.Clone(st.slot),
+		st.items[:n:n], // appends land beyond n or in a new array: never seen
+		gatherRows(m.In, st.sideRows), gatherRows(m.Out, st.sideRows),
+		gatherRows(m.In, st.itemRows), gatherRows(m.Out, st.itemRows))
 	snap.index.BuildIVF(st.centroids)
 	st.centroids = snap.index.IVFCentroids()
 	return snap
@@ -278,202 +261,4 @@ func gatherRows(src *emb.Matrix, rows []int32) *emb.Matrix {
 		copy(dst.Row(int32(c)), src.Row(r))
 	}
 	return dst
-}
-
-// StreamSnapshot is one published generation of a streaming model: the
-// admitted items' embeddings, compacted, with the variant's retrieval
-// index; the admitted SI and user-type embeddings (for Eq. 6 composition
-// and user-type queries); and the universe dictionary for name resolution.
-// Immutable; implements model.Snapshot.
-type StreamSnapshot struct {
-	gen  uint64
-	at   time.Time
-	v    Variant
-	dict *corpus.Dict
-
-	// slot maps a universe token id to its compact row — in the item
-	// matrices for an item token, in the side matrices for any other — or
-	// -1 while the token is not admitted.
-	slot  []int32
-	items []int32 // compact item row -> catalog item id
-
-	in, out   *emb.Matrix // SI and user-type vectors, side-row order
-	itemIn    *emb.Matrix // item input vectors
-	itemOut   *emb.Matrix // item output vectors
-	index     *knn.Index  // variant-scored retrieval index
-	userIndex *knn.Index  // directed cold-user index (in-vectors, raw dot)
-}
-
-var _ model.Snapshot = (*StreamSnapshot)(nil)
-
-func (s *StreamSnapshot) Generation() uint64     { return s.gen }
-func (s *StreamSnapshot) PublishedAt() time.Time { return s.at }
-func (s *StreamSnapshot) Variant() string        { return s.v.Name }
-func (s *StreamSnapshot) Dim() int               { return s.itemIn.Dim }
-func (s *StreamSnapshot) VocabSize() int         { return len(s.items) + s.in.Rows() }
-func (s *StreamSnapshot) NumItems() int          { return len(s.items) }
-func (s *StreamSnapshot) Index() *knn.Index      { return s.index }
-
-// row returns the compact row of an admitted universe token within its
-// class; false for an id outside the dictionary or a token the stream has
-// not admitted.
-func (s *StreamSnapshot) row(tok vocab.ID) (int32, bool) {
-	if tok < 0 || int(tok) >= len(s.slot) || s.slot[tok] < 0 {
-		return 0, false
-	}
-	return s.slot[tok], true
-}
-
-// itemRow is row for a catalog item id: false outside the catalog too.
-func (s *StreamSnapshot) itemRow(item int32) (int32, bool) {
-	if !s.dict.IsItem(item) {
-		return 0, false
-	}
-	return s.row(item)
-}
-
-// inputOf returns the input vector of an admitted token of either class.
-func (s *StreamSnapshot) inputOf(tok vocab.ID) ([]float32, bool) {
-	r, ok := s.row(tok)
-	if !ok {
-		return nil, false
-	}
-	if s.dict.IsItem(tok) {
-		return s.itemIn.Row(r), true
-	}
-	return s.in.Row(r), true
-}
-
-func (s *StreamSnapshot) Servable(item int32) bool {
-	_, ok := s.itemRow(item)
-	return ok
-}
-
-// translate rewrites compact-row result ids into catalog item ids, in
-// place (result slices are fresh per query).
-func (s *StreamSnapshot) translate(rs []knn.Result) []knn.Result {
-	for i := range rs {
-		rs[i].ID = s.items[rs[i].ID]
-	}
-	return rs
-}
-
-func (s *StreamSnapshot) Similar(ctx context.Context, seeds []int32, opts knn.Options) ([][]knn.Result, error) {
-	opts.Normalize = !s.v.Directed
-	if len(seeds) == 1 {
-		row, ok := s.itemRow(seeds[0])
-		if !ok {
-			return nil, model.ErrNotServable
-		}
-		opts.Skip = func(id int32) bool { return id == row }
-		rs, err := s.index.Query(ctx, s.itemIn.Row(row), opts)
-		if err != nil {
-			return nil, err
-		}
-		return [][]knn.Result{s.translate(rs)}, nil
-	}
-	k := opts.K
-	opts.K = k + 1
-	opts.Skip = nil
-	qvs := make([][]float32, len(seeds))
-	for i, seed := range seeds {
-		row, ok := s.itemRow(seed)
-		if !ok {
-			return nil, model.ErrNotServable
-		}
-		qvs[i] = s.itemIn.Row(row)
-	}
-	batch, err := s.index.QueryBatch(ctx, qvs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, rs := range batch {
-		batch[i] = dropSelf(s.translate(rs), seeds[i], k)
-	}
-	return batch, nil
-}
-
-func (s *StreamSnapshot) SimilarToVector(ctx context.Context, qv []float32, k int, skip func(int32) bool) ([]knn.Result, error) {
-	opts := knn.Options{K: k, Normalize: !s.v.Directed}
-	if skip != nil {
-		opts.Skip = func(row int32) bool { return skip(s.items[row]) }
-	}
-	rs, err := s.index.Query(ctx, qv, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.translate(rs), nil
-}
-
-// ColdItemVector composes Eq. 6 for a catalog item over its ADMITTED SI
-// rows. An item whose side information has not earned a single row yet
-// cannot be composed — the stream simply has not seen its world.
-func (s *StreamSnapshot) ColdItemVector(item int32) ([]float32, error) {
-	if item < 0 || int(item) >= s.dict.NumItems {
-		return nil, model.ErrNotServable
-	}
-	v := make([]float32, s.in.Dim)
-	resolved := 0
-	for _, si := range s.dict.ItemSI[item] {
-		if in, ok := s.inputOf(si); ok {
-			vecmath.Add(in, v)
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return nil, fmt.Errorf("sisg: no admitted SI for item %d", item)
-	}
-	return v, nil
-}
-
-func (s *StreamSnapshot) ColdItemVectorFromNames(names []string) ([]float32, error) {
-	v := make([]float32, s.in.Dim)
-	resolved := 0
-	for _, n := range names {
-		id, ok := s.dict.Lookup(n)
-		if !ok {
-			continue
-		}
-		if in, ok := s.inputOf(id); ok {
-			vecmath.Add(in, v)
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return nil, fmt.Errorf("sisg: no SI names resolved out of %d", len(names))
-	}
-	return v, nil
-}
-
-func (s *StreamSnapshot) RecommendForColdUser(ctx context.Context, types []int32, k int) ([]knn.Result, error) {
-	if len(types) == 0 {
-		return nil, fmt.Errorf("sisg: no matching user types")
-	}
-	src := s.in
-	if s.v.Directed {
-		src = s.out // §IV-C1 directed: UT output vectors carry the signal
-	}
-	v := make([]float32, s.in.Dim)
-	resolved := 0
-	for _, t := range types {
-		if row, ok := s.row(s.dict.UserType[t]); ok { // a user type: a side row
-			vecmath.Add(src.Row(row), v)
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return nil, fmt.Errorf("sisg: no admitted user types among %d matches", len(types))
-	}
-	vecmath.Scale(1/float32(resolved), v)
-	var rs []knn.Result
-	var err error
-	if s.v.Directed {
-		rs, err = s.userIndex.Query(ctx, v, knn.Options{K: k})
-	} else {
-		rs, err = s.index.Query(ctx, v, knn.Options{K: k, Normalize: true})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.translate(rs), nil
 }

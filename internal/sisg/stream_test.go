@@ -34,7 +34,7 @@ func testStreamer(t *testing.T) (*corpus.Live, *Streamer) {
 }
 
 func TestStreamerDeterministic(t *testing.T) {
-	run := func() *StreamSnapshot {
+	run := func() *Snapshot {
 		lv, st := testStreamer(t)
 		for i := 0; i < 300; i++ {
 			st.Ingest(lv.Next())
