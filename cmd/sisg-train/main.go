@@ -264,7 +264,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("trained %d pairs at %.0f tokens/s", model.Stats.Pairs, model.Stats.TokensPerSec())
+		log.Printf("trained %d pairs at %.0f tokens/s (%d workers, idle at the barrier %.1f%% of the run)",
+			model.Stats.Pairs, model.Stats.TokensPerSec(), model.Stats.WorkersUsed, 100*model.Stats.IdleShare())
 	}
 	log.Printf("training took %v", time.Since(start).Round(time.Millisecond))
 

@@ -7,11 +7,45 @@ import (
 	"testing"
 	"time"
 
+	"sisg/internal/cacheline"
 	"sisg/internal/graph"
 	"sisg/internal/rng"
 	"sisg/internal/vecmath"
 	"sisg/internal/vocab"
 )
+
+// Every pair writes a worker's RNG streams, counters, negative draws and
+// gradient; two workers that write one cache line train no faster than
+// one. Each worker is one padded block — a replacement incarnation's
+// streams are written into it — so no line holds bytes of two workers'
+// state. This trains nothing, so it runs under the race detector too.
+func TestWorkersShareNoCacheLine(t *testing.T) {
+	ds, seqs, part := tinySetup(t, 4)
+	e, err := newEngine(ds.Dict.Dict, seqs, part, tinyOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.tr.Close() })
+	check := func(when string) {
+		t.Helper()
+		var owners [][]cacheline.Span
+		for _, w := range e.workers {
+			owners = append(owners, []cacheline.Span{
+				cacheline.SpanOf(w), // r, srng, frng and the atomic counters included
+				cacheline.SliceSpan(w.negs),
+				cacheline.SliceSpan(w.grad),
+				cacheline.SliceSpan(w.kept[:cap(w.kept)]),
+			})
+		}
+		if err := cacheline.Shared(owners); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("new workers")
+	e.workers[1].reinit(false)
+	e.workers[2].reinit(true)
+	check("after reinit")
+}
 
 // Serving one request [(v,[c1…cn]), (v',[…])] is serving its contexts one
 // request at a time with each gradient folded into v before the next: same

@@ -93,6 +93,7 @@ type engine struct {
 	counts      []uint64
 	keep        []float32
 	totalTokens uint64 // corpus tokens × epochs (per worker scan)
+	maxLen      int    // longest sequence, in tokens
 
 	// tr moves TNS requests between workers: the in-process channel mesh
 	// by default, real loopback TCP when Options.Transport says so, either
@@ -170,6 +171,7 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 			e.counts[t]++
 		}
 		corpusTokens += uint64(len(s))
+		e.maxLen = max(e.maxLen, len(s))
 	}
 	e.totalTokens = corpusTokens * uint64(opt.Epochs)
 	if e.totalTokens == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sisg/internal/alias"
+	"sisg/internal/cacheline"
 	"sisg/internal/rng"
 	"sisg/internal/vecmath"
 )
@@ -19,7 +20,7 @@ import (
 type worker struct {
 	e   *engine
 	id  int32
-	r   *rng.RNG
+	r   rng.RNG
 	opt *Options
 
 	noise       *alias.Table
@@ -48,7 +49,7 @@ type worker struct {
 	// With a dedicated stream, r is consumed only by this worker's own
 	// deterministic scan order, which is what makes checkpoint resume
 	// replay exact pair counts.
-	srng *rng.RNG
+	srng rng.RNG
 
 	// Fault machinery. frng is a dedicated RNG for fault decisions
 	// (retry jitter, degraded-pair negatives; wire-level faults such as
@@ -60,7 +61,7 @@ type worker struct {
 	// merged crash schedule; crashArmAt is the armed absolute pair count
 	// (0 = disarmed) and is persisted so a resumed run does not re-fire a
 	// crash at the wrong position.
-	frng      *rng.RNG
+	frng      rng.RNG
 	crashed   bool
 	crashSpec *CrashSpec
 	stalls    []StallSpec // sorted by AtPairs; stallIdx is the next unfired
@@ -105,17 +106,25 @@ type worker struct {
 	sincSync                       int // scan-local, never sampled
 }
 
+// newWorker allocates the worker as one padded block (cacheline.Alloc): the
+// struct with its three RNG streams and pair counters, the negative draws,
+// the kept tokens — room for the longest sequence, so the subsampling pass
+// never reallocates — and the gradient. Every pair writes the streams,
+// counters, negs and grad; in blocks of their own no two workers write one
+// cache line.
 func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
-	w := &worker{
-		e: e, id: int32(id), r: r, opt: &e.opt,
-		grad: make([]float32, e.opt.Dim),
-		kept: make([]int32, 0, 128),
-		negs: make([]int32, e.opt.Negatives),
+	n := e.opt.Negatives
+	w, ints, floats := cacheline.Alloc[worker](n+e.maxLen, e.opt.Dim)
+	*w = worker{
+		e: e, id: int32(id), r: *r, opt: &e.opt,
+		grad: floats,
+		kept: ints[n:n],
+		negs: ints[:n:n],
 		pend: make([]remoteBuf, e.opt.Workers),
 		lr:   e.opt.LR,
-		srng: rng.New(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1))),
-		frng: rng.New(e.opt.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
 	}
+	w.srng.Seed(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1)))
+	w.frng.Seed(e.opt.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1)))
 	if c := e.opt.Faults.crashFor(id); c != nil {
 		w.crashSpec = c
 		if c.AtStart {
@@ -207,9 +216,9 @@ func (w *worker) reinit(adopted bool) {
 	w.incarnation++
 	n := uint64(w.incarnation)
 	id := uint64(w.id) + 1
-	w.r = rng.New(e.opt.Seed ^ (0x94d049bb133111eb * id) ^ (0xbf58476d1ce4e5b9 * n))
-	w.srng = rng.New(e.opt.Seed ^ (0xff51afd7ed558ccd * id) ^ (0xc4ceb9fe1a85ec53 * n))
-	w.frng = rng.New(e.opt.Seed ^ (0xd6e8feb86659fd93 * id) ^ (0xa0761d6478bd642f * n))
+	w.r.Seed(e.opt.Seed ^ (0x94d049bb133111eb * id) ^ (0xbf58476d1ce4e5b9 * n))
+	w.srng.Seed(e.opt.Seed ^ (0xff51afd7ed558ccd * id) ^ (0xc4ceb9fe1a85ec53 * n))
+	w.frng.Seed(e.opt.Seed ^ (0xd6e8feb86659fd93 * id) ^ (0xa0761d6478bd642f * n))
 	w.crashed = false
 	w.fenced.Store(false)
 	w.replacement = true
@@ -520,7 +529,7 @@ func (w *worker) trainPair(vi, vj int32, i int) {
 	if e.hotIdx[vj] >= 0 || e.owner[vj] == w.id {
 		w.localPairs.Add(1)
 		vin := e.rowIn(w, vi)
-		grad := w.tns(vin, vj, w.lr, w.r)
+		grad := w.tns(vin, vj, w.lr, &w.r)
 		vecmath.Add(grad, vin)
 	} else {
 		w.recordRemote(e.owner[vj], vi, vj, i)
@@ -669,7 +678,7 @@ func (w *worker) degradePair(vin []float32, ctx int32) {
 	e := w.e
 	grad := w.grad
 	vecmath.Zero(grad)
-	t := w.noiseTokens[w.noise.Sample(w.frng)]
+	t := w.noiseTokens[w.noise.Sample(&w.frng)]
 	if t == ctx {
 		return
 	}
@@ -797,7 +806,7 @@ func (w *worker) serve(req *tnsReq) {
 	for k, n := range req.counts {
 		vin, sum := req.vecs[k*dim:(k+1)*dim], grads[k*dim:(k+1)*dim]
 		for _, ctx := range ctxs[:n] {
-			grad := w.tns(vin, ctx, req.lr, w.srng)
+			grad := w.tns(vin, ctx, req.lr, &w.srng)
 			vecmath.Add(grad, vin)
 			vecmath.Add(grad, sum)
 		}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"sisg/internal/alias"
+	"sisg/internal/cacheline"
 	"sisg/internal/corpus"
 	"sisg/internal/emb"
 	"sisg/internal/knn"
@@ -192,15 +193,8 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 	var doneMu sync.Mutex
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func(shard int, r *rng.RNG) {
+		go func(shard int, st *trainerState) {
 			defer wg.Done()
-			st := trainerState{
-				m: m, opt: &opt, r: r, noise: noise,
-				h:    make([]float32, opt.Dim),
-				dh:   make([]float32, opt.Dim),
-				negs: make([]int32, opt.Negatives),
-				alph: make([]float32, 1+corpus.NumSIColumns),
-			}
 			for ep := 0; ep < opt.Epochs; ep++ {
 				for i := shard; i < len(walks); i += workers {
 					doneMu.Lock()
@@ -218,7 +212,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 			pairsTotal.Lock()
 			pairsSum += st.pairs
 			pairsTotal.Unlock()
-		}(wk, master.Split())
+		}(wk, newTrainerState(m, &opt, noise, master.Split()))
 	}
 	wg.Wait()
 
@@ -230,7 +224,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 type trainerState struct {
 	m     *Model
 	opt   *Options
-	r     *rng.RNG
+	r     rng.RNG
 	noise *alias.Table
 	h     []float32 // aggregated input embedding H_i
 	dh    []float32 // gradient w.r.t. H_i
@@ -238,6 +232,23 @@ type trainerState struct {
 	alph  []float32 // softmax attention weights
 	lr    float32
 	pairs uint64
+}
+
+// newTrainerState allocates one shard's state as one padded block
+// (cacheline.Alloc): the struct with its RNG stream, the negative draws,
+// and the attention weights, H_i and its gradient. Every pair writes all of
+// them; in blocks of their own no two shards write one cache line.
+func newTrainerState(m *Model, opt *Options, noise *alias.Table, r *rng.RNG) *trainerState {
+	const na = 1 + corpus.NumSIColumns
+	st, negs, f := cacheline.Alloc[trainerState](opt.Negatives, na+2*opt.Dim)
+	*st = trainerState{
+		m: m, opt: opt, r: *r, noise: noise,
+		alph: f[:na:na],
+		h:    f[na : na+opt.Dim : na+opt.Dim],
+		dh:   f[na+opt.Dim:],
+		negs: negs,
+	}
+	return st
 }
 
 // aggregate computes H_i and the softmax weights for item i into st.h and
@@ -292,7 +303,7 @@ func (st *trainerState) trainPair(item, ctx int32) {
 	// Negatives are drawn and prefetched before any step, then stepped in
 	// draw order (see sgns's trainPair): same draws, same model.
 	for n := range st.negs {
-		t := int32(st.noise.Sample(st.r))
+		t := int32(st.noise.Sample(&st.r))
 		st.negs[n] = t
 		vecmath.Prefetch(m.Out.Row(t))
 	}

@@ -5,8 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"sisg/internal/cacheline"
 	"sisg/internal/corpus"
 	"sisg/internal/graph"
+	"sisg/internal/race"
+	"sisg/internal/rng"
 	"sisg/internal/vecmath"
 )
 
@@ -135,6 +138,59 @@ func TestAttentionFinite(t *testing.T) {
 				t.Fatalf("attention logit diverged: item %d = %v", i, m.Attn[i])
 			}
 		}
+	}
+}
+
+// Every other test trains one shard; production trains one per CPU.
+// Lock-free updates of shared rows are the algorithm, so the race detector
+// would report them: the multi-worker CI step runs this without it.
+func TestTwoWorkersTrainFiniteModel(t *testing.T) {
+	if race.Enabled {
+		t.Skip("Hogwild's shared-row writes are racy by design")
+	}
+	ds, err := corpus.Generate(corpus.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions()
+	opt.Workers = 2
+	m, err := Train(ds.Dict, graph.FromSessions(ds.Sessions, ds.Dict.NumItems), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.Pairs == 0 {
+		t.Fatalf("no pairs trained: %+v", m.Stats)
+	}
+	for name, xs := range map[string][]float32{"In": m.In.Data(), "Out": m.Out.Data(), "H": m.H.Data()} {
+		for i, x := range xs {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				t.Fatalf("%s[%d] = %v", name, i, x)
+			}
+		}
+	}
+}
+
+// Every pair writes a shard's RNG, negative draws, attention weights, H_i
+// and its gradient; two shards that write one cache line train no faster
+// than one. Each shard's state is one padded block, so no line holds bytes
+// of two shards' state. This trains nothing, so it runs under the race
+// detector too.
+func TestTrainerStatesShareNoCacheLine(t *testing.T) {
+	opt := testOptions()
+	master := rng.New(1)
+	var owners [][]cacheline.Span
+	for w := 0; w < 8; w++ {
+		st := newTrainerState(nil, &opt, nil, master.Split())
+		owners = append(owners, []cacheline.Span{
+			cacheline.SpanOf(st), // the RNG, lr and pair count included
+			cacheline.SliceSpan(st.negs),
+			cacheline.SliceSpan(st.alph),
+			cacheline.SliceSpan(st.h),
+			cacheline.SliceSpan(st.dh),
+		})
+	}
+	if err := cacheline.Shared(owners); err != nil {
+		t.Fatal(err)
 	}
 }
 

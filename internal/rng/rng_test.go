@@ -15,6 +15,21 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+func TestSeedRestartsInPlace(t *testing.T) {
+	var r RNG
+	r.Seed(42)
+	for i := 0; i < 100; i++ {
+		r.Uint64()
+	}
+	r.Seed(7) // mid-stream: the old state must not leak into the new stream
+	b := New(7)
+	for i := 0; i < 1000; i++ {
+		if x, y := r.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("Seed(7) and New(7) diverged at step %d: %x vs %x", i, x, y)
+		}
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"sisg/internal/alias"
+	"sisg/internal/cacheline"
 	"sisg/internal/checkpoint"
 	"sisg/internal/emb"
 	"sisg/internal/rng"
@@ -143,6 +144,10 @@ type Stats struct {
 	Elapsed     time.Duration // wall time of the training phase
 	FinalLR     float32
 	WorkersUsed int
+	// Busy is each worker's wall-clock spent training its shard, one entry
+	// per worker; the rest of Elapsed it waited at a block's barrier for
+	// the slowest shard. Timing, like Elapsed.
+	Busy []time.Duration
 }
 
 // TokensPerSec returns throughput in consumed tokens per second.
@@ -151,6 +156,21 @@ func (s Stats) TokensPerSec() float64 {
 		return 0
 	}
 	return float64(s.Tokens) / s.Elapsed.Seconds()
+}
+
+// IdleShare is the mean share of the run a worker spent idle at a barrier,
+// waiting for the other shards to finish the block — the static
+// i ≡ shard (mod W) sharding's load imbalance (dist's counterpart is
+// Stats.BlockedShare).
+func (s Stats) IdleShare() float64 {
+	if s.Elapsed <= 0 || len(s.Busy) == 0 {
+		return 0
+	}
+	var busy time.Duration
+	for _, b := range s.Busy {
+		busy += b
+	}
+	return 1 - float64(busy)/float64(s.Elapsed*time.Duration(len(s.Busy)))
 }
 
 // Train learns a model over the given token-ID sequences. Sequences must
@@ -213,11 +233,13 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	// no real negative pressure.
 	counts := make([]uint64, dict.Len())
 	var corpusTokens uint64
+	maxLen := 0
 	for _, s := range seqs {
 		for _, t := range s {
 			counts[t]++
 		}
 		corpusTokens += uint64(len(s))
+		maxLen = max(maxLen, len(s))
 	}
 
 	noise, err := alias.New(noiseWeights(counts, opt.NoiseAlpha))
@@ -247,12 +269,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	// therefore the Stats trajectory — bit-identical to a barrier-free run.
 	states := make([]*workerState, workers)
 	for w := range states {
-		states[w] = &workerState{
-			model: model, noise: noise, keep: keep, opt: &opt, r: master.Split(),
-			grad: make([]float32, opt.Dim),
-			kept: make([]int32, 0, 64),
-			negs: make([]int32, opt.Negatives),
-		}
+		states[w] = newWorkerState(model, noise, keep, &opt, master.Split(), maxLen)
 	}
 
 	// Without checkpointing each epoch is a single block and the loop
@@ -328,6 +345,8 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 				wg.Add(1)
 				go func(shard int, ws *workerState) {
 					defer wg.Done()
+					t0 := time.Now()
+					defer func() { ws.busy += time.Since(t0) }()
 					// The shard processes exactly the block's indexes that
 					// are ≡ shard (mod workers): concatenated over blocks
 					// this is the same per-shard order as the unblocked
@@ -372,6 +391,10 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		Tokens:      doneTokens.Load(),
 		Elapsed:     time.Since(start),
 		WorkersUsed: workers,
+		Busy:        make([]time.Duration, workers),
+	}
+	for w, ws := range states {
+		st.Busy[w] = ws.busy
 	}
 	st.FinalLR = decayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
 	return st, nil
@@ -457,13 +480,31 @@ type workerState struct {
 	noise   *alias.Table
 	keep    []float32
 	opt     *Options
-	r       *rng.RNG
+	r       rng.RNG
 	grad    []float32
 	kept    []int32
 	negs    []int32 // the current pair's negative samples
 	pairs   uint64
 	updates uint64
 	lr      float32
+	busy    time.Duration
+}
+
+// newWorkerState allocates one shard's state as one padded block
+// (cacheline.Alloc): the struct with its RNG, the negative draws, the kept
+// tokens — room for maxLen, so the subsampling pass never reallocates —
+// and the gradient. Every pair writes the RNG, negs and grad; in blocks of
+// their own no two shards write one cache line.
+func newWorkerState(model *emb.Model, noise *alias.Table, keep []float32, opt *Options, r *rng.RNG, maxLen int) *workerState {
+	n := opt.Negatives
+	ws, ints, floats := cacheline.Alloc[workerState](n+maxLen, opt.Dim)
+	*ws = workerState{
+		model: model, noise: noise, keep: keep, opt: opt, r: *r,
+		grad: floats,
+		kept: ints[n:n],
+		negs: ints[:n:n],
+	}
+	return ws
 }
 
 // trainSequence consumes one sequence: subsample, then slide the (reduced)
@@ -528,7 +569,7 @@ func (ws *workerState) trainPair(target, ctx int32) {
 	vecmath.Zero(grad)
 
 	for n := range ws.negs {
-		t := int32(ws.noise.Sample(ws.r))
+		t := int32(ws.noise.Sample(&ws.r))
 		ws.negs[n] = t
 		vecmath.Prefetch(m.Out.Row(t))
 	}

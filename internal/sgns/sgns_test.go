@@ -2,7 +2,9 @@ package sgns
 
 import (
 	"testing"
+	"time"
 
+	"sisg/internal/cacheline"
 	"sisg/internal/race"
 	"sisg/internal/rng"
 	"sisg/internal/vocab"
@@ -210,6 +212,53 @@ func TestStatsThroughput(t *testing.T) {
 	}
 	if st.Updates != st.Pairs*uint64(1+testOptions().Negatives) {
 		t.Fatalf("updates %d != pairs %d × %d", st.Updates, st.Pairs, 1+testOptions().Negatives)
+	}
+}
+
+func TestIdleShare(t *testing.T) {
+	d, seqs := clusterCorpus(10, 600, 11)
+	o := testOptions()
+	o.Workers = race.Workers(2)
+	_, st, err := Train(d, seqs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Busy) != st.WorkersUsed {
+		t.Fatalf("%d busy times for %d workers", len(st.Busy), st.WorkersUsed)
+	}
+	for w, b := range st.Busy {
+		if b <= 0 || b > st.Elapsed {
+			t.Fatalf("worker %d busy %v of a %v run", w, b, st.Elapsed)
+		}
+	}
+	if s := st.IdleShare(); s < 0 || s >= 1 {
+		t.Fatalf("IdleShare = %v, want in [0, 1)", s)
+	}
+	fixed := Stats{Elapsed: 2 * time.Second, Busy: []time.Duration{2 * time.Second, time.Second}}
+	if fixed.IdleShare() != 0.25 || (Stats{}).IdleShare() != 0 {
+		t.Fatalf("IdleShare = %v and %v, want 0.25 and 0", fixed.IdleShare(), (Stats{}).IdleShare())
+	}
+}
+
+// Every pair writes a shard's RNG, negative draws and gradient; two shards
+// that write one cache line train no faster than one. Each shard's state is
+// one padded block, so no line holds bytes of two shards' state. This trains
+// nothing, so it runs under the race detector too.
+func TestWorkerStatesShareNoCacheLine(t *testing.T) {
+	opt := Defaults()
+	master := rng.New(1)
+	var owners [][]cacheline.Span
+	for w := 0; w < 8; w++ {
+		ws := newWorkerState(nil, nil, nil, &opt, master.Split(), 40)
+		owners = append(owners, []cacheline.Span{
+			cacheline.SpanOf(ws), // the RNG, counters and lr included
+			cacheline.SliceSpan(ws.negs),
+			cacheline.SliceSpan(ws.grad),
+			cacheline.SliceSpan(ws.kept[:cap(ws.kept)]),
+		})
+	}
+	if err := cacheline.Shared(owners); err != nil {
+		t.Fatal(err)
 	}
 }
 
