@@ -133,17 +133,17 @@ func TestServeBatchEqualsSequentialCalls(t *testing.T) {
 	}
 }
 
-// capTransport records the largest request that went through Call.
+// capTransport records the largest request that went through Send.
 type capTransport struct {
 	Transport
 	maxEntries, maxCtxs atomic.Int64
 }
 
-func (c *capTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+func (c *capTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
 	storeMax(&c.maxEntries, len(b.counts))
 	storeMax(&c.maxCtxs, len(b.ctxs))
-	return c.Transport.Call(src, dst, b, timeout, abort, serve)
+	return c.Transport.Send(src, dst, b, timeout, abort, serve)
 }
 
 func storeMax(v *atomic.Int64, n int) {

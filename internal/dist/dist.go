@@ -73,9 +73,13 @@ type Options struct {
 	// See FaultPlan.
 	Faults FaultPlan
 
-	// RemoteTimeout bounds one remote TNS attempt (send + reply); after it
-	// expires the requester retries, up to RemoteRetries re-sends, and then
-	// degrades the pair (see Stats.Degraded). Zero means the 2s default.
+	// RemoteTimeout bounds the time one remote TNS attempt may spend
+	// blocked: in delivering the request plus in waiting for its reply. The
+	// requester scans its next sequence between the two, and that does not
+	// count; a reply already delivered is always taken, however late the
+	// requester asks. After it expires the requester retries, up to
+	// RemoteRetries re-sends, and then degrades the pairs (see
+	// Stats.Degraded). Zero means the 2s default.
 	RemoteTimeout time.Duration
 	// RemoteRetries is the number of re-sends after the first attempt.
 	// Negative disables retries; zero means the default (2).
@@ -478,11 +482,12 @@ type Stats struct {
 	HotTokens   int           // |Q|
 	// PairsPerWorker exposes the load balance achieved.
 	PairsPerWorker []uint64
-	// RemoteBlocked is the wall-clock the workers spent inside remote
-	// calls (retries, backoff and the peer requests served while waiting
-	// included), summed over workers: divided by Workers × Elapsed it is
-	// the share of the run a worker was blocked on the wire. Timing, like
-	// Elapsed — not part of the replay contract.
+	// RemoteBlocked is the wall-clock the workers spent sending remote
+	// requests and taking their replies (retries, backoff and the peer
+	// requests served while waiting included; the scan between a send and
+	// its reply excluded), summed over workers: divided by Workers ×
+	// Elapsed it is the share of the run a worker was blocked on the wire.
+	// Timing, like Elapsed — not part of the replay contract.
 	RemoteBlocked time.Duration
 
 	// Wire accounting, from the transport. For "chan" everything but

@@ -681,9 +681,9 @@ func (e *engine) orchestrateBarriers() {
 // resumable interruption with a snapshot on disk, not a failure.
 var ErrHalted = errors.New("dist: run halted after requested barrier count (resumable)")
 
-// packCursor encodes a worker's durable scan position — the sequence it is
-// about to (re)scan — into one atomic word; epoch >= Epochs means the
-// partition completed its scan.
+// packCursor encodes a worker's durable scan position — the oldest
+// sequence not yet settled, which a replacement (re)scans first — into one
+// atomic word; epoch >= Epochs means the partition completed its scan.
 func packCursor(epoch, seq int) uint64 { return uint64(epoch)<<32 | uint64(uint32(seq)) }
 
 func unpackCursor(c uint64) (epoch, seq int) { return int(c >> 32), int(uint32(c)) }

@@ -25,7 +25,7 @@ func (e *engine) liveStats() (pairs, retries, degraded, dropped uint64) {
 }
 
 // liveRemote reads the cluster-wide remote-call counters mid-run: successful
-// round trips, and the wall-clock workers have spent inside remoteCall.
+// round trips, and the wall-clock workers have spent blocked on them.
 func (e *engine) liveRemote() (calls uint64, blocked time.Duration) {
 	for _, wk := range e.workers {
 		calls += wk.remoteCalls.Load()

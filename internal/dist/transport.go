@@ -13,13 +13,21 @@ import (
 // faultTransport, decorates either with seeded wire faults for the chaos
 // harness.
 //
-// The contract that keeps the mesh deadlock-free is unchanged from the
-// channel days: a worker blocked inside Call keeps serving its own inbox
-// via the serve callback, so two workers calling each other always make
-// progress. Call is ONE delivery attempt — retry, backoff, degrade and
-// fencing policy stay in worker.remoteCall, which is what lets the chaos
-// invariants ("DroppedPairs==Degraded==0 under recovery") hold verbatim
-// whatever the wire does underneath.
+// One remote TNS attempt is two calls: Send delivers the request and
+// returns a ticket, Await redeems it for the reply. The requester scans its
+// next sequence in between, so the peer serves the request while the
+// requester works instead of while it waits. The contract that keeps the
+// mesh deadlock-free is unchanged from the channel days: a worker blocked
+// inside Send or Await keeps serving its own inbox via the serve callback,
+// so two workers waiting on each other always make progress. An attempt is
+// ONE delivery — retry, backoff, degrade and fencing policy stay in the
+// worker (worker.await), which is what lets the chaos invariants
+// ("DroppedPairs==Degraded==0 under recovery") hold verbatim whatever the
+// wire does underneath.
+//
+// A delivered reply is always taken: Await looks for it before it looks at
+// its deadline or abort channel, so an attempt the peer answered never
+// fails because the requester was busy scanning when the answer came.
 type Transport interface {
 	// Inbox returns worker id's request queue. Inboxes are never closed
 	// (a late TCP delivery must never panic on a closed channel); end of
@@ -30,15 +38,22 @@ type Transport interface {
 	// on Inbox and Done, draining opportunistically after Done closes.
 	Done() <-chan struct{}
 
-	// Call performs one remote TNS attempt from src to dst: deliver the
-	// batch, await its gradients (one per entry). It serves src's own
-	// inbox through the serve callback while blocked, returns (grads,
-	// true) on success and (nil, false) when timeout expires or abort
-	// closes. abort may be nil (never fires). The batch is the caller's
-	// again once Call returns: the transport ships a copy. A failed Call
-	// leaves no obligation on the callee: a reply arriving after Call
-	// returned is discarded.
-	Call(src, dst int32, b *tnsBatch, timeout time.Duration,
+	// Send delivers one attempt of a batch from src to dst. It blocks only
+	// while dst's queue is full, serving src's own inbox meanwhile, and
+	// returns (ticket, true) once the request is on its way, (_, false)
+	// when timeout expires or abort closes first. abort may be nil (never
+	// fires). The batch is the caller's again once Send returns: the
+	// transport ships a copy.
+	Send(src, dst int32, b *tnsBatch, timeout time.Duration,
+		abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool)
+
+	// Await returns the gradients (one per entry) answering a ticket Send
+	// issued to src for dst. A reply already delivered is taken without
+	// blocking, whatever timeout and abort say; otherwise it waits up to
+	// timeout, serving src's inbox, and returns (nil, false) when the
+	// deadline passes or abort closes. A failed Await leaves no obligation
+	// on the callee: a reply arriving later is discarded.
+	Await(src, dst int32, t ticket, timeout time.Duration,
 		abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool)
 
 	// SendOneWay ships a request whose reply nobody awaits — a duplicate
@@ -47,7 +62,7 @@ type Transport interface {
 	SendOneWay(src, dst int32, b *tnsBatch)
 
 	// CloseInboxes ends the serve phase by closing Done. Safe to call
-	// once, after every scan role has finished (no new Calls can start).
+	// once, after every scan role has finished (no new Sends can start).
 	CloseInboxes()
 
 	// Close tears the transport down (listeners, connections, goroutines).
@@ -58,6 +73,74 @@ type Transport interface {
 	// every link). The channel transport counts frames only; bytes are
 	// zero because nothing is serialized.
 	Stats() TransportStats
+}
+
+// ticket names one delivered attempt: the reply channel its answer lands
+// on (1-buffered, so a server answering an abandoned attempt never blocks)
+// and, over tcp, the request id its reply slot is registered under.
+type ticket struct {
+	reply chan []float32
+	id    uint64
+}
+
+// deliver puts v on q, serving own while q is full. It returns false when
+// timeout expires or abort closes first. The common case — room in the
+// queue — costs no timer.
+func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) bool {
+	select {
+	case q <- v:
+		return true
+	default:
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		select {
+		case q <- v:
+			return true
+		case in := <-own:
+			serve(in)
+		case <-abort:
+			return false
+		case <-timer.C:
+			return false
+		}
+	}
+}
+
+// awaitReply takes the reply on c, serving own while it is not there yet.
+// A delivered reply wins over an expired deadline or a closed abort: it is
+// looked for first, and once more when either fires.
+func awaitReply(c <-chan []float32, own <-chan *tnsReq, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+	select {
+	case grads := <-c:
+		return grads, true
+	default:
+	}
+	if timeout <= 0 {
+		return nil, false
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		select {
+		case grads := <-c:
+			return grads, true
+		case in := <-own:
+			serve(in)
+			continue
+		case <-abort:
+		case <-timer.C:
+		}
+		select {
+		case grads := <-c:
+			return grads, true
+		default:
+			return nil, false
+		}
+	}
 }
 
 // Severable is implemented by transports whose links can be cut mid-run

@@ -29,45 +29,26 @@ func newChanTransport(workers int) *chanTransport {
 func (t *chanTransport) Inbox(id int32) <-chan *tnsReq { return t.inboxes[id] }
 func (t *chanTransport) Done() <-chan struct{}         { return t.done }
 
-// Call preserves the exact two-phase select of the pre-Transport
-// remoteCall: block on delivering to dst's queue (serving our own all the
-// while), then block on the reply. The request carries a private copy of
-// the batch and a 1-buffered reply channel, so a server answering after we
-// abandoned the attempt never blocks and never reads a buffer the
-// requester has since refilled.
-func (t *chanTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+// Send puts a private copy of the batch, with a 1-buffered reply channel,
+// on dst's queue — so a server answering after we abandoned the attempt
+// never blocks and never reads a buffer the requester has since refilled.
+func (t *chanTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
 	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
-	own := t.inboxes[src]
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	sent := false
-	for !sent {
-		select {
-		case t.inboxes[dst] <- req:
-			sent = true
-		case in := <-own:
-			serve(in)
-		case <-abort:
-			return nil, false
-		case <-timer.C:
-			return nil, false
-		}
+	if !deliver(t.inboxes[dst], req, t.inboxes[src], timeout, abort, serve) {
+		return ticket{}, false
 	}
 	t.frames.Add(1)
-	for {
-		select {
-		case grads := <-req.reply:
-			t.frames.Add(1)
-			return grads, true
-		case in := <-own:
-			serve(in)
-		case <-abort:
-			return nil, false
-		case <-timer.C:
-			return nil, false
-		}
+	return ticket{reply: req.reply}, true
+}
+
+func (t *chanTransport) Await(src, dst int32, tk ticket, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, abort, serve)
+	if ok {
+		t.frames.Add(1)
 	}
+	return grads, ok
 }
 
 func (t *chanTransport) SendOneWay(src, dst int32, b *tnsBatch) {

@@ -10,10 +10,10 @@ import (
 
 // faultTransport decorates a real transport with seeded wire faults:
 // request drops, fixed delays, duplicate deliveries, severed connections
-// and one-way partitions. It sits between worker.remoteCall and the
-// transport, so the worker's retry/degrade/fencing policy sees faults
-// exactly as it would see a misbehaving network — a request that never
-// answers, answers late, or arrives twice.
+// and one-way partitions. It sits between the worker and the transport, so
+// the worker's retry/degrade/fencing policy sees faults exactly as it would
+// see a misbehaving network — a request that never answers, answers late,
+// or arrives twice.
 //
 // Determinism: probabilistic decisions (drop, delay, duplicate) draw from
 // one RNG stream per REQUESTER, guarded by a mutex because replacement
@@ -45,8 +45,13 @@ func newFaultTransport(base Transport, workers int, seed uint64, plan FaultPlan)
 	return f
 }
 
-func (f *faultTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+// Send applies the request's faults before the real delivery. A dropped or
+// blackholed request is "sent" into the void: the requester gets a ticket
+// no reply will ever redeem, and cannot tell a partition from a slow peer
+// until its Await deadline passes. A delayed request holds the sender for
+// the delay (serving all the while) out of the attempt's deadline.
+func (f *faultTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
 	k := f.sends[src][dst].Add(1)
 	for _, s := range f.plan.Wire.Severs {
 		if int32(s.From) == src && int32(s.To) == dst && s.AtSends == k {
@@ -56,30 +61,26 @@ func (f *faultTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration
 		}
 	}
 	if f.partitioned(src, dst, k) {
-		// Blackholed: the requester cannot tell a partition from a slow
-		// peer — it waits out its deadline (serving all the while).
-		f.waitServing(src, timeout, abort, serve)
-		return nil, false
+		return ticket{reply: make(chan []float32, 1)}, true
 	}
 	drop, dup, delay := f.decide(src)
 	if drop {
-		f.waitServing(src, timeout, abort, serve)
-		return nil, false
+		return ticket{reply: make(chan []float32, 1)}, true
 	}
 	if delay > 0 {
 		if delay >= timeout {
 			f.waitServing(src, timeout, abort, serve)
-			return nil, false
+			return ticket{}, false
 		}
 		if !f.waitServing(src, delay, abort, serve) {
-			return nil, false
+			return ticket{}, false
 		}
 		timeout -= delay
 	}
 	if dup {
 		f.Transport.SendOneWay(src, dst, b)
 	}
-	return f.Transport.Call(src, dst, b, timeout, abort, serve)
+	return f.Transport.Send(src, dst, b, timeout, abort, serve)
 }
 
 // decide draws this request's probabilistic faults from src's stream.
@@ -124,7 +125,7 @@ func (f *faultTransport) partitioned(src, dst int32, k uint64) bool {
 }
 
 // waitServing blocks for d while serving src's own inbox — the fault
-// path must honor the same deadlock-freedom contract as a real Call.
+// path must honor the same deadlock-freedom contract as a real Send.
 // Returns false if abort fired first.
 func (f *faultTransport) waitServing(src int32, d time.Duration, abort <-chan struct{}, serve func(*tnsReq)) bool {
 	own := f.Transport.Inbox(src)

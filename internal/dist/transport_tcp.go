@@ -15,8 +15,8 @@ import (
 )
 
 // Timeouts internal to the TCP transport. They bound single socket
-// operations, not the TNS call — the call-level deadline lives in
-// worker.remoteCall and is passed to Call. readIdle is deliberately short
+// operations, not the TNS attempt — the attempt's deadline lives in the
+// worker and is passed to Send and Await. readIdle is deliberately short
 // so reader goroutines notice a torn-down transport quickly; a timeout on
 // a frame BOUNDARY is idleness, not failure.
 const (
@@ -66,7 +66,7 @@ type tcpTransport struct {
 
 // peerLink is one directed client edge src→dst: a frame queue drained by a
 // dedicated writer goroutine, a connection (re)dialed on demand, and the
-// pending table matching reply frames back to in-flight Calls.
+// pending table matching reply frames back to the tickets Send issued.
 type peerLink struct {
 	t    *tcpTransport
 	addr func() string // dst's listen address (resolved after all listeners bind)
@@ -180,53 +180,40 @@ func (t *tcpTransport) Sever(src, dst int32) {
 	}
 }
 
-// Call registers a reply slot, queues the encoded request for the link
-// writer and awaits the demultiplexed gradients, serving src's own inbox
-// throughout. The frame is encoded up front: it is the copy of the batch
-// the Transport contract asks for.
-func (t *tcpTransport) Call(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+// Send registers a reply slot and queues the encoded request for the link
+// writer, serving src's own inbox while the queue is full. The frame is
+// encoded up front: it is the copy of the batch the Transport contract asks
+// for.
+func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
 	l := t.links[src][dst]
-	id := l.nextID.Add(1)
-	reply := make(chan []float32, 1)
+	tk := ticket{reply: make(chan []float32, 1), id: l.nextID.Add(1)}
 	l.pendMu.Lock()
-	l.pending[id] = reply
+	l.pending[tk.id] = tk.reply
 	l.pendMu.Unlock()
-	defer func() {
-		l.pendMu.Lock()
-		delete(l.pending, id)
-		l.pendMu.Unlock()
-	}()
+	if !deliver(l.out, encodeReq(tk.id, b), t.inboxes[src], timeout, abort, serve) {
+		l.forget(tk.id)
+		return ticket{}, false
+	}
+	return tk, true
+}
 
-	frame := encodeReq(id, b)
-	own := t.inboxes[src]
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	queued := false
-	for !queued {
-		select {
-		case l.out <- frame:
-			queued = true
-		case in := <-own:
-			serve(in)
-		case <-abort:
-			return nil, false
-		case <-timer.C:
-			return nil, false
-		}
+// Await takes the demultiplexed gradients, serving src's own inbox while
+// they are not there yet. A failed Await unregisters the reply slot, so a
+// reply arriving later is counted as late and dropped.
+func (t *tcpTransport) Await(src, dst int32, tk ticket, timeout time.Duration,
+	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, abort, serve)
+	if !ok {
+		t.links[src][dst].forget(tk.id)
 	}
-	for {
-		select {
-		case grads := <-reply:
-			return grads, true
-		case in := <-own:
-			serve(in)
-		case <-abort:
-			return nil, false
-		case <-timer.C:
-			return nil, false
-		}
-	}
+	return grads, ok
+}
+
+func (l *peerLink) forget(id uint64) {
+	l.pendMu.Lock()
+	delete(l.pending, id)
+	l.pendMu.Unlock()
 }
 
 func (t *tcpTransport) SendOneWay(src, dst int32, b *tnsBatch) {

@@ -147,7 +147,7 @@ func drainInbox(tr Transport, id int32, f func(*tnsReq) []float32) chan struct{}
 }
 
 // The wire must not alter payloads: a seeded workload of batches pushed
-// through Call comes back bit-identical on both transports, including
+// through Send and Await comes back bit-identical on both transports, including
 // every float32's exact bits (negative zero, denormals, the lot).
 func TestTransportPayloadBitIdentity(t *testing.T) {
 	const dim, calls = 33, 200
@@ -195,7 +195,11 @@ func TestTransportPayloadBitIdentity(t *testing.T) {
 					b.vecs = append(b.vecs, v)
 				}
 			}
-			grads, ok := tr.Call(0, 1, &b, 5*time.Second, nil, func(*tnsReq) {})
+			tk, ok := tr.Send(0, 1, &b, 5*time.Second, nil, func(*tnsReq) {})
+			var grads []float32
+			if ok {
+				grads, ok = tr.Await(0, 1, tk, 5*time.Second, nil, func(*tnsReq) {})
+			}
 			if !ok {
 				t.Fatalf("%s: call %d failed", name, c)
 			}

@@ -35,12 +35,14 @@ type worker struct {
 	negs []int32 // the current pair's negative samples
 
 	// pend[p] is the current sequence's remote pairs for owner p, recorded
-	// by the scan and sent by flushRemote; send is the request it builds
-	// (its vecs the scratch the input vectors are gathered into).
+	// by the scan; fly[p] is owner p's request in flight — the previous
+	// sequence's entries, sent when it ended and settled when this one
+	// ends. The two swap buffers at every send.
 	pend []remoteBuf
-	send tnsBatch
+	fly  []flight
 
 	lr float32
+	at uint64 // packed position (epoch, seq) of the sequence being scanned
 
 	// srng draws the negatives for SERVED requests. How many requests a
 	// worker serves (and when) depends on goroutine scheduling, so if
@@ -67,11 +69,11 @@ type worker struct {
 	stalls    []StallSpec // sorted by AtPairs; stallIdx is the next unfired
 	stallIdx  int
 
-	// Recovery state. cursor is the durable scan position (epoch, seq),
-	// written at every sequence start, that a replacement incarnation
-	// resumes from. fenced is set by the supervisor before it replaces
-	// this incarnation: the fenced goroutine must stop touching the model
-	// and exit (checked at sequence, pair and remote-attempt boundaries),
+	// Recovery state. cursor is the durable scan position (epoch, seq) a
+	// replacement incarnation resumes from: the oldest sequence not yet
+	// settled (see markCursor). fenced is set by the supervisor before it
+	// replaces this incarnation: the fenced goroutine must stop touching the
+	// model and exit (checked at sequence, pair and remote-attempt boundaries),
 	// which keeps a false-positive death from ever producing two live
 	// incarnations of one partition. gone is closed when the incarnation's
 	// goroutine fully exits; the supervisor waits on it before respawning.
@@ -92,7 +94,7 @@ type worker struct {
 	// event.
 	pairs, localPairs, remotePairs atomic.Uint64
 	remoteCalls                    atomic.Uint64 // successful remote round trips
-	remoteBlockedNs                atomic.Int64  // wall-clock inside remoteCall; timing, not persisted
+	remoteBlockedNs                atomic.Int64  // wall-clock blocked in send and settle; timing, not persisted
 	servedPairs                    atomic.Uint64
 	bytesSent                      atomic.Uint64
 	hotSyncs                       atomic.Uint64
@@ -121,6 +123,7 @@ func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
 		kept: ints[n:n],
 		negs: ints[:n:n],
 		pend: make([]remoteBuf, e.opt.Workers),
+		fly:  make([]flight, e.opt.Workers),
 		lr:   e.opt.LR,
 	}
 	w.srng.Seed(e.opt.Seed ^ (0xbf58476d1ce4e5b9 * uint64(id+1)))
@@ -210,7 +213,8 @@ func (w *worker) restoreCounters(c []uint64) {
 // position is timing-dependent — so replays under one seed stay
 // deterministic. Counters carry over; hot replicas re-seed from the global
 // store (the dead incarnation's un-synced deltas are lost: crash
-// semantics); the scan resumes at the sequence the cursor froze on.
+// semantics); the scan resumes at the sequence the cursor froze on. The
+// previous incarnation left no request in flight: every exit drains.
 func (w *worker) reinit(adopted bool) {
 	e := w.e
 	w.incarnation++
@@ -266,6 +270,12 @@ func (w *worker) reinit(adopted bool) {
 // attend barriers — its replacement resumes from the cursor, arrives at
 // the barriers the dead incarnation never reached, and signals scanDone
 // when the partition's scan truly completes.
+//
+// Remote requests are one sequence deep (see endSequence). The window is
+// drained — every request in flight settled — at the end of every block,
+// however the scan leaves it, so no checkpoint barrier, final replica push
+// or crash or fence exit ever sees a pair that is counted but not yet
+// applied.
 func (w *worker) run() {
 	e := w.e
 	recovery := w.opt.Recovery
@@ -287,15 +297,17 @@ scan:
 				}
 				for i := lo; i < hi; i++ {
 					if recovery && (w.crashed || w.fenced.Load()) {
-						return
+						break
 					}
-					w.cursor.Store(packCursor(ep, i))
+					w.at = packCursor(ep, i)
+					w.markCursor()
 					w.scanSequence(e.seqs[i])
 					if !recovery && w.crashed {
 						break
 					}
 				}
 			}
+			w.drain()
 			if recovery && (w.crashed || w.fenced.Load()) {
 				return
 			}
@@ -386,12 +398,12 @@ serving:
 // each pair is handled exactly once per scanning worker that owns it
 // (Algorithm 1: "If v_i is not managed by Worker A, the pair is ignored").
 // Local pairs train in place; remote pairs are recorded per owner and sent
-// as the scan leaves the sequence — however it leaves it — so every pair of
-// a sequence is applied (or un-counted) before the cursor moves past it.
+// as the scan leaves the sequence — however it leaves it — after the
+// previous sequence's replies are settled (endSequence).
 func (w *worker) scanSequence(seq []int32) {
 	e := w.e
 	opt := w.opt
-	defer w.flushAll()
+	defer w.endSequence()
 	// Scanning itself is liveness, even when this worker ends up training
 	// no pair in the sequence (it may own nothing in this region).
 	e.heartbeat[w.id].Add(1)
@@ -553,6 +565,18 @@ type remoteBuf struct {
 	at      int
 }
 
+// flight is one owner's request in flight: the entries send moved out of
+// pend, the batch built from them (kept for re-sends), the sequence they
+// came from, and the attempt on the wire.
+type flight struct {
+	remoteBuf
+	b    tnsBatch
+	seq  uint64        // packed position of the entries' sequence
+	t    ticket        // the ticket of the attempt on the wire, when ok
+	ok   bool          // the last attempt was delivered and awaits its reply
+	left time.Duration // its deadline minus what its Send spent blocked
+}
+
 // maxBatchEntries caps the entries of one request: a full buffer is sent
 // before the next centre is recorded, so a frame holds at most
 // maxBatchEntries × (dim floats + 2·Window contexts) however long the
@@ -565,7 +589,8 @@ func (w *worker) recordRemote(dst, vi, vj int32, i int) {
 		buf.counts[n-1]++
 	} else {
 		if n == maxBatchEntries {
-			w.flushRemote(dst)
+			w.settle(dst)
+			w.send(dst)
 		}
 		buf.centres = append(buf.centres, vi)
 		buf.counts = append(buf.counts, 1)
@@ -574,54 +599,101 @@ func (w *worker) recordRemote(dst, vi, vj int32, i int) {
 	buf.ctxs = append(buf.ctxs, vj)
 }
 
-func (w *worker) flushAll() {
+// endSequence is the scan leaving a sequence: every owner's request from
+// the previous sequence is settled, then this sequence's entries are sent.
+// So remote requests are one sequence deep — at most one per owner in
+// flight, sent and settled at points the scan fixes, never timing — and
+// the peer serves a request while the requester scans its next sequence.
+func (w *worker) endSequence() {
+	w.drain()
 	for dst := range w.pend {
-		w.flushRemote(int32(dst))
+		w.send(int32(dst))
 	}
 }
 
-// flushRemote sends owner dst its recorded entries in one request — the
-// centres' input vectors as they are now, local pairs of the sequence
-// included — and adds entry k's returned gradient to in(centres[k]). A
-// request that fails is settled for all its pairs at once, the way a
-// failed call used to settle one: without recovery each pair is degraded;
-// under recovery remoteCall fails only because THIS incarnation was fenced
-// mid-call, and the pairs are un-counted — the replacement resumes from the
-// cursor and retrains them, so counting them here would double them.
-func (w *worker) flushRemote(dst int32) {
-	buf := &w.pend[dst]
-	if len(buf.counts) == 0 {
+// drain settles every request in flight.
+func (w *worker) drain() {
+	for dst := range w.fly {
+		w.settle(int32(dst))
+	}
+}
+
+// markCursor publishes the durable cursor: the oldest sequence not yet
+// settled — the one being scanned, or an earlier one whose request is
+// still in flight. A replacement resumes there.
+func (w *worker) markCursor() {
+	c := w.at
+	for i := range w.fly {
+		if f := &w.fly[i]; len(f.counts) > 0 && f.seq < c {
+			c = f.seq
+		}
+	}
+	w.cursor.Store(c)
+}
+
+// send moves owner dst's recorded entries into its flight and delivers
+// them in one request — the centres' input vectors as they are now, local
+// pairs of the sequence included. The flight must be settled.
+func (w *worker) send(dst int32) {
+	if len(w.pend[dst].counts) == 0 {
+		return
+	}
+	e := w.e
+	f := &w.fly[dst]
+	w.pend[dst], f.remoteBuf = f.remoteBuf, w.pend[dst]
+	f.b.lr, f.b.counts, f.b.ctxs, f.b.vecs = w.lr, f.counts, f.ctxs, f.b.vecs[:0]
+	for _, vi := range f.centres {
+		f.b.vecs = append(f.b.vecs, e.rowIn(w, vi)...)
+	}
+	f.seq = w.at
+	start := time.Now()
+	f.ok = w.launch(dst, f)
+	w.remoteBlockedNs.Add(int64(time.Since(start)))
+}
+
+// settle ends owner dst's request in flight and adds entry k's returned
+// gradient to in(centres[k]). A request that fails is settled for all its
+// pairs at once, the way a failed call used to settle one: without
+// recovery each pair is degraded; under recovery the request fails only
+// because THIS incarnation was fenced, and the pairs are un-counted — the
+// replacement resumes from the cursor, which therefore stays on the
+// entries' sequence, and retrains them.
+func (w *worker) settle(dst int32) {
+	f := &w.fly[dst]
+	if len(f.counts) == 0 {
 		return
 	}
 	e := w.e
 	dim := w.opt.Dim
-	n := uint64(len(buf.ctxs))
-	b := &w.send
-	b.lr, b.counts, b.ctxs, b.vecs = w.lr, buf.counts, buf.ctxs, b.vecs[:0]
-	for _, vi := range buf.centres {
-		b.vecs = append(b.vecs, e.rowIn(w, vi)...)
-	}
-	if grads, ok := w.remoteCall(dst, b); ok {
-		w.remotePairs.Add(n)
-		for k, vi := range buf.centres {
+	n := uint64(len(f.ctxs))
+	start := time.Now()
+	grads, ok := w.await(dst, f)
+	w.remoteBlockedNs.Add(int64(time.Since(start)))
+	switch {
+	case ok:
+		for k, vi := range f.centres {
 			vecmath.Add(grads[k*dim:(k+1)*dim], e.rowIn(w, vi))
 		}
-	} else if w.opt.Recovery {
+		w.remotePairs.Add(n)
+	case w.opt.Recovery:
 		w.pairs.Add(-n)
 		if w.replacement {
 			w.recoveredPairs.Add(-n)
 		}
-	} else {
+	default:
 		w.degraded.Add(n)
-		ctxs := buf.ctxs
-		for k, vi := range buf.centres {
-			for _, vj := range ctxs[:buf.counts[k]] {
-				w.degradePair(e.rowIn(w, vi), vj)
+		ctxs := f.ctxs
+		for k, vi := range f.centres {
+			for _, vj := range ctxs[:f.counts[k]] {
+				w.degradePair(e.rowIn(w, vi), vj, f.b.lr)
 			}
-			ctxs = ctxs[buf.counts[k]:]
+			ctxs = ctxs[f.counts[k]:]
 		}
 	}
-	buf.centres, buf.counts, buf.ctxs = buf.centres[:0], buf.counts[:0], buf.ctxs[:0]
+	f.centres, f.counts, f.ctxs = f.centres[:0], f.counts[:0], f.ctxs[:0]
+	if ok || !w.opt.Recovery {
+		w.markCursor()
+	}
 }
 
 // tns is Algorithm 1's TNS function run locally: positive update on
@@ -671,7 +743,7 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 // vectors moving without letting the imbalance dominate. Negatives come
 // from frng: the fault path must not consume the deterministic training
 // stream.
-func (w *worker) degradePair(vin []float32, ctx int32) {
+func (w *worker) degradePair(vin []float32, ctx int32, lr float32) {
 	if w.noise == nil {
 		return
 	}
@@ -682,73 +754,94 @@ func (w *worker) degradePair(vin []float32, ctx int32) {
 	if t == ctx {
 		return
 	}
-	if vecmath.PairStep(vin, e.rowOut(w, t), grad, 0, w.lr) {
+	if vecmath.PairStep(vin, e.rowOut(w, t), grad, 0, lr) {
 		vecmath.Add(grad, vin)
 	}
 }
 
-// remoteCall ships one batch to owner dst and waits for its gradients,
-// serving incoming requests while blocked (deadlock freedom; the transport
-// calls back into w.serve). Each attempt is one Transport.Call bounded by
-// RemoteTimeout; retries wait out a jittered exponential backoff (serving
-// all the while). Without recovery: after 1+RemoteRetries attempts, or as
-// soon as the destination is declared (or already known) dead, it gives up
-// and the caller degrades. With recovery: a dead owner is guaranteed to
-// come back (resurrection or takeover), so death is not an abort signal and
-// the attempt budget is unbounded — the only way out besides success is
-// this incarnation itself being fenced. Transports use a fresh request (or
-// request id) per attempt, so a late server answer to an abandoned attempt
-// never blocks the server and never corrupts a newer attempt.
+// launch starts an attempt of owner dst's request: one Transport.Send,
+// serving incoming requests while it blocks (deadlock freedom; the
+// transport calls back into w.serve). No attempt starts once this
+// incarnation is fenced or, without recovery, once dst is known dead.
+// RemoteTimeout bounds the time one attempt spends blocked — in Send and
+// in Await together — so what Send spent is taken off Await's deadline.
 //
 // BytesSent stays the MODEL's payload accounting — lr, entry count, counts,
 // contexts and vectors per attempted request, gradients per success —
 // independent of what any transport serializes; Stats.WireBytesSent carries
 // the measured figure, and the CostModel honesty test keeps the two within
-// tolerance. The time spent in here is the worker's blocked-on-wire share
-// (Stats.RemoteBlocked).
-func (w *worker) remoteCall(dst int32, b *tnsBatch) ([]float32, bool) {
+// tolerance.
+func (w *worker) launch(dst int32, f *flight) bool {
+	e := w.e
+	if w.opt.Recovery {
+		if w.fenced.Load() {
+			return false
+		}
+	} else if e.isDead(dst) {
+		return false
+	}
+	b := &f.b
+	w.bytesSent.Add(8 + 4*uint64(len(b.counts)+len(b.ctxs)+len(b.vecs)))
+	timeout := w.opt.remoteTimeout()
 	start := time.Now()
-	defer func() { w.remoteBlockedNs.Add(int64(time.Since(start))) }()
+	var ok bool
+	f.t, ok = e.tr.Send(w.id, dst, b, timeout, w.abortFor(dst), w.serve)
+	f.left = timeout - time.Since(start)
+	return ok
+}
+
+// await takes the gradients answering owner dst's request in flight,
+// re-sending it after a jittered exponential backoff (serving all the
+// while) each time an attempt ends without a reply. Without recovery: after
+// 1+RemoteRetries attempts, or as soon as the destination is declared (or
+// already known) dead, it gives up and the caller degrades. With recovery:
+// a dead owner is guaranteed to come back (resurrection or takeover), so
+// death is not an abort signal and the attempt budget is unbounded — the
+// only way out besides success is this incarnation itself being fenced,
+// and a fenced incarnation takes no reply at all, so whether its pairs
+// count never depends on when the fence landed. Transports use a fresh
+// request (or request id) per attempt, so a late server answer to an
+// abandoned attempt never blocks the server and never corrupts a newer
+// attempt.
+func (w *worker) await(dst int32, f *flight) ([]float32, bool) {
 	e := w.e
 	recovery := w.opt.Recovery
-	timeout := w.opt.remoteTimeout()
-	attempts := 1 + w.opt.remoteRetries()
-	if attempts < 1 {
-		attempts = 1
-	}
-	deadc := e.deadCh[dst]
-	if recovery {
-		deadc = nil // a nil channel never fires in a select
-	}
-	for a := 0; recovery || a < attempts; a++ {
-		if a > 0 {
-			w.retries.Add(1)
-			if !w.backoffWait(a) {
-				return nil, false // fenced while backing off
-			}
-		}
-		if recovery {
-			if w.fenced.Load() {
-				return nil, false
-			}
-		} else if e.isDead(dst) {
+	for a := 1; ; a++ {
+		if recovery && w.fenced.Load() {
 			return nil, false
 		}
-		w.bytesSent.Add(8 + 4*uint64(len(b.counts)+len(b.ctxs)+len(b.vecs)))
-		grads, ok := e.tr.Call(w.id, dst, b, timeout, deadc, w.serve)
-		if ok {
-			w.bytesSent.Add(4 * uint64(len(grads)))
-			w.remoteCalls.Add(1)
-			return grads, true
+		if f.ok {
+			if grads, ok := e.tr.Await(w.id, dst, f.t, f.left, w.abortFor(dst), w.serve); ok {
+				w.bytesSent.Add(4 * uint64(len(grads)))
+				w.remoteCalls.Add(1)
+				return grads, true
+			}
 		}
 		if !recovery && e.isDead(dst) {
-			return nil, false // deadc fired mid-call: give up immediately
+			return nil, false // dead before the attempt started, or died during it
 		}
 		// Deadline fired: the worker is alive and deciding, which counts
 		// as liveness for the watchdog.
 		e.heartbeat[w.id].Add(1)
+		if !recovery && a > w.opt.remoteRetries() {
+			return nil, false
+		}
+		w.retries.Add(1)
+		if !w.backoffWait(a) {
+			return nil, false // fenced while backing off
+		}
+		f.ok = w.launch(dst, f)
 	}
-	return nil, false
+}
+
+// abortFor is the channel that ends a wait on owner dst early: its death
+// notice without recovery; under recovery nil, which never fires, since a
+// dead owner comes back.
+func (w *worker) abortFor(dst int32) <-chan struct{} {
+	if w.opt.Recovery {
+		return nil
+	}
+	return w.e.deadCh[dst]
 }
 
 // backoffWait sleeps the jittered exponential backoff before retry

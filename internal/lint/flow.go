@@ -392,7 +392,7 @@ func (fl *Flow) recordCall(fi *FuncInfo, info *types.Info, call *ast.CallExpr, a
 
 	// A module-local interface method: the static callee has no body, but
 	// every module type implementing the interface is a possible target.
-	// Join them all — deterministically — so e.g. Transport.Call inherits
+	// Join them all — deterministically — so e.g. Transport.Await inherits
 	// "blocks" from its channel, TCP and fault implementations.
 	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if types.IsInterface(sig.Recv().Type()) && fl.isModuleObj(obj) {

@@ -9,7 +9,7 @@ import (
 
 // LockHold enforces the hot-path locking discipline from PRs 6–8: nothing
 // that can park a goroutine — network I/O, channel operations, sleeps, a
-// Transport.Call — may run while a sync.Mutex/RWMutex is held, because
+// Transport.Await — may run while a sync.Mutex/RWMutex is held, because
 // every microsecond under the lock is serialized across all request
 // goroutines (the snapshot-under-lock, work-outside idiom in metrics and
 // singleflight exists precisely for this). Scoped to dist, server, knn
