@@ -1,7 +1,7 @@
 // Command sisg-chaos drives the deterministic chaos harness against the
 // distributed trainer: seeded crash/stall/drop schedules with the
 // self-healing invariants checked after every scenario (pair accounting,
-// zero loss under recovery, finite embeddings, exact same-seed replay,
+// zero loss, finite embeddings, exact same-seed replay,
 // mid-chaos checkpoint/resume equivalence).
 //
 // Run the builtin suite:
@@ -77,8 +77,8 @@ func main() {
 		}
 		if *verbose || !res.Passed() {
 			st := res.Stats
-			fmt.Printf("     pairs=%d local=%d remote=%d degraded=%d dropped=%d recovered=%d restarts=%d takeovers=%d dead=%v hosts=%v\n",
-				st.Pairs, st.LocalPairs, st.RemotePairs, st.Degraded, st.DroppedPairs,
+			fmt.Printf("     pairs=%d local=%d remote=%d calls=%d recovered=%d restarts=%d takeovers=%d dead=%v hosts=%v\n",
+				st.Pairs, st.LocalPairs, st.RemotePairs, st.RemoteCalls,
 				st.RecoveredPairs, st.Restarts, st.Takeovers, st.DeadWorkers, st.Hosts)
 		}
 	}

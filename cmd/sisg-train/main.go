@@ -18,11 +18,10 @@
 // (-warm-start is different: it seeds a fresh run from yesterday's model,
 // the paper's daily incremental update.)
 //
-// Self-healing (simulated-distributed only): -recovery makes the
-// supervisor resurrect workers the heartbeat monitor declares dead (up to
-// -max-restarts times each, from their durable scan cursor) and then hand
-// their partition to a surviving worker, so no training pair is ever
-// dropped or degraded by a death.
+// Self-healing (simulated-distributed only): the supervisor resurrects
+// workers the heartbeat monitor declares dead (up to -max-restarts times
+// each, from their durable scan cursor) and then hands their partition to
+// a surviving worker, so no training pair is ever lost to a death.
 //
 // Observability: -metrics prints periodic progress lines (pairs/sec,
 // tokens/sec, current LR, ETA) during training; -pprof-addr exposes
@@ -104,8 +103,7 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for crash-recovery snapshots (empty = no checkpointing)")
 		ckptEvery  = flag.Uint64("checkpoint-every", 1_000_000, "snapshot roughly every N trained pairs")
 		resume     = flag.Bool("resume", false, "resume from the snapshot in -checkpoint-dir if one exists")
-		recovery   = flag.Bool("recovery", false, "self-heal the distributed run: resurrect dead workers from their scan cursor, then hand their partition to a survivor")
-		maxRestart = flag.Int("max-restarts", 0, "resurrections per worker before partition takeover (0 = default budget, negative = takeover immediately); needs -recovery")
+		maxRestart = flag.Int("max-restarts", 0, "resurrections per worker before partition takeover (0 = default budget, negative = takeover immediately)")
 		showProg   = flag.Bool("metrics", false, "print periodic training progress lines (pairs/sec, tokens/sec, LR, ETA)")
 		progEvery  = flag.Duration("metrics-every", 2*time.Second, "progress reporting interval for -metrics")
 		pprofAddr  = flag.String("pprof-addr", "", "expose net/http/pprof and /metrics on this sidecar address (e.g. localhost:6060)")
@@ -243,7 +241,6 @@ func main() {
 		// TrainOptions replaced the embedded sgns.Options wholesale, and with
 		// it the Workers field DefaultOptions had set from the flag.
 		dopt.Workers = *workers
-		dopt.Recovery = *recovery
 		dopt.MaxRestarts = *maxRestart
 		dopt.Transport = *transport
 		dopt.Metrics = reg // live train_* gauges on the -pprof-addr /metrics page
@@ -254,7 +251,7 @@ func main() {
 		log.Printf("trained %d pairs (%.1f%% remote in %d calls, %.1f pairs per call, workers blocked on them %.1f%% of the run), simulated cluster time %v",
 			st.Pairs, 100*st.RemoteFraction(), st.RemoteCalls, st.PairsPerCall(), 100*st.BlockedShare(),
 			st.SimElapsed.Round(time.Millisecond))
-		if *recovery && len(st.DeadWorkers) > 0 {
+		if len(st.DeadWorkers) > 0 {
 			log.Printf("self-healing: %d dead, %d restarts, %d takeovers, %d pairs retrained by replacements",
 				len(st.DeadWorkers), st.Restarts, st.Takeovers, st.RecoveredPairs)
 		}

@@ -22,9 +22,6 @@ func TestCostModelBytesMatchTCPWire(t *testing.T) {
 	if st.RemotePairs == 0 {
 		t.Fatal("scenario trained no remote pairs; nothing to validate")
 	}
-	if st.Degraded != 0 {
-		t.Fatalf("fault-free run degraded %d pairs", st.Degraded)
-	}
 	ratio := float64(st.WireBytesSent) / float64(st.BytesSent)
 	if ratio < 1.0 || ratio > 1.35 {
 		t.Fatalf("measured %d B vs modeled %d B (ratio %.3f, want [1.00, 1.35])",

@@ -60,7 +60,7 @@ type Options struct {
 	// Transport selects how TNS requests move between workers: "chan"
 	// (default; the in-process channel mesh) or "tcp" (real loopback
 	// sockets, length-prefixed frames, reconnecting persistent
-	// connections). The training protocol, retry policy and accounting
+	// connections). The training protocol, failure policy and accounting
 	// are transport-independent; see DESIGN.md §5h.
 	Transport string
 
@@ -77,36 +77,30 @@ type Options struct {
 	// blocked: in delivering the request plus in waiting for its reply. The
 	// requester scans its next sequence between the two, and that does not
 	// count; a reply already delivered is always taken, however late the
-	// requester asks. After it expires the requester retries, up to
-	// RemoteRetries re-sends, and then degrades the pairs (see
-	// Stats.Degraded). Zero means the 2s default.
+	// requester asks. After it expires the requester re-sends (Stats.Retries)
+	// until a reply comes or its own incarnation is fenced. Zero means the
+	// 2s default.
 	RemoteTimeout time.Duration
-	// RemoteRetries is the number of re-sends after the first attempt.
-	// Negative disables retries; zero means the default (2).
-	RemoteRetries int
 
 	// HeartbeatEvery is the health monitor's sampling interval (zero = 25ms
 	// default); DeadAfter is how long a scanning worker's heartbeat counter
 	// may sit still before the worker is declared dead (zero = 10s default;
 	// it should comfortably exceed RemoteTimeout, since a worker blocked on
-	// a remote call only beats once per attempt deadline). Without Recovery
-	// death is sticky: survivors stop routing pairs to a dead worker and
-	// account the loss (Stats.DroppedPairs) rather than stalling on it.
+	// a remote call only beats once per attempt deadline).
 	HeartbeatEvery time.Duration
 	DeadAfter      time.Duration
 
-	// Recovery enables the supervisor: a worker the monitor declares dead
-	// is resurrected (respawned on its own partition from its last durable
-	// scan cursor, re-seeded from a dedicated RNG stream) up to MaxRestarts
+	// Every run self-heals: a worker the monitor declares dead is fenced and
+	// resurrected (respawned on its own partition from its last durable scan
+	// cursor, re-seeded from a dedicated RNG stream) up to MaxRestarts
 	// times, and after the budget is exhausted its partition is taken over
-	// by a surviving worker (see Stats.Takeovers, Stats.Hosts). With
-	// Recovery on, no pair is ever dropped or degraded because of a death:
-	// remote TNS calls to a dead partition wait (with jittered exponential
-	// backoff, still serving their own queue) until the replacement serves
-	// them, so Pairs == LocalPairs + RemotePairs + Degraded holds with
-	// DroppedPairs == 0, and the final accounting is deterministic under a
-	// seed even across crashes.
-	Recovery bool
+	// by a surviving worker (see Stats.Takeovers, Stats.Hosts). No pair is
+	// lost to a death: remote TNS calls to a dead partition wait (with
+	// jittered exponential backoff, still serving their own queue) until
+	// the replacement serves them, so Pairs == LocalPairs + RemotePairs
+	// always holds, and the final accounting is deterministic under a seed
+	// even across crashes.
+	//
 	// MaxRestarts bounds resurrections per partition before takeover.
 	// Zero means the default (2); negative means no resurrections — the
 	// first death goes straight to takeover.
@@ -132,7 +126,7 @@ type Options struct {
 	HaltAfterBarriers int
 
 	// Metrics, when non-nil, mirrors the engine's live counters — pairs,
-	// retries, degraded pairs, dropped pairs, dead workers, current LR —
+	// retries, dead workers, restarts, current LR —
 	// into the registry as gauges, sampled at scrape time. The embedded
 	// sgns.Options.Progress sink (if set) additionally receives periodic
 	// Progress snapshots, exactly like the local trainer's. Both are
@@ -140,32 +134,19 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// FaultPlan injects reproducible failures into a run: a worker crash at an
-// exact pair count, a one-shot stall, and random request loss. Crash and
-// stall trigger on the worker's own deterministic pair counter, and drops
-// are drawn from a dedicated per-worker RNG derived from Options.Seed (the
+// FaultPlan injects reproducible failures into a run: worker crashes at
+// exact pair counts, stalls, and random request loss. Crashes and stalls
+// trigger on the worker's own deterministic pair counter, and drops are
+// drawn from a dedicated per-worker RNG derived from Options.Seed (the
 // training streams are untouched), so a failing scenario replays under the
 // same seed. The zero value injects nothing.
 type FaultPlan struct {
-	// CrashWorker stops the given worker — no more scanning, serving or
-	// heartbeats, and its un-synced hot deltas are lost — once its pair
-	// counter reaches CrashAtPairs. Inactive when CrashAtPairs is 0, so
-	// the zero value is safe; use CrashAtPairs=1 for "immediately".
-	CrashWorker  int
-	CrashAtPairs uint64
-	// StallWorker sleeps for StallFor (serving nothing) once its pair
-	// counter reaches StallAtPairs — a GC pause / noisy neighbor. One
-	// shot; inactive when StallFor is 0.
-	StallWorker  int
-	StallAtPairs uint64
-	StallFor     time.Duration
 	// DropFraction is the probability that a remote TNS request is lost in
 	// transit (the requester waits out its deadline, then retries).
 	DropFraction float64
 
-	// Crashes and Stalls schedule multiple faults for one run — the chaos
-	// harness composes them freely. The scalar fields above are one-fault
-	// sugar and are merged into these schedules at startup.
+	// Crashes and Stalls schedule the run's worker faults; the chaos
+	// harness composes them freely.
 	Crashes []CrashSpec
 	Stalls  []StallSpec
 
@@ -228,7 +209,8 @@ func (f FaultPlan) hasWireFaults() bool {
 	return f.DropFraction > 0 || f.Wire.active()
 }
 
-// CrashSpec kills one worker, possibly repeatedly: with Recovery on, a
+// CrashSpec kills one worker — no more scanning, serving or heartbeats,
+// and its un-synced hot deltas are lost — possibly repeatedly: a
 // resurrected incarnation re-arms the trigger AtPairs pairs after its spawn
 // point until the crash has fired Times times — the way to drive a
 // partition through its whole restart budget into takeover. A taken-over
@@ -313,12 +295,8 @@ func (f FaultPlan) Validate() error {
 	return nil
 }
 
-// crashFor returns the merged crash schedule for one worker: the scalar
-// sugar first, then the first matching list entry.
+// crashFor returns one worker's crash schedule: the first matching entry.
 func (f FaultPlan) crashFor(id int) *CrashSpec {
-	if f.CrashWorker == id && f.CrashAtPairs > 0 {
-		return &CrashSpec{Worker: id, AtPairs: f.CrashAtPairs, Times: 1}
-	}
 	for i := range f.Crashes {
 		if f.Crashes[i].Worker == id {
 			c := f.Crashes[i]
@@ -331,16 +309,9 @@ func (f FaultPlan) crashFor(id int) *CrashSpec {
 	return nil
 }
 
-// stallsFor returns the merged stall schedule for one worker.
+// stallsFor returns one worker's stall schedule.
 func (f FaultPlan) stallsFor(id int) []StallSpec {
 	var out []StallSpec
-	if f.StallWorker == id && f.StallFor > 0 {
-		at := f.StallAtPairs
-		if at == 0 {
-			at = 1
-		}
-		out = append(out, StallSpec{Worker: id, AtPairs: at, For: f.StallFor})
-	}
 	for _, s := range f.Stalls {
 		if s.Worker == id {
 			if s.AtPairs == 0 {
@@ -400,8 +371,6 @@ func DefaultOptions(workers int) Options {
 	o.HotTopK = 512
 	o.SyncEvery = 4096
 	o.SlowWorker = -1
-	o.Faults.CrashWorker = -1
-	o.Faults.StallWorker = -1
 	return o
 }
 
@@ -411,17 +380,6 @@ func (o *Options) remoteTimeout() time.Duration {
 		return o.RemoteTimeout
 	}
 	return 2 * time.Second
-}
-
-// remoteRetries returns the effective re-send budget.
-func (o *Options) remoteRetries() int {
-	switch {
-	case o.RemoteRetries > 0:
-		return o.RemoteRetries
-	case o.RemoteRetries < 0:
-		return 0
-	}
-	return 2
 }
 
 // deadAfter returns the effective heartbeat-silence threshold.
@@ -502,17 +460,16 @@ type Stats struct {
 	WireFrames    uint64 // frames written (requests + replies)
 	Reconnects    uint64 // severed links that were redialed successfully
 
-	// Fault-tolerance accounting: degradation is observable, never silent.
-	// The invariant Pairs == LocalPairs + RemotePairs + Degraded always
-	// holds; DroppedPairs counts pairs nobody trained at all. With
-	// Options.Recovery, DroppedPairs == 0 always (every dead partition is
-	// re-hosted, so its pairs are trained, not dropped).
-	Retries      uint64 // remote TNS re-sends after a deadline expired
-	Degraded     uint64 // pairs trained against local noise only, after retries were exhausted or the owner died
-	DroppedPairs uint64 // pairs observed by survivors as owned by a dead worker and therefore untrained
-	DeadWorkers  []int  // workers that ever crashed or were declared dead by the heartbeat monitor
+	// Fault-tolerance accounting. Every dead partition is re-hosted and its
+	// pairs retrained, so Pairs == LocalPairs + RemotePairs always holds.
+	Retries uint64 // remote TNS re-sends after a deadline expired
+	// Deprecated: always 0; every failure is recovered.
+	Degraded uint64
+	// Deprecated: always 0; every failure is recovered.
+	DroppedPairs uint64
+	DeadWorkers  []int // workers that ever crashed or were declared dead by the heartbeat monitor
 
-	// Recovery accounting (all zero unless Options.Recovery).
+	// Recovery accounting.
 	Restarts       uint64 // resurrections: dead partitions respawned on their own machine
 	Takeovers      uint64 // partitions adopted by a survivor after the restart budget ran out
 	RecoveredPairs uint64 // pairs trained by replacement incarnations (resurrected or adopted)

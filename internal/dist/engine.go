@@ -44,7 +44,7 @@ func (b *tnsBatch) clone() tnsBatch {
 
 // tnsReq is one delivery attempt of a batch. Each attempt has its own
 // 1-buffered reply channel, so a server answering a request its requester
-// already abandoned (deadline expired, pairs degraded) never blocks. The
+// already abandoned (deadline expired, incarnation fenced) never blocks. The
 // reply is len(counts) × dim: entry k's summed gradient for in(v_i).
 type tnsReq struct {
 	tnsBatch
@@ -103,33 +103,27 @@ type engine struct {
 	scanDone   chan struct{} // one message per worker when its scan role ends
 	scanTokens atomic.Uint64
 
-	// Health tracking: heartbeat counters sampled by the monitor, dead
-	// flags (sticky without Recovery; cleared when a replacement spawns),
-	// and a closed channel per dead worker so blocked requesters wake
-	// immediately on detection. everDead is the cumulative ledger backing
-	// Stats.DeadWorkers — a resurrected worker stays on it.
+	// Health tracking: heartbeat counters sampled by the monitor and dead
+	// flags (cleared when a replacement spawns). everDead is the
+	// cumulative ledger backing Stats.DeadWorkers — a resurrected worker
+	// stays on it.
 	heartbeat []atomic.Uint64
 	state     []atomic.Int32
 	dead      []atomic.Bool
 	everDead  []atomic.Bool
-	anyDead   atomic.Bool // fast-path guard for the per-pair dead check
-	deadCh    []chan struct{}
-	deadOnce  []sync.Once // deadCh closes once per partition, ever
 	stopMon   chan struct{}
 	monWG     sync.WaitGroup
 
-	// Recovery (set when opt.Recovery): the supervisor respawns dead
-	// partitions. spawnMu serializes replacement spawns against shutdown;
-	// draining (guarded by spawnMu) means the run is past its last
-	// scanDone and no replacement may start. host maps partition ->
-	// hosting machine (diverges from identity on takeover); livePart is
-	// the engine's own partition copy, reassigned on takeover.
+	// Recovery: the supervisor respawns dead partitions. spawnMu
+	// serializes replacement spawns against shutdown; draining (guarded by
+	// spawnMu) means the run is past its last scanDone and no replacement
+	// may start. host maps partition -> hosting machine (diverges from
+	// identity on takeover).
 	wwg      sync.WaitGroup // all worker goroutines, incl. replacements
 	supWG    sync.WaitGroup // in-flight recover() calls
 	spawnMu  sync.Mutex
 	draining bool
 	host     []int32
-	livePart *graph.Partition
 
 	// Checkpointing (set when opt.CheckpointDir and CheckpointEvery are
 	// both set): scanning proceeds in sequence blocks with a barrier after
@@ -209,18 +203,10 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 	e.state = make([]atomic.Int32, w)
 	e.dead = make([]atomic.Bool, w)
 	e.everDead = make([]atomic.Bool, w)
-	e.deadCh = make([]chan struct{}, w)
-	e.deadOnce = make([]sync.Once, w)
-	for i := range e.deadCh {
-		e.deadCh[i] = make(chan struct{})
-	}
 	e.stopMon = make(chan struct{})
-	if opt.Recovery {
-		e.host = make([]int32, w)
-		for i := range e.host {
-			e.host[i] = int32(i)
-		}
-		e.livePart = part.Clone()
+	e.host = make([]int32, w)
+	for i := range e.host {
+		e.host[i] = int32(i)
 	}
 
 	// Checkpoint geometry. Without checkpointing each epoch is a single
@@ -302,14 +288,10 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 			wk.r.SetState(snap.RNGs[i])
 			wk.restoreCounters(snap.Counters[1+i*workerCounterLen : 1+(i+1)*workerCounterLen])
 			// A takeover that happened before the snapshot persists across
-			// the resume: rebuild the host map and the partition ledger (no
-			// one is dead in the fresh process, so the adopter is ring-next).
-			if e.host != nil && wk.takenOver.Load() > 0 {
-				a := e.adopterFor(int32(i))
-				e.host[i] = a
-				if a != int32(i) {
-					_ = e.livePart.Reassign(i, int(a))
-				}
+			// the resume: rebuild the host map (no one is dead in the fresh
+			// process, so the adopter is ring-next).
+			if wk.takenOver.Load() > 0 {
+				e.host[i] = e.adopterFor(int32(i))
 			}
 			// Replicas re-seed from the restored global hot store.
 			for h := range e.hotIDs {
@@ -343,7 +325,7 @@ const checkpointBlockSeqs = 512
 // would re-fire crashes that already happened and diverge from the
 // uninterrupted run; RemoteCalls is part of the replayed accounting. A
 // snapshot with another slot count is refused.
-const workerCounterLen = 16
+const workerCounterLen = 14
 
 // selectHot returns the shared set Q: tokens above the frequency threshold,
 // or the top-K most frequent when threshold is zero.
@@ -424,9 +406,9 @@ func subsampleKeep(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost f
 
 // run starts the workers and the health monitor, orchestrates checkpoint
 // barriers, shuts the request mesh down through the transport (end of
-// serve phase, then full teardown) once every worker has finished (or
-// crashed out of) its scan, merges hot replicas back into the model, and
-// aggregates statistics.
+// serve phase, then full teardown) once every partition has finished its
+// scan, merges hot replicas back into the model, and aggregates
+// statistics.
 func (e *engine) run() (*emb.Model, Stats, error) {
 	start := time.Now()
 	stopObservers := e.startObservers()
@@ -443,11 +425,11 @@ func (e *engine) run() (*emb.Model, Stats, error) {
 		e.orchestrateBarriers()
 	}
 
-	// Shutdown: when a partition's scan role ends it signals once —
-	// without Recovery that is the worker finishing or crashing; with
-	// Recovery only the incarnation that completes all epochs signals (a
-	// crashed one exits silently and its replacement carries the role).
-	// Remote calls only happen while scanning, so after the W-th signal
+	// Shutdown: when a partition's scan role ends it signals once — only
+	// the incarnation that completes all epochs signals (a crashed one
+	// exits silently and its replacement carries the role, so every crash
+	// was declared dead before its partition's signal). Remote calls only
+	// happen while scanning, so after the W-th signal
 	// nothing new can be sent and ending the serve phase is safe;
 	// surviving workers drain what is queued and exit when the
 	// transport's done channel closes — no polling, no sleeps. Full
@@ -467,15 +449,6 @@ func (e *engine) run() (*emb.Model, Stats, error) {
 	e.monWG.Wait()
 	e.supWG.Wait()
 	stopObservers() // final Done progress snapshot; registry gauges stay readable
-
-	// A crashed worker may have been overlooked by the monitor if the run
-	// ended before its silence threshold; the final accounting is
-	// authoritative either way.
-	for _, wk := range e.workers {
-		if wk.crashed {
-			e.markDead(wk.id)
-		}
-	}
 
 	// Fold the final hot values back into the model rows.
 	for i, id := range e.hotIDs {
@@ -499,8 +472,6 @@ func (e *engine) run() (*emb.Model, Stats, error) {
 		st.BytesSent += wk.bytesSent.Load()
 		st.HotSyncs += wk.hotSyncs.Load()
 		st.Retries += wk.retries.Load()
-		st.Degraded += wk.degraded.Load()
-		st.DroppedPairs += wk.droppedPairs.Load()
 		st.Restarts += wk.restarts.Load()
 		st.Takeovers += wk.takenOver.Load()
 		st.RecoveredPairs += wk.recoveredPairs.Load()
@@ -579,15 +550,10 @@ func (e *engine) recover(id int32) {
 		wk.restarts.Add(1)
 		wk.reinit(false)
 	} else {
-		adopter := e.adopterFor(id)
+		// Routing stays static (owner[] is immutable): the adopter hosts
+		// the partition's rows and request queue.
 		wk.takenOver.Store(1)
-		e.host[id] = adopter
-		if e.livePart != nil && adopter != id {
-			// Bookkeeping on the engine's own partition copy; routing
-			// stays static (owner[] is immutable), the adopter hosts the
-			// partition's rows and request queue.
-			_ = e.livePart.Reassign(int(id), int(adopter))
-		}
+		e.host[id] = e.adopterFor(id)
 		wk.reinit(true)
 	}
 	e.dead[id].Store(false)
@@ -614,8 +580,7 @@ func (e *engine) sleepBackoff(id int32, restarts uint64) {
 }
 
 // adopterFor picks the takeover host for a dead partition: the first
-// machine after it in ring order that is not itself currently dead — the
-// same deterministic rule countsDropsFor uses for drop accounting.
+// machine after it in ring order that is not itself currently dead.
 func (e *engine) adopterFor(id int32) int32 {
 	n := int32(e.opt.Workers)
 	for i := int32(1); i < n; i++ {
@@ -728,12 +693,10 @@ func (e *engine) saveCheckpoint(k int) error {
 // monitor is the heartbeat watchdog: it samples every worker's heartbeat
 // counter at heartbeatEvery intervals and declares a worker dead once the
 // counter has sat still for deadAfter while the worker claims to be
-// scanning. Declaring death closes the worker's deadCh so requesters
-// blocked on it wake immediately and degrade instead of waiting out their
-// full retry budget. A false positive (a worker stalled past the
-// threshold that later recovers) is safe: the survivors account its pairs
-// as dropped and degrade remote calls to it, but nothing corrupts — the
-// flagged worker's own updates remain valid.
+// scanning. A false positive (a worker stalled past the threshold that
+// later wakes) is safe: the supervisor fences the stalled incarnation and
+// waits for it to exit before a replacement resumes from its cursor, so
+// two incarnations of one partition never run at once.
 func (e *engine) monitor() {
 	defer e.monWG.Done()
 	every := e.opt.heartbeatEvery()
@@ -768,30 +731,20 @@ func (e *engine) monitor() {
 	}
 }
 
-// markDead flags a worker as failed and wakes anyone blocked on it. With
-// Recovery it additionally dispatches a supervisor goroutine to re-host
-// the partition; the dead flag is cleared again when the replacement
-// spawns, so the CAS can succeed once per incarnation.
+// markDead flags a worker as failed and dispatches a supervisor goroutine
+// to re-host the partition; the dead flag is cleared again when the
+// replacement spawns, so the CAS can succeed once per incarnation.
 func (e *engine) markDead(id int32) {
-	if e.dead[id].CompareAndSwap(false, true) {
-		e.everDead[id].Store(true)
-		e.anyDead.Store(true)
-		e.deadOnce[id].Do(func() { close(e.deadCh[id]) })
-		if e.opt.Recovery {
-			e.spawnMu.Lock()
-			if !e.draining {
-				e.supWG.Add(1)
-				go e.recover(id)
-			}
-			e.spawnMu.Unlock()
-		}
+	if !e.dead[id].CompareAndSwap(false, true) {
+		return
 	}
-}
-
-// isDead reports whether the worker has been declared failed. The shared
-// anyDead flag keeps the common (healthy) path to a single cheap load.
-func (e *engine) isDead(id int32) bool {
-	return e.anyDead.Load() && e.dead[id].Load()
+	e.everDead[id].Store(true)
+	e.spawnMu.Lock()
+	if !e.draining {
+		e.supWG.Add(1)
+		go e.recover(id)
+	}
+	e.spawnMu.Unlock()
 }
 
 // simElapsed applies the cost model to the measured per-worker counters:

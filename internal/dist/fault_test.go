@@ -4,74 +4,60 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"sisg/internal/checkpoint"
 	"sisg/internal/corpus"
 	"sisg/internal/eval"
 	"sisg/internal/graph"
 	"sisg/internal/knn"
-	"sisg/internal/race"
 	"sisg/internal/rng"
 	"sisg/internal/sisg"
 	"sisg/internal/vocab"
 )
 
-// faultOptions are tinyOptions with failure detection tightened to
-// test-sized timings: a dead worker is flagged within tens of
-// milliseconds instead of the production-scale 10s default, stretched
-// under the race detector (race.Deadline).
-func faultOptions(workers int) Options {
-	opt := tinyOptions(workers)
-	opt.RemoteTimeout = race.Deadline(8 * time.Millisecond)
-	opt.RemoteRetries = 1
-	opt.HeartbeatEvery = race.Deadline(time.Millisecond)
-	opt.DeadAfter = race.Deadline(25 * time.Millisecond)
-	return opt
-}
-
-// Crashing 1 of 4 workers mid-run must not deadlock: the survivors detect
-// the death, degrade or drop the dead worker's pairs with full accounting,
-// and still produce a model that beats a random recommender.
+// Crashing 1 of 4 workers mid-run must not deadlock: the monitor detects
+// the death, the partition is resurrected from its cursor, and the model
+// trained through the crash beats a random recommender.
 func TestCrashedWorkerRunCompletes(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
-	opt := faultOptions(4)
-	// Enough epochs that the survivors' partitions carry real signal (a
-	// 1-epoch tiny run scores at noise level even without faults), with
-	// the crash late enough that worker 1's rows are partially trained:
-	// the quality assertion below must measure fault tolerance, not the
+	opt := recoveryOptions(4)
+	// Enough epochs that the partitions carry real signal (a 1-epoch tiny
+	// run scores at noise level even without faults), with the crash late
+	// enough that worker 1's rows are partially trained when it dies: the
+	// quality assertion below must measure fault tolerance, not the
 	// baseline quality of an undertrained model.
 	opt.Epochs = 5
-	opt.Faults.CrashWorker = 1
-	opt.Faults.CrashAtPairs = 120000
+	opt.Faults.Crashes = []CrashSpec{{Worker: 1, AtPairs: 120000}}
 
 	m, st, err := Train(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRecoveryInvariants(t, st)
 	if len(st.DeadWorkers) != 1 || st.DeadWorkers[0] != 1 {
 		t.Fatalf("DeadWorkers = %v, want [1]", st.DeadWorkers)
 	}
-	// The crash triggers on the worker's own pair counter, so its final
-	// count is exact regardless of scheduling.
-	if st.PairsPerWorker[1] != opt.Faults.CrashAtPairs {
-		t.Fatalf("crashed worker trained %d pairs, want exactly %d",
-			st.PairsPerWorker[1], opt.Faults.CrashAtPairs)
+	if st.Restarts != 1 || st.Takeovers != 0 {
+		t.Fatalf("Restarts = %d, Takeovers = %d; want one resurrection", st.Restarts, st.Takeovers)
 	}
-	if st.Degraded == 0 && st.DroppedPairs == 0 {
-		t.Fatal("crash produced no degradation accounting")
-	}
-	if st.Pairs != st.LocalPairs+st.RemotePairs+st.Degraded {
-		t.Fatalf("pair accounting broken: %d local + %d remote + %d degraded != %d",
-			st.LocalPairs, st.RemotePairs, st.Degraded, st.Pairs)
+	// The crash triggers on the worker's own pair counter; the replacement
+	// carries the partition on past it.
+	if st.PairsPerWorker[1] <= opt.Faults.Crashes[0].AtPairs || st.RecoveredPairs == 0 {
+		t.Fatalf("partition 1 trained %d pairs (%d by its replacement), want > %d",
+			st.PairsPerWorker[1], st.RecoveredPairs, opt.Faults.Crashes[0].AtPairs)
 	}
 	for _, v := range m.In.Data() {
 		if v != v {
-			t.Fatal("NaN in surviving model")
+			t.Fatal("NaN in recovered model")
 		}
 	}
 
-	// Quality floor: the degraded model must still beat random retrieval.
+	// Quality floor: the model trained through the crash must beat random
+	// retrieval.
 	// A wide split keeps the HR granularity fine enough that the margin
 	// (~3-4x random in practice) cannot vanish into quantization noise.
 	split := ds.SplitNextItem(0.5)
@@ -99,11 +85,11 @@ func TestCrashedWorkerRunCompletes(t *testing.T) {
 	}
 }
 
-// Lost requests are retried and, past the retry budget, degraded — the run
-// always terminates and every pair is accounted somewhere.
-func TestDropFractionRetriesAndDegrades(t *testing.T) {
+// Lost requests are retried until a reply comes — the run always
+// terminates and every pair is accounted.
+func TestDropFractionRetries(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
-	opt := faultOptions(4)
+	opt := recoveryOptions(4)
 	opt.RemoteTimeout = 3 * time.Millisecond
 	opt.Faults.DropFraction = 0.2
 
@@ -114,10 +100,7 @@ func TestDropFractionRetriesAndDegrades(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("20% request loss produced no retries")
 	}
-	if st.Pairs != st.LocalPairs+st.RemotePairs+st.Degraded {
-		t.Fatalf("pair accounting broken: %d + %d + %d != %d",
-			st.LocalPairs, st.RemotePairs, st.Degraded, st.Pairs)
-	}
+	checkRecoveryInvariants(t, st)
 	if len(st.DeadWorkers) != 0 {
 		t.Fatalf("request loss must not kill workers: %v", st.DeadWorkers)
 	}
@@ -127,10 +110,8 @@ func TestDropFractionRetriesAndDegrades(t *testing.T) {
 // retries; nobody is declared dead.
 func TestShortStallAbsorbed(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
-	opt := faultOptions(4)
-	opt.Faults.StallWorker = 2
-	opt.Faults.StallAtPairs = 100
-	opt.Faults.StallFor = 15 * time.Millisecond
+	opt := recoveryOptions(4)
+	opt.Faults.Stalls = []StallSpec{{Worker: 2, AtPairs: 100, For: 15 * time.Millisecond}}
 
 	_, st, err := Train(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
@@ -139,21 +120,17 @@ func TestShortStallAbsorbed(t *testing.T) {
 	if len(st.DeadWorkers) != 0 {
 		t.Fatalf("short stall flagged dead workers: %v", st.DeadWorkers)
 	}
-	if st.Pairs != st.LocalPairs+st.RemotePairs+st.Degraded {
-		t.Fatal("pair accounting broken")
-	}
+	checkRecoveryInvariants(t, st)
 }
 
 // A stall past DeadAfter triggers a false-positive death. That must be
-// safe: death is sticky, survivors stop waiting on the worker, and the
-// stalled worker's own training remains valid — the run completes with the
-// loss fully accounted.
+// safe: the stalled incarnation is fenced and waited out before its
+// replacement resumes from the cursor, and the run completes with every
+// pair accounted.
 func TestLongStallFalsePositiveIsSafe(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
-	opt := faultOptions(4)
-	opt.Faults.StallWorker = 2
-	opt.Faults.StallAtPairs = 100
-	opt.Faults.StallFor = 200 * time.Millisecond
+	opt := recoveryOptions(4)
+	opt.Faults.Stalls = []StallSpec{{Worker: 2, AtPairs: 100, For: 200 * time.Millisecond}}
 
 	_, st, err := Train(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
@@ -162,9 +139,10 @@ func TestLongStallFalsePositiveIsSafe(t *testing.T) {
 	if len(st.DeadWorkers) != 1 || st.DeadWorkers[0] != 2 {
 		t.Fatalf("DeadWorkers = %v, want [2]", st.DeadWorkers)
 	}
-	// The falsely-dead worker kept scanning after its stall.
+	checkRecoveryInvariants(t, st)
+	// The falsely-dead partition kept training after its stall.
 	if st.PairsPerWorker[2] <= 100 {
-		t.Fatalf("stalled worker stopped training: %d pairs", st.PairsPerWorker[2])
+		t.Fatalf("stalled partition stopped training: %d pairs", st.PairsPerWorker[2])
 	}
 }
 
@@ -335,5 +313,33 @@ func TestDistCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	bad.Dim = opt.Dim + 2
 	if _, _, err := Train(ds.Dict.Dict, seqs, part, bad); err == nil {
 		t.Fatal("resume with different Dim accepted")
+	}
+}
+
+// A dist snapshot whose counter block has the older 16-slot per-worker
+// layout (it carried degraded and dropped-pair slots) is refused on resume
+// rather than misread.
+func TestResumeRefusesOldCounterLayout(t *testing.T) {
+	ds, seqs, part := tinySetup(t, 2)
+	opt := tinyOptions(2)
+	opt.CheckpointDir = t.TempDir()
+	opt.CheckpointEvery = math.MaxUint64 // one snapshot, at the final barrier
+	if _, _, err := Train(ds.Dict.Dict, seqs, part, opt); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(opt.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldSlots = 16
+	snap.Counters = make([]uint64, 1+oldSlots*opt.Workers)
+	if err := checkpoint.Save(opt.CheckpointDir, snap); err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = true
+	_, _, err = Train(ds.Dict.Dict, seqs, part, opt)
+	want := fmt.Sprintf("snapshot has %d counters, want %d", 1+oldSlots*opt.Workers, 1+workerCounterLen*opt.Workers)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a %d-slot snapshot: err = %v, want %q", oldSlots, err, want)
 	}
 }

@@ -9,17 +9,15 @@ import (
 
 // Observability for the distributed engine: a live Progress feed (shared
 // sink type with the local sgns trainer) and a registry mirror exposing
-// the run's counters — including PR 1's fault-tolerance accounting — as
-// pull-based gauges. Both sample the workers' atomic counters; neither
+// the run's counters — fault-tolerance and recovery accounting included —
+// as pull-based gauges. Both sample the workers' atomic counters; neither
 // touches the training hot path.
 
 // liveStats reads the cluster-wide cumulative counters mid-run.
-func (e *engine) liveStats() (pairs, retries, degraded, dropped uint64) {
+func (e *engine) liveStats() (pairs, retries uint64) {
 	for _, wk := range e.workers {
 		pairs += wk.pairs.Load()
 		retries += wk.retries.Load()
-		degraded += wk.degraded.Load()
-		dropped += wk.droppedPairs.Load()
 	}
 	return
 }
@@ -77,12 +75,10 @@ func (e *engine) registerMetrics(reg *metrics.Registry) {
 		name, help string
 		fn         func() float64
 	}{
-		{"train_pairs", "positive pairs trained so far", func() float64 { p, _, _, _ := e.liveStats(); return float64(p) }},
+		{"train_pairs", "positive pairs trained so far", func() float64 { p, _ := e.liveStats(); return float64(p) }},
 		{"train_remote_calls", "successful remote TNS round trips, each carrying one owner's share of a sequence", func() float64 { c, _ := e.liveRemote(); return float64(c) }},
 		{"train_remote_blocked_seconds", "wall-clock workers spent waiting on remote TNS calls, summed over workers", func() float64 { _, b := e.liveRemote(); return b.Seconds() }},
-		{"train_retries", "remote TNS re-sends after a deadline expired", func() float64 { _, r, _, _ := e.liveStats(); return float64(r) }},
-		{"train_degraded", "pairs trained against local noise only after retries were exhausted", func() float64 { _, _, d, _ := e.liveStats(); return float64(d) }},
-		{"train_dropped_pairs", "pairs lost to dead workers, untrained cluster-wide", func() float64 { _, _, _, d := e.liveStats(); return float64(d) }},
+		{"train_retries", "remote TNS re-sends after a deadline expired", func() float64 { _, r := e.liveStats(); return float64(r) }},
 		{"train_dead_workers", "workers that ever crashed or were declared dead by the heartbeat monitor", func() float64 { return float64(e.liveDeadWorkers()) }},
 		{"train_restarts", "partition resurrections performed by the supervisor", func() float64 { r, _, _ := e.liveRecovery(); return float64(r) }},
 		{"train_takeovers", "partitions adopted by a survivor after the restart budget ran out", func() float64 { _, t, _ := e.liveRecovery(); return float64(t) }},
@@ -125,7 +121,7 @@ func (e *engine) startObservers() (stop func()) {
 	}
 	return sgns.StartProgress(e.opt.Progress, e.opt.ProgressEvery, e.opt.Epochs, totalScan,
 		func() (epoch int, pairs, tokens uint64, lr float32) {
-			p, _, _, _ := e.liveStats()
+			p, _ := e.liveStats()
 			tok := e.scanTokens.Load()
 			ep := int(tok / perEpoch)
 			if ep >= e.opt.Epochs {

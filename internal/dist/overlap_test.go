@@ -60,8 +60,7 @@ func (o *orderTransport) event(send bool, src, dst int32) {
 		pairs: w.pairs.Load(), local: w.localPairs.Load(), incarnation: w.incarnation})
 }
 
-func (o *orderTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
+func (o *orderTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
 	if want := o.applied[src]; want != nil && o.appAt[src] == o.e.workers[src].at {
 		for tok, row := range want {
 			if !sameBits(o.e.model.In.Row(tok), row) {
@@ -71,7 +70,7 @@ func (o *orderTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration
 	}
 	o.applied[src] = nil
 	o.event(true, src, dst)
-	tk, ok := o.Transport.Send(src, dst, b, timeout, abort, serve)
+	tk, ok := o.Transport.Send(src, dst, b, timeout, serve)
 	if ok {
 		if o.open[src][dst]++; o.open[src][dst] > 1 {
 			o.t.Errorf("worker %d has %d requests outstanding to %d", src, o.open[src][dst], dst)
@@ -80,10 +79,9 @@ func (o *orderTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration
 	return tk, ok
 }
 
-func (o *orderTransport) Await(src, dst int32, tk ticket, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+func (o *orderTransport) Await(src, dst int32, tk ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool) {
 	o.event(false, src, dst)
-	grads, ok := o.Transport.Await(src, dst, tk, timeout, abort, serve)
+	grads, ok := o.Transport.Await(src, dst, tk, timeout, serve)
 	o.open[src][dst]--
 	if ok {
 		w, dim := o.e.workers[src], o.e.opt.Dim
@@ -192,9 +190,9 @@ func TestRemoteRequestsOverlapOneSequence(t *testing.T) {
 			if tc.ckpt && barriers != 3 {
 				t.Fatalf("%d barriers, want 3", barriers)
 			}
-			if st.RemoteCalls != uint64(2*numSeqs*tc.epochs) || st.Degraded != 0 || st.Retries != 0 {
-				t.Fatalf("%d calls, %d degraded, %d retries; want one call per worker and sequence, no fault",
-					st.RemoteCalls, st.Degraded, st.Retries)
+			if st.RemoteCalls != uint64(2*numSeqs*tc.epochs) || st.Retries != 0 {
+				t.Fatalf("%d calls, %d retries; want one call per worker and sequence, no fault",
+					st.RemoteCalls, st.Retries)
 			}
 			// Where the window drains: at each block's last sequence — an
 			// epoch's last, and every checkpointBlockSeqs-th when barriers
@@ -247,14 +245,12 @@ func TestRemoteRequestsOverlapOneSequence(t *testing.T) {
 // worker stalls past DeadAfter mid-scan, holding the previous sequence's
 // request. The fenced incarnation takes no reply and un-counts the pairs
 // of every request it holds, the cursor stays on the oldest of them, and
-// the replacement scans that sequence again — so nothing is dropped or
-// degraded and the pair accounting balances.
+// the replacement scans that sequence again — so the pair accounting
+// balances.
 func TestFencedWithRequestInFlightResumesAtUnsettledSequence(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 2)
 	opt := recoveryOptions(2)
-	opt.Faults.StallWorker = 1
-	opt.Faults.StallAtPairs = 3000
-	opt.Faults.StallFor = 5 * opt.DeadAfter
+	opt.Faults.Stalls = []StallSpec{{Worker: 1, AtPairs: 3000, For: 5 * opt.DeadAfter}}
 	e, err := newEngine(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
 		t.Fatal(err)

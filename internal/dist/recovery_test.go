@@ -7,18 +7,17 @@ import (
 	"sisg/internal/race"
 )
 
-// recoveryOptions are faultOptions with the supervisor enabled and
-// detection/backoff timings sized for tests. DeadAfter is kept a
-// comfortable multiple of every bounded wait in the system (attempt
-// deadline, retry backoff ceiling) so only genuinely-dead workers are ever
-// flagged — a false positive would make the pair accounting
-// timing-dependent and the determinism assertions flaky. The deadlines
-// stretch under the race detector (race.Deadline).
+// recoveryOptions are tinyOptions with failure detection and the
+// supervisor's backoffs sized for tests: a dead worker is flagged and
+// replaced within tens of milliseconds instead of the production-scale 10s
+// default. DeadAfter is kept a comfortable multiple of every bounded wait
+// in the system (attempt deadline, retry backoff ceiling) so only
+// genuinely-dead workers are ever flagged — a false positive would make
+// the pair accounting timing-dependent and the determinism assertions
+// flaky. The deadlines stretch under the race detector (race.Deadline).
 func recoveryOptions(workers int) Options {
 	opt := tinyOptions(workers)
-	opt.Recovery = true
 	opt.RemoteTimeout = race.Deadline(8 * time.Millisecond)
-	opt.RemoteRetries = 1
 	opt.HeartbeatEvery = race.Deadline(2 * time.Millisecond)
 	opt.DeadAfter = race.Deadline(40 * time.Millisecond)
 	opt.RestartBackoff = 2 * time.Millisecond
@@ -32,8 +31,8 @@ func recoveryOptions(workers int) Options {
 // figures (Retries, BytesSent, HotSyncs, Elapsed) are excluded by design.
 func deterministicStats(t *testing.T, st Stats) []uint64 {
 	t.Helper()
-	out := []uint64{st.Pairs, st.LocalPairs, st.RemotePairs, st.RemoteCalls, st.Degraded,
-		st.DroppedPairs, st.RecoveredPairs, st.Restarts, st.Takeovers}
+	out := []uint64{st.Pairs, st.LocalPairs, st.RemotePairs, st.RemoteCalls,
+		st.RecoveredPairs, st.Restarts, st.Takeovers}
 	out = append(out, st.PairsPerWorker...)
 	for _, d := range st.DeadWorkers {
 		out = append(out, uint64(d))
@@ -41,28 +40,23 @@ func deterministicStats(t *testing.T, st Stats) []uint64 {
 	return out
 }
 
+// checkRecoveryInvariants asserts that every pair a run counts was trained
+// once, locally or by its remote owner.
 func checkRecoveryInvariants(t *testing.T, st Stats) {
 	t.Helper()
-	if st.DroppedPairs != 0 {
-		t.Fatalf("recovery dropped %d pairs; recovery must drop none", st.DroppedPairs)
-	}
-	if st.Degraded != 0 {
-		t.Fatalf("recovery degraded %d pairs; recovery must degrade none", st.Degraded)
-	}
-	if st.Pairs != st.LocalPairs+st.RemotePairs+st.Degraded {
-		t.Fatalf("pair accounting broken: %d local + %d remote + %d degraded != %d",
-			st.LocalPairs, st.RemotePairs, st.Degraded, st.Pairs)
+	if st.Pairs != st.LocalPairs+st.RemotePairs {
+		t.Fatalf("pair accounting broken: %d local + %d remote != %d",
+			st.LocalPairs, st.RemotePairs, st.Pairs)
 	}
 }
 
 // A crashed worker is resurrected from its cursor: the run completes with
-// nothing dropped, nothing degraded, and the replacement's work attributed
-// to RecoveredPairs.
+// every pair accounted and the replacement's work attributed to
+// RecoveredPairs.
 func TestRecoveryResurrection(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
 	opt := recoveryOptions(4)
-	opt.Faults.CrashWorker = 1
-	opt.Faults.CrashAtPairs = 4000
+	opt.Faults.Crashes = []CrashSpec{{Worker: 1, AtPairs: 4000}}
 
 	m, st, err := Train(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
@@ -83,8 +77,8 @@ func TestRecoveryResurrection(t *testing.T) {
 	}
 	// The partition finished its scan: strictly more pairs than the crash
 	// point (the replacement rescanned the interrupted sequence and went on).
-	if st.PairsPerWorker[1] <= opt.Faults.CrashAtPairs {
-		t.Fatalf("partition 1 trained %d pairs, want > %d", st.PairsPerWorker[1], opt.Faults.CrashAtPairs)
+	if st.PairsPerWorker[1] <= opt.Faults.Crashes[0].AtPairs {
+		t.Fatalf("partition 1 trained %d pairs, want > %d", st.PairsPerWorker[1], opt.Faults.Crashes[0].AtPairs)
 	}
 	if st.Hosts != nil {
 		t.Fatalf("Hosts = %v, want nil without a takeover", st.Hosts)
@@ -165,8 +159,8 @@ func TestRecoveryNeverStartedWorkerTakeover(t *testing.T) {
 // Two runs under one seed, each crashing and resurrecting a worker, must
 // agree on every deterministic stat: crash triggers fire on the worker's
 // own pair counter, replacements resume from the durable cursor with
-// RNG streams derived from (seed, partition, incarnation), and recovery
-// never lets timing decide whether a pair is remote or degraded.
+// RNG streams derived from (seed, partition, incarnation), and no timing
+// decides whether a pair counts.
 func TestRecoveryDeterministic(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 4)
 	run := func() Stats {

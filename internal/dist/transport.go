@@ -20,14 +20,14 @@ import (
 // mesh deadlock-free is unchanged from the channel days: a worker blocked
 // inside Send or Await keeps serving its own inbox via the serve callback,
 // so two workers waiting on each other always make progress. An attempt is
-// ONE delivery — retry, backoff, degrade and fencing policy stay in the
-// worker (worker.await), which is what lets the chaos invariants
-// ("DroppedPairs==Degraded==0 under recovery") hold verbatim whatever the
-// wire does underneath.
+// ONE delivery — retry, backoff and fencing policy stay in the worker
+// (worker.await), which is what lets the chaos invariants (exact pair
+// accounting, deterministic replay) hold verbatim whatever the wire does
+// underneath.
 //
 // A delivered reply is always taken: Await looks for it before it looks at
-// its deadline or abort channel, so an attempt the peer answered never
-// fails because the requester was busy scanning when the answer came.
+// its deadline, so an attempt the peer answered never fails because the
+// requester was busy scanning when the answer came.
 type Transport interface {
 	// Inbox returns worker id's request queue. Inboxes are never closed
 	// (a late TCP delivery must never panic on a closed channel); end of
@@ -41,20 +41,17 @@ type Transport interface {
 	// Send delivers one attempt of a batch from src to dst. It blocks only
 	// while dst's queue is full, serving src's own inbox meanwhile, and
 	// returns (ticket, true) once the request is on its way, (_, false)
-	// when timeout expires or abort closes first. abort may be nil (never
-	// fires). The batch is the caller's again once Send returns: the
-	// transport ships a copy.
-	Send(src, dst int32, b *tnsBatch, timeout time.Duration,
-		abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool)
+	// when timeout expires first. The batch is the caller's again once
+	// Send returns: the transport ships a copy.
+	Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool)
 
 	// Await returns the gradients (one per entry) answering a ticket Send
 	// issued to src for dst. A reply already delivered is taken without
-	// blocking, whatever timeout and abort say; otherwise it waits up to
-	// timeout, serving src's inbox, and returns (nil, false) when the
-	// deadline passes or abort closes. A failed Await leaves no obligation
-	// on the callee: a reply arriving later is discarded.
-	Await(src, dst int32, t ticket, timeout time.Duration,
-		abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool)
+	// blocking, whatever timeout says; otherwise it waits up to timeout,
+	// serving src's inbox, and returns (nil, false) when the deadline
+	// passes. A failed Await leaves no obligation on the callee: a reply
+	// arriving later is discarded.
+	Await(src, dst int32, t ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool)
 
 	// SendOneWay ships a request whose reply nobody awaits — a duplicate
 	// delivery on the wire. Best-effort: a full queue or broken link drops
@@ -84,10 +81,9 @@ type ticket struct {
 }
 
 // deliver puts v on q, serving own while q is full. It returns false when
-// timeout expires or abort closes first. The common case — room in the
-// queue — costs no timer.
-func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) bool {
+// timeout expires first. The common case — room in the queue — costs no
+// timer.
+func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration, serve func(*tnsReq)) bool {
 	select {
 	case q <- v:
 		return true
@@ -101,8 +97,6 @@ func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration,
 			return true
 		case in := <-own:
 			serve(in)
-		case <-abort:
-			return false
 		case <-timer.C:
 			return false
 		}
@@ -110,10 +104,9 @@ func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration,
 }
 
 // awaitReply takes the reply on c, serving own while it is not there yet.
-// A delivered reply wins over an expired deadline or a closed abort: it is
-// looked for first, and once more when either fires.
-func awaitReply(c <-chan []float32, own <-chan *tnsReq, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
+// A delivered reply wins over an expired deadline: it is looked for first,
+// and once more when the deadline fires.
+func awaitReply(c <-chan []float32, own <-chan *tnsReq, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool) {
 	select {
 	case grads := <-c:
 		return grads, true
@@ -130,15 +123,13 @@ func awaitReply(c <-chan []float32, own <-chan *tnsReq, timeout time.Duration,
 			return grads, true
 		case in := <-own:
 			serve(in)
-			continue
-		case <-abort:
 		case <-timer.C:
-		}
-		select {
-		case grads := <-c:
-			return grads, true
-		default:
-			return nil, false
+			select {
+			case grads := <-c:
+				return grads, true
+			default:
+				return nil, false
+			}
 		}
 	}
 }

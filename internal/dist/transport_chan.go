@@ -32,19 +32,17 @@ func (t *chanTransport) Done() <-chan struct{}         { return t.done }
 // Send puts a private copy of the batch, with a 1-buffered reply channel,
 // on dst's queue — so a server answering after we abandoned the attempt
 // never blocks and never reads a buffer the requester has since refilled.
-func (t *chanTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
+func (t *chanTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
 	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
-	if !deliver(t.inboxes[dst], req, t.inboxes[src], timeout, abort, serve) {
+	if !deliver(t.inboxes[dst], req, t.inboxes[src], timeout, serve) {
 		return ticket{}, false
 	}
 	t.frames.Add(1)
 	return ticket{reply: req.reply}, true
 }
 
-func (t *chanTransport) Await(src, dst int32, tk ticket, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
-	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, abort, serve)
+func (t *chanTransport) Await(src, dst int32, tk ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool) {
+	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, serve)
 	if ok {
 		t.frames.Add(1)
 	}

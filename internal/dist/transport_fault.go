@@ -11,17 +11,17 @@ import (
 // faultTransport decorates a real transport with seeded wire faults:
 // request drops, fixed delays, duplicate deliveries, severed connections
 // and one-way partitions. It sits between the worker and the transport, so
-// the worker's retry/degrade/fencing policy sees faults exactly as it would
-// see a misbehaving network — a request that never answers, answers late,
-// or arrives twice.
+// the worker's retry/fencing policy sees faults exactly as it would see a
+// misbehaving network — a request that never answers, answers late, or
+// arrives twice.
 //
 // Determinism: probabilistic decisions (drop, delay, duplicate) draw from
 // one RNG stream per REQUESTER, guarded by a mutex because replacement
 // incarnations of a worker are different goroutines. Positional triggers
 // (severs, partitions) fire on exact per-link send counts. Neither
-// touches the training RNGs, and under Recovery no fault can change the
-// deterministic accounting — a faulted request only costs Retries, which
-// is excluded from the replay contract by design.
+// touches the training RNGs, and no fault can change the deterministic
+// accounting — a faulted request only costs Retries, which is excluded
+// from the replay contract by design.
 type faultTransport struct {
 	Transport
 	plan  FaultPlan
@@ -50,8 +50,7 @@ func newFaultTransport(base Transport, workers int, seed uint64, plan FaultPlan)
 // no reply will ever redeem, and cannot tell a partition from a slow peer
 // until its Await deadline passes. A delayed request holds the sender for
 // the delay (serving all the while) out of the attempt's deadline.
-func (f *faultTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
+func (f *faultTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
 	k := f.sends[src][dst].Add(1)
 	for _, s := range f.plan.Wire.Severs {
 		if int32(s.From) == src && int32(s.To) == dst && s.AtSends == k {
@@ -69,18 +68,16 @@ func (f *faultTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration
 	}
 	if delay > 0 {
 		if delay >= timeout {
-			f.waitServing(src, timeout, abort, serve)
+			f.waitServing(src, timeout, serve)
 			return ticket{}, false
 		}
-		if !f.waitServing(src, delay, abort, serve) {
-			return ticket{}, false
-		}
+		f.waitServing(src, delay, serve)
 		timeout -= delay
 	}
 	if dup {
 		f.Transport.SendOneWay(src, dst, b)
 	}
-	return f.Transport.Send(src, dst, b, timeout, abort, serve)
+	return f.Transport.Send(src, dst, b, timeout, serve)
 }
 
 // decide draws this request's probabilistic faults from src's stream.
@@ -126,8 +123,7 @@ func (f *faultTransport) partitioned(src, dst int32, k uint64) bool {
 
 // waitServing blocks for d while serving src's own inbox — the fault
 // path must honor the same deadlock-freedom contract as a real Send.
-// Returns false if abort fired first.
-func (f *faultTransport) waitServing(src int32, d time.Duration, abort <-chan struct{}, serve func(*tnsReq)) bool {
+func (f *faultTransport) waitServing(src int32, d time.Duration, serve func(*tnsReq)) {
 	own := f.Transport.Inbox(src)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -135,10 +131,8 @@ func (f *faultTransport) waitServing(src int32, d time.Duration, abort <-chan st
 		select {
 		case in := <-own:
 			serve(in)
-		case <-abort:
-			return false
 		case <-timer.C:
-			return true
+			return
 		}
 	}
 }

@@ -184,14 +184,13 @@ func (t *tcpTransport) Sever(src, dst int32) {
 // writer, serving src's own inbox while the queue is full. The frame is
 // encoded up front: it is the copy of the batch the Transport contract asks
 // for.
-func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) (ticket, bool) {
+func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
 	l := t.links[src][dst]
 	tk := ticket{reply: make(chan []float32, 1), id: l.nextID.Add(1)}
 	l.pendMu.Lock()
 	l.pending[tk.id] = tk.reply
 	l.pendMu.Unlock()
-	if !deliver(l.out, encodeReq(tk.id, b), t.inboxes[src], timeout, abort, serve) {
+	if !deliver(l.out, encodeReq(tk.id, b), t.inboxes[src], timeout, serve) {
 		l.forget(tk.id)
 		return ticket{}, false
 	}
@@ -201,9 +200,8 @@ func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration,
 // Await takes the demultiplexed gradients, serving src's own inbox while
 // they are not there yet. A failed Await unregisters the reply slot, so a
 // reply arriving later is counted as late and dropped.
-func (t *tcpTransport) Await(src, dst int32, tk ticket, timeout time.Duration,
-	abort <-chan struct{}, serve func(*tnsReq)) ([]float32, bool) {
-	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, abort, serve)
+func (t *tcpTransport) Await(src, dst int32, tk ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool) {
+	grads, ok := awaitReply(tk.reply, t.inboxes[src], timeout, serve)
 	if !ok {
 		t.links[src][dst].forget(tk.id)
 	}

@@ -53,16 +53,14 @@ type worker struct {
 	// replay exact pair counts.
 	srng rng.RNG
 
-	// Fault machinery. frng is a dedicated RNG for fault decisions
-	// (retry jitter, degraded-pair negatives; wire-level faults such as
-	// request drops draw from the fault transport's own per-requester
-	// streams) so injecting faults never perturbs the training stream in
-	// r. Crash and stall
-	// triggers fire on the worker's own pair counter — deterministic
-	// regardless of goroutine scheduling. crashSpec is this partition's
-	// merged crash schedule; crashArmAt is the armed absolute pair count
-	// (0 = disarmed) and is persisted so a resumed run does not re-fire a
-	// crash at the wrong position.
+	// Fault machinery. frng is a dedicated RNG for retry jitter (wire-level
+	// faults such as request drops draw from the fault transport's own
+	// per-requester streams) so injecting faults never perturbs the
+	// training stream in r. Crash and stall triggers fire on the worker's
+	// own pair counter — deterministic regardless of goroutine scheduling.
+	// crashSpec is this partition's crash schedule; crashArmAt is the armed
+	// absolute pair count (0 = disarmed) and is persisted so a resumed run
+	// does not re-fire a crash at the wrong position.
 	frng      rng.RNG
 	crashed   bool
 	crashSpec *CrashSpec
@@ -98,8 +96,7 @@ type worker struct {
 	servedPairs                    atomic.Uint64
 	bytesSent                      atomic.Uint64
 	hotSyncs                       atomic.Uint64
-	retries, degraded              atomic.Uint64
-	droppedPairs                   atomic.Uint64
+	retries                        atomic.Uint64
 	recoveredPairs                 atomic.Uint64 // pairs trained by replacement incarnations
 	restarts                       atomic.Uint64 // resurrections of this partition
 	takenOver                      atomic.Uint64 // 1 once a survivor adopted the partition
@@ -175,20 +172,19 @@ func (w *worker) saveCounters() []uint64 {
 		everDead = 1
 	}
 	return []uint64{w.pairs.Load(), w.localPairs.Load(), w.remotePairs.Load(), w.servedPairs.Load(),
-		w.bytesSent.Load(), w.hotSyncs.Load(), w.retries.Load(), w.degraded.Load(), w.droppedPairs.Load(),
+		w.bytesSent.Load(), w.hotSyncs.Load(), w.retries.Load(),
 		w.recoveredPairs.Load(), w.restarts.Load(), w.takenOver.Load(), w.crashesFired.Load(),
 		w.crashArmAt.Load(), w.remoteCalls.Load(), everDead}
 }
 
 func (w *worker) restoreCounters(c []uint64) {
 	for i, dst := range []*atomic.Uint64{&w.pairs, &w.localPairs, &w.remotePairs, &w.servedPairs,
-		&w.bytesSent, &w.hotSyncs, &w.retries, &w.degraded, &w.droppedPairs,
+		&w.bytesSent, &w.hotSyncs, &w.retries,
 		&w.recoveredPairs, &w.restarts, &w.takenOver, &w.crashesFired, &w.crashArmAt, &w.remoteCalls} {
 		dst.Store(c[i])
 	}
-	if c[15] != 0 {
+	if c[workerCounterLen-1] != 0 {
 		w.e.everDead[w.id].Store(true)
-		w.e.anyDead.Store(true)
 	}
 	// The resuming process is a fresh one: whatever incarnation wrote the
 	// snapshot, its state (not its death) is what resumes. A crash whose
@@ -262,14 +258,12 @@ func (w *worker) reinit(adopted bool) {
 // partition has signalled scanDone, and remote calls happen only while
 // scanning, so nothing new can arrive after the final drain.
 //
-// Crash semantics differ by mode. Without Recovery a crashed worker keeps
-// attending checkpoint barriers (the barrier arithmetic needs exactly W
-// arrivals) but neither scans nor serves, and signals scanDone as it exits
-// — its pairs are dropped. With Recovery a crashed (or fenced) incarnation
-// exits immediately and silently: it does NOT signal scanDone and does NOT
-// attend barriers — its replacement resumes from the cursor, arrives at
-// the barriers the dead incarnation never reached, and signals scanDone
-// when the partition's scan truly completes.
+// A crashed (or fenced) incarnation exits immediately and silently: no
+// final hot push (un-synced deltas are lost), no serving, no state
+// transition, no scanDone and no further barriers — the heartbeat just
+// stops. Its replacement resumes from the cursor, arrives at the barriers
+// the dead incarnation never reached, and signals scanDone when the
+// partition's scan truly completes.
 //
 // Remote requests are one sequence deep (see endSequence). The window is
 // drained — every request in flight settled — at the end of every block,
@@ -278,7 +272,6 @@ func (w *worker) reinit(adopted bool) {
 // applied.
 func (w *worker) run() {
 	e := w.e
-	recovery := w.opt.Recovery
 scan:
 	for ep := w.resumeEpoch; ep < w.opt.Epochs; ep++ {
 		s0 := 0
@@ -286,29 +279,15 @@ scan:
 			s0 = w.resumeSeq
 		}
 		for b := s0 / e.blockSize; b < e.numBlocks; b++ {
-			if !w.crashed {
-				lo := b * e.blockSize
-				if lo < s0 {
-					lo = s0
-				}
-				hi := b*e.blockSize + e.blockSize
-				if hi > len(e.seqs) {
-					hi = len(e.seqs)
-				}
-				for i := lo; i < hi; i++ {
-					if recovery && (w.crashed || w.fenced.Load()) {
-						break
-					}
-					w.at = packCursor(ep, i)
-					w.markCursor()
-					w.scanSequence(e.seqs[i])
-					if !recovery && w.crashed {
-						break
-					}
-				}
+			lo := max(b*e.blockSize, s0)
+			hi := min(b*e.blockSize+e.blockSize, len(e.seqs))
+			for i := lo; i < hi && !w.stopped(); i++ {
+				w.at = packCursor(ep, i)
+				w.markCursor()
+				w.scanSequence(e.seqs[i])
 			}
 			w.drain()
-			if recovery && (w.crashed || w.fenced.Load()) {
+			if w.stopped() {
 				return
 			}
 			if e.ckptOn {
@@ -320,15 +299,6 @@ scan:
 				}
 			}
 		}
-	}
-	if w.crashed {
-		// Crash semantics (no Recovery): no final hot push (un-synced
-		// deltas are lost), no serving, no state transition — the
-		// heartbeat just stops.
-		if !recovery {
-			e.scanDone <- struct{}{}
-		}
-		return
 	}
 	w.cursor.Store(packCursor(w.opt.Epochs, 0))
 	// Final replica push so the engine's fold-in sees this worker's work.
@@ -367,13 +337,6 @@ scan:
 func (w *worker) blockBarrier(k int) {
 	e := w.e
 	bar := &e.barriers[k]
-	if w.crashed {
-		bar.arrive <- struct{}{}
-		<-bar.quiesce
-		bar.ack <- struct{}{}
-		<-bar.release
-		return
-	}
 	// Push replica deltas so the snapshot includes this worker's hot work.
 	e.hotSync(w)
 	e.state[w.id].Store(stateWaiting)
@@ -434,9 +397,8 @@ func (w *worker) scanSequence(seq []int32) {
 	if steps < 1 {
 		steps = 1
 	}
-	recovery := opt.Recovery
 	for i := range kept {
-		if w.crashed || (recovery && w.fenced.Load()) {
+		if w.stopped() {
 			return
 		}
 		// Serve pending peer requests between window centers so a remote
@@ -456,20 +418,13 @@ func (w *worker) scanSequence(seq []int32) {
 				continue
 			}
 			vi, vj := kept[i], kept[j]
-			if p := w.processor(vi, vj); p != w.id {
-				// The pair belongs to someone else. If that someone is
-				// dead, the pair is lost cluster-wide; exactly one
-				// survivor accounts it (see countsDropsFor). Under
-				// recovery the dead partition comes back and retrains
-				// from its cursor, so nothing is lost and nothing is
-				// counted dropped.
-				if !recovery && e.anyDead.Load() && e.dead[p].Load() && w.countsDropsFor(p) {
-					w.droppedPairs.Add(1)
-				}
+			if w.processor(vi, vj) != w.id {
+				// Someone else's pair; if its processor is dead, the
+				// replacement retrains it from its cursor.
 				continue
 			}
 			w.trainPair(vi, vj, i)
-			if w.crashed || (recovery && w.fenced.Load()) {
+			if w.stopped() {
 				return
 			}
 		}
@@ -477,23 +432,10 @@ func (w *worker) scanSequence(seq []int32) {
 	w.maybeServe()
 }
 
-// countsDropsFor designates this worker as the accountant for pairs lost
-// to dead worker p: the first live worker after p in ring order. Every
-// survivor scans every sequence, so without a designated counter each
-// dropped pair would be counted once per survivor. Under cascading
-// failures the count is approximate (a later death re-routes the
-// designation mid-run); DroppedPairs is an observability figure, not an
-// exact ledger.
-func (w *worker) countsDropsFor(p int32) bool {
-	e := w.e
-	n := int32(w.opt.Workers)
-	for i := int32(1); i < n; i++ {
-		c := (p + i) % n
-		if !e.dead[c].Load() {
-			return c == w.id
-		}
-	}
-	return false
+// stopped reports whether this incarnation must stop touching the model:
+// it crashed, or the supervisor fenced it for replacement.
+func (w *worker) stopped() bool {
+	return w.crashed || w.fenced.Load()
 }
 
 // processor decides which worker trains the pair. Without replication it
@@ -652,10 +594,8 @@ func (w *worker) send(dst int32) {
 }
 
 // settle ends owner dst's request in flight and adds entry k's returned
-// gradient to in(centres[k]). A request that fails is settled for all its
-// pairs at once, the way a failed call used to settle one: without
-// recovery each pair is degraded; under recovery the request fails only
-// because THIS incarnation was fenced, and the pairs are un-counted — the
+// gradient to in(centres[k]). A request fails only because THIS
+// incarnation was fenced; its pairs are then un-counted all at once — the
 // replacement resumes from the cursor, which therefore stays on the
 // entries' sequence, and retrains them.
 func (w *worker) settle(dst int32) {
@@ -669,29 +609,19 @@ func (w *worker) settle(dst int32) {
 	start := time.Now()
 	grads, ok := w.await(dst, f)
 	w.remoteBlockedNs.Add(int64(time.Since(start)))
-	switch {
-	case ok:
+	if ok {
 		for k, vi := range f.centres {
 			vecmath.Add(grads[k*dim:(k+1)*dim], e.rowIn(w, vi))
 		}
 		w.remotePairs.Add(n)
-	case w.opt.Recovery:
+	} else {
 		w.pairs.Add(-n)
 		if w.replacement {
 			w.recoveredPairs.Add(-n)
 		}
-	default:
-		w.degraded.Add(n)
-		ctxs := f.ctxs
-		for k, vi := range f.centres {
-			for _, vj := range ctxs[:f.counts[k]] {
-				w.degradePair(e.rowIn(w, vi), vj, f.b.lr)
-			}
-			ctxs = ctxs[f.counts[k]:]
-		}
 	}
 	f.centres, f.counts, f.ctxs = f.centres[:0], f.counts[:0], f.ctxs[:0]
-	if ok || !w.opt.Recovery {
+	if ok {
 		w.markCursor()
 	}
 }
@@ -732,39 +662,12 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 	return grad
 }
 
-// degradePair is the graceful-degradation fallback when out(v_j) is
-// unreachable (owner dead, or retries exhausted): apply a single
-// negative-sample update from the local noise distribution. The positive
-// term needs the failed peer's row, so only the contrastive half can run —
-// and deliberately at 1 negative, not the full budget: repulsion without
-// its positive counterweight accumulates, and during a long outage the
-// full budget visibly distorts the input vectors it touches (the degraded
-// pairs concentrate on the dead worker's partition). One draw keeps the
-// vectors moving without letting the imbalance dominate. Negatives come
-// from frng: the fault path must not consume the deterministic training
-// stream.
-func (w *worker) degradePair(vin []float32, ctx int32, lr float32) {
-	if w.noise == nil {
-		return
-	}
-	e := w.e
-	grad := w.grad
-	vecmath.Zero(grad)
-	t := w.noiseTokens[w.noise.Sample(&w.frng)]
-	if t == ctx {
-		return
-	}
-	if vecmath.PairStep(vin, e.rowOut(w, t), grad, 0, lr) {
-		vecmath.Add(grad, vin)
-	}
-}
-
 // launch starts an attempt of owner dst's request: one Transport.Send,
 // serving incoming requests while it blocks (deadlock freedom; the
 // transport calls back into w.serve). No attempt starts once this
-// incarnation is fenced or, without recovery, once dst is known dead.
-// RemoteTimeout bounds the time one attempt spends blocked — in Send and
-// in Await together — so what Send spent is taken off Await's deadline.
+// incarnation is fenced. RemoteTimeout bounds the time one attempt spends
+// blocked — in Send and in Await together — so what Send spent is taken
+// off Await's deadline.
 //
 // BytesSent stays the MODEL's payload accounting — lr, entry count, counts,
 // contexts and vectors per attempted request, gradients per success —
@@ -772,60 +675,46 @@ func (w *worker) degradePair(vin []float32, ctx int32, lr float32) {
 // the measured figure, and the CostModel honesty test keeps the two within
 // tolerance.
 func (w *worker) launch(dst int32, f *flight) bool {
-	e := w.e
-	if w.opt.Recovery {
-		if w.fenced.Load() {
-			return false
-		}
-	} else if e.isDead(dst) {
+	if w.fenced.Load() {
 		return false
 	}
+	e := w.e
 	b := &f.b
 	w.bytesSent.Add(8 + 4*uint64(len(b.counts)+len(b.ctxs)+len(b.vecs)))
 	timeout := w.opt.remoteTimeout()
 	start := time.Now()
 	var ok bool
-	f.t, ok = e.tr.Send(w.id, dst, b, timeout, w.abortFor(dst), w.serve)
+	f.t, ok = e.tr.Send(w.id, dst, b, timeout, w.serve)
 	f.left = timeout - time.Since(start)
 	return ok
 }
 
 // await takes the gradients answering owner dst's request in flight,
 // re-sending it after a jittered exponential backoff (serving all the
-// while) each time an attempt ends without a reply. Without recovery: after
-// 1+RemoteRetries attempts, or as soon as the destination is declared (or
-// already known) dead, it gives up and the caller degrades. With recovery:
-// a dead owner is guaranteed to come back (resurrection or takeover), so
-// death is not an abort signal and the attempt budget is unbounded — the
-// only way out besides success is this incarnation itself being fenced,
-// and a fenced incarnation takes no reply at all, so whether its pairs
-// count never depends on when the fence landed. Transports use a fresh
-// request (or request id) per attempt, so a late server answer to an
-// abandoned attempt never blocks the server and never corrupts a newer
-// attempt.
+// while) each time an attempt ends without a reply. A dead owner is
+// guaranteed to come back (resurrection or takeover), so the attempt
+// budget is unbounded — the only way out besides success is this
+// incarnation itself being fenced, and a fenced incarnation takes no reply
+// at all, so whether its pairs count never depends on when the fence
+// landed. Transports use a fresh request (or request id) per attempt, so a
+// late server answer to an abandoned attempt never blocks the server and
+// never corrupts a newer attempt.
 func (w *worker) await(dst int32, f *flight) ([]float32, bool) {
 	e := w.e
-	recovery := w.opt.Recovery
 	for a := 1; ; a++ {
-		if recovery && w.fenced.Load() {
+		if w.fenced.Load() {
 			return nil, false
 		}
 		if f.ok {
-			if grads, ok := e.tr.Await(w.id, dst, f.t, f.left, w.abortFor(dst), w.serve); ok {
+			if grads, ok := e.tr.Await(w.id, dst, f.t, f.left, w.serve); ok {
 				w.bytesSent.Add(4 * uint64(len(grads)))
 				w.remoteCalls.Add(1)
 				return grads, true
 			}
 		}
-		if !recovery && e.isDead(dst) {
-			return nil, false // dead before the attempt started, or died during it
-		}
 		// Deadline fired: the worker is alive and deciding, which counts
 		// as liveness for the watchdog.
 		e.heartbeat[w.id].Add(1)
-		if !recovery && a > w.opt.remoteRetries() {
-			return nil, false
-		}
 		w.retries.Add(1)
 		if !w.backoffWait(a) {
 			return nil, false // fenced while backing off
@@ -834,26 +723,15 @@ func (w *worker) await(dst int32, f *flight) ([]float32, bool) {
 	}
 }
 
-// abortFor is the channel that ends a wait on owner dst early: its death
-// notice without recovery; under recovery nil, which never fires, since a
-// dead owner comes back.
-func (w *worker) abortFor(dst int32) <-chan struct{} {
-	if w.opt.Recovery {
-		return nil
-	}
-	return w.e.deadCh[dst]
-}
-
 // backoffWait sleeps the jittered exponential backoff before retry
 // attempt a (a >= 1), serving this worker's own queue while it waits so
 // backoff can never deadlock the request mesh. Jitter comes from frng so
 // the training stream is untouched. Returns false if the incarnation was
-// fenced while waiting (recovery only).
+// fenced while waiting.
 func (w *worker) backoffWait(a int) bool {
-	recovery := w.opt.Recovery
 	base := w.opt.retryBackoff()
 	if base <= 0 {
-		return !(recovery && w.fenced.Load())
+		return !w.fenced.Load()
 	}
 	shift := a - 1
 	if shift > 6 {
@@ -869,7 +747,7 @@ func (w *worker) backoffWait(a int) bool {
 	defer beat.Stop()
 	inbox := w.e.tr.Inbox(w.id)
 	for {
-		if recovery && w.fenced.Load() {
+		if w.fenced.Load() {
 			return false
 		}
 		select {
