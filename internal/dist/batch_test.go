@@ -14,9 +14,9 @@ import (
 	"sisg/internal/vocab"
 )
 
-// Every pair writes a worker's RNG streams, counters, negative draws and
-// gradient; two workers that write one cache line train no faster than
-// one. Each worker is one padded block — a replacement incarnation's
+// Every pair writes a worker's RNG streams, counters, heartbeat, negative
+// draws and gradient; two workers that write one cache line train no faster
+// than one. Each worker is one padded block — a replacement incarnation's
 // streams are written into it — so no line holds bytes of two workers'
 // state. This trains nothing, so it runs under the race detector too.
 func TestWorkersShareNoCacheLine(t *testing.T) {
@@ -32,6 +32,7 @@ func TestWorkersShareNoCacheLine(t *testing.T) {
 		for _, w := range e.workers {
 			owners = append(owners, []cacheline.Span{
 				cacheline.SpanOf(w), // r, srng, frng and the atomic counters included
+				cacheline.SpanOf(&w.heartbeat),
 				cacheline.SliceSpan(w.negs),
 				cacheline.SliceSpan(w.grad),
 				cacheline.SliceSpan(w.kept[:cap(w.kept)]),
@@ -75,9 +76,9 @@ func TestServeBatchEqualsSequentialCalls(t *testing.T) {
 		return e.workers[1]
 	}
 	call := func(w *worker, b tnsBatch) []float32 {
-		req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
+		req := &tnsReq{tnsBatch: b.clone(), ch: make(chan []float32, 1)}
 		w.serve(req)
-		return <-req.reply
+		return <-req.ch
 	}
 
 	batched, single := server(), server()

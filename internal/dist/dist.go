@@ -59,9 +59,11 @@ type Options struct {
 
 	// Transport selects how TNS requests move between workers: "chan"
 	// (default; the in-process channel mesh) or "tcp" (real loopback
-	// sockets, length-prefixed frames, reconnecting persistent
-	// connections). The training protocol, failure policy and accounting
-	// are transport-independent; see DESIGN.md §5h.
+	// sockets, length-prefixed frames, persistent connections redialed by
+	// the requester; each worker writes its own request and reply frames,
+	// every write and dial bounded by RemoteTimeout). The training
+	// protocol, failure policy and accounting are transport-independent;
+	// see DESIGN.md §5h.
 	Transport string
 
 	// SlowWorker injects a delay per served request on one worker (-1 =
@@ -173,8 +175,8 @@ type WireFaults struct {
 	// server simply serves one more request.
 	DupFraction float64
 	// Severs cut established connections: the From→To link is closed at
-	// From's AtSends-th request on it. The transport redials with
-	// jittered backoff — the scenario every reconnect test is built on.
+	// From's AtSends-th request on it. The link's next request redials —
+	// the scenario every reconnect test is built on.
 	Severs []SeverSpec
 	// Partitions blackhole requests one-way: From's requests to To are
 	// dropped for a window of send counts. Replies travel the opposite

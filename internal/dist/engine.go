@@ -42,13 +42,26 @@ func (b *tnsBatch) clone() tnsBatch {
 	}
 }
 
-// tnsReq is one delivery attempt of a batch. Each attempt has its own
-// 1-buffered reply channel, so a server answering a request its requester
-// already abandoned (deadline expired, incarnation fenced) never blocks. The
-// reply is len(counts) × dim: entry k's summed gradient for in(v_i).
+// tnsReq is one delivery attempt of a batch, answered once through reply.
+// Over chan each attempt has its own 1-buffered reply channel, so a server
+// answering a request its requester already abandoned (deadline expired,
+// incarnation fenced) never blocks; over tcp the reply frame is written to
+// the connection the request came in on. The reply is len(counts) × dim:
+// entry k's summed gradient for in(v_i).
 type tnsReq struct {
 	tnsBatch
-	reply chan []float32
+	ch chan []float32 // chan: the attempt's reply channel
+	in *inConn        // tcp: the connection to answer on
+	id uint64         // tcp: the request id the reply frame carries
+}
+
+// reply answers the request on the goroutine that took it from the inbox.
+func (r *tnsReq) reply(grads []float32) {
+	if r.in != nil {
+		r.in.reply(r.id, grads)
+		return
+	}
+	r.ch <- grads
 }
 
 // Worker lifecycle states, as seen by the health monitor. Only a scanning
@@ -103,16 +116,15 @@ type engine struct {
 	scanDone   chan struct{} // one message per worker when its scan role ends
 	scanTokens atomic.Uint64
 
-	// Health tracking: heartbeat counters sampled by the monitor and dead
-	// flags (cleared when a replacement spawns). everDead is the
-	// cumulative ledger backing Stats.DeadWorkers — a resurrected worker
-	// stays on it.
-	heartbeat []atomic.Uint64
-	state     []atomic.Int32
-	dead      []atomic.Bool
-	everDead  []atomic.Bool
-	stopMon   chan struct{}
-	monWG     sync.WaitGroup
+	// Health tracking: the monitor samples each worker's heartbeat (a field
+	// of the worker, in its padded block) and keeps dead flags (cleared when
+	// a replacement spawns). everDead is the cumulative ledger backing
+	// Stats.DeadWorkers — a resurrected worker stays on it.
+	state    []atomic.Int32
+	dead     []atomic.Bool
+	everDead []atomic.Bool
+	stopMon  chan struct{}
+	monWG    sync.WaitGroup
 
 	// Recovery: the supervisor respawns dead partitions. spawnMu
 	// serializes replacement spawns against shutdown; draining (guarded by
@@ -199,7 +211,6 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 	}
 
 	e.scanDone = make(chan struct{}, w)
-	e.heartbeat = make([]atomic.Uint64, w)
 	e.state = make([]atomic.Int32, w)
 	e.dead = make([]atomic.Bool, w)
 	e.everDead = make([]atomic.Bool, w)
@@ -558,7 +569,7 @@ func (e *engine) recover(id int32) {
 	}
 	e.dead[id].Store(false)
 	e.state[id].Store(stateScanning)
-	e.heartbeat[id].Add(1) // fresh beat: the monitor's stillness clock restarts
+	wk.heartbeat.Add(1) // fresh beat: the monitor's stillness clock restarts
 	e.spawnWorker(wk)
 }
 
@@ -716,7 +727,7 @@ func (e *engine) monitor() {
 					still[i] = 0
 					continue
 				}
-				hb := e.heartbeat[i].Load()
+				hb := e.workers[i].heartbeat.Load()
 				if hb != last[i] {
 					last[i] = hb
 					still[i] = 0

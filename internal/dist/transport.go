@@ -17,9 +17,12 @@ import (
 // returns a ticket, Await redeems it for the reply. The requester scans its
 // next sequence in between, so the peer serves the request while the
 // requester works instead of while it waits. The contract that keeps the
-// mesh deadlock-free is unchanged from the channel days: a worker blocked
+// mesh deadlock-free is unchanged from the channel days: a worker waiting
 // inside Send or Await keeps serving its own inbox via the serve callback,
-// so two workers waiting on each other always make progress. An attempt is
+// so two workers waiting on each other always make progress. A tcp socket
+// call does not wait for a peer worker to act — the peer's transport
+// goroutines read every socket into its inbox — and a deadline bounds it
+// even when that inbox is full. An attempt is
 // ONE delivery — retry, backoff and fencing policy stay in the worker
 // (worker.await), which is what lets the chaos invariants (exact pair
 // accounting, deterministic replay) hold verbatim whatever the wire does
@@ -31,18 +34,23 @@ import (
 type Transport interface {
 	// Inbox returns worker id's request queue. Inboxes are never closed
 	// (a late TCP delivery must never panic on a closed channel); end of
-	// service is signalled by Done instead.
+	// service is signalled by Done instead. Whoever takes a request from an
+	// inbox answers it once, through its reply method, on the goroutine
+	// that took it — over tcp that goroutine writes the reply frame.
 	Inbox(id int32) <-chan *tnsReq
 
 	// Done is closed by CloseInboxes. A worker's final serve loop selects
 	// on Inbox and Done, draining opportunistically after Done closes.
 	Done() <-chan struct{}
 
-	// Send delivers one attempt of a batch from src to dst. It blocks only
-	// while dst's queue is full, serving src's own inbox meanwhile, and
-	// returns (ticket, true) once the request is on its way, (_, false)
-	// when timeout expires first. The batch is the caller's again once
-	// Send returns: the transport ships a copy.
+	// Send delivers one attempt of a batch from src to dst and returns
+	// (ticket, true) once the request is on its way, (_, false) when it
+	// cannot be within timeout. Over chan it blocks only while dst's queue
+	// is full, serving src's own inbox meanwhile; over tcp it writes the
+	// frame itself (dialing first if the link has no connection), each
+	// socket call bounded by timeout, and a failed dial or write fails the
+	// attempt. The batch is the caller's again once Send returns: the
+	// transport ships a copy.
 	Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool)
 
 	// Await returns the gradients (one per entry) answering a ticket Send
@@ -54,8 +62,9 @@ type Transport interface {
 	Await(src, dst int32, t ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool)
 
 	// SendOneWay ships a request whose reply nobody awaits — a duplicate
-	// delivery on the wire. Best-effort: a full queue or broken link drops
-	// it silently. It must never block.
+	// delivery on the wire. Best-effort: a full queue, or a link with no
+	// established connection, drops it silently. It must never block on a
+	// queue or a dial.
 	SendOneWay(src, dst int32, b *tnsBatch)
 
 	// CloseInboxes ends the serve phase by closing Done. Safe to call
@@ -80,12 +89,12 @@ type ticket struct {
 	id    uint64
 }
 
-// deliver puts v on q, serving own while q is full. It returns false when
-// timeout expires first. The common case — room in the queue — costs no
-// timer.
-func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration, serve func(*tnsReq)) bool {
+// deliver puts req on q, serving own while q is full. It returns false
+// when timeout expires first. The common case — room in the queue — costs
+// no timer.
+func deliver(q chan<- *tnsReq, req *tnsReq, own <-chan *tnsReq, timeout time.Duration, serve func(*tnsReq)) bool {
 	select {
-	case q <- v:
+	case q <- req:
 		return true
 	default:
 	}
@@ -93,7 +102,7 @@ func deliver[T any](q chan<- T, v T, own <-chan *tnsReq, timeout time.Duration, 
 	defer timer.Stop()
 	for {
 		select {
-		case q <- v:
+		case q <- req:
 			return true
 		case in := <-own:
 			serve(in)
@@ -173,7 +182,7 @@ func newTransport(opt *Options) (Transport, error) {
 	case "", TransportChan:
 		base = newChanTransport(opt.Workers)
 	case TransportTCP:
-		base, err = newTCPTransport(opt.Workers, opt.Seed)
+		base, err = newTCPTransport(opt.Workers, opt.remoteTimeout())
 		if err != nil {
 			return nil, fmt.Errorf("dist: tcp transport: %w", err)
 		}

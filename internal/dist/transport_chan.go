@@ -33,12 +33,12 @@ func (t *chanTransport) Done() <-chan struct{}         { return t.done }
 // on dst's queue — so a server answering after we abandoned the attempt
 // never blocks and never reads a buffer the requester has since refilled.
 func (t *chanTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
-	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
+	req := &tnsReq{tnsBatch: b.clone(), ch: make(chan []float32, 1)}
 	if !deliver(t.inboxes[dst], req, t.inboxes[src], timeout, serve) {
 		return ticket{}, false
 	}
 	t.frames.Add(1)
-	return ticket{reply: req.reply}, true
+	return ticket{reply: req.ch}, true
 }
 
 func (t *chanTransport) Await(src, dst int32, tk ticket, timeout time.Duration, serve func(*tnsReq)) ([]float32, bool) {
@@ -50,7 +50,7 @@ func (t *chanTransport) Await(src, dst int32, tk ticket, timeout time.Duration, 
 }
 
 func (t *chanTransport) SendOneWay(src, dst int32, b *tnsBatch) {
-	req := &tnsReq{tnsBatch: b.clone(), reply: make(chan []float32, 1)}
+	req := &tnsReq{tnsBatch: b.clone(), ch: make(chan []float32, 1)}
 	select {
 	case t.inboxes[dst] <- req:
 		t.frames.Add(1)

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -10,23 +9,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sisg/internal/rng"
 )
 
-// Timeouts internal to the TCP transport. They bound single socket
-// operations, not the TNS attempt — the attempt's deadline lives in the
-// worker and is passed to Send and Await. readIdle is deliberately short
-// so reader goroutines notice a torn-down transport quickly; a timeout on
-// a frame BOUNDARY is idleness, not failure.
+// Timeouts internal to the TCP transport. A worker's own socket calls are
+// bounded by the attempt's timeout or by RemoteTimeout (Send, inConn.reply),
+// and tcpDialTimeout caps a dial further. The other two bound the reader
+// goroutines: readIdle is short so they notice a torn-down transport
+// quickly (a timeout on a frame BOUNDARY is idleness, not failure), and
+// tcpChunkTimeout is what each chunk of the rest of a frame may take.
 const (
 	tcpDialTimeout  = 250 * time.Millisecond
-	tcpWriteTimeout = 1 * time.Second
 	tcpReadIdle     = 200 * time.Millisecond
-
-	// Reconnect backoff: base × 2^attempt, jittered ±50%, capped at 64×.
-	tcpRedialBase     = 1 * time.Millisecond
-	tcpRedialMaxShift = 6
+	tcpChunkTimeout = 1 * time.Second
 
 	// frameReadChunk bounds how much readFrame allocates ahead of bytes
 	// actually received — the unit of trust extended to a length prefix.
@@ -39,20 +33,25 @@ var errIdleFrame = errors.New("dist: idle between frames")
 
 // tcpTransport runs the TNS mesh over real loopback sockets: one listener
 // per worker, one persistent multiplexed connection per directed (src,dst)
-// pair, dialed lazily and redialed with jittered backoff when severed.
-// Frames are written in batches (everything queued drains through one
-// bufio flush) and demultiplexed by request id on the way back.
+// pair, dialed by the requester on its first Send and again after the
+// connection broke. Replies are demultiplexed by request id on the way back.
 //
-// All socket work happens on transport-owned goroutines (per-link writers
-// and readers, per-connection server handlers); worker goroutines only
-// touch channels, so a stalled or reconnecting link can never stop a
-// worker's heartbeat.
+// Every frame leaves on the goroutine that made it: Send writes its
+// request, and the worker serving an inbox writes each reply to the
+// connection its request came in on. A link's requests come only from its
+// source partition's goroutine and a connection's replies only from the
+// goroutine serving its destination's inbox (incarnations of a partition
+// never overlap), so each socket has one writer by construction and no
+// lock is held around I/O. Every write and dial has a deadline no later
+// than RemoteTimeout, which DeadAfter exceeds. Transport goroutines only
+// accept connections and read frames.
 type tcpTransport struct {
 	inboxes []chan *tnsReq
 	done    chan struct{} // serve phase over (CloseInboxes)
 	closed  chan struct{} // full teardown (Close)
 	closeMu sync.Mutex
 	isDown  bool
+	timeout time.Duration // bounds the writes of replies and one-way frames
 
 	listeners []net.Listener
 	links     [][]*peerLink // [src][dst]; nil on the diagonal
@@ -64,32 +63,31 @@ type tcpTransport struct {
 	lateReplies         atomic.Uint64
 }
 
-// peerLink is one directed client edge src→dst: a frame queue drained by a
-// dedicated writer goroutine, a connection (re)dialed on demand, and the
-// pending table matching reply frames back to the tickets Send issued.
+// peerLink is one directed client edge src→dst: the connection Send writes
+// to, and the pending table matching reply frames back to the tickets Send
+// issued.
 type peerLink struct {
 	t    *tcpTransport
-	addr func() string // dst's listen address (resolved after all listeners bind)
-
-	out chan []byte // encoded frames awaiting the writer
+	addr string // dst's listen address
 
 	connMu sync.Mutex
 	conn   net.Conn
-	bw     *bufio.Writer
 	dialed bool // a connection existed at least once (reconnect accounting)
 
 	nextID  atomic.Uint64
 	pendMu  sync.Mutex
 	pending map[uint64]chan []float32
-
-	backoff *rng.RNG // jitter stream, touched only by the writer goroutine
 }
 
-func newTCPTransport(workers int, seed uint64) (*tcpTransport, error) {
+// newTCPTransport binds one listener per worker. timeout bounds the socket
+// writes a worker makes outside an attempt — replies and one-way frames;
+// the engine passes RemoteTimeout.
+func newTCPTransport(workers int, timeout time.Duration) (*tcpTransport, error) {
 	t := &tcpTransport{
 		inboxes: make([]chan *tnsReq, workers),
 		done:    make(chan struct{}),
 		closed:  make(chan struct{}),
+		timeout: timeout,
 	}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan *tnsReq, 256)
@@ -112,17 +110,11 @@ func newTCPTransport(workers int, seed uint64) (*tcpTransport, error) {
 			if s == d {
 				continue
 			}
-			dst := d
-			l := &peerLink{
+			t.links[s][d] = &peerLink{
 				t:       t,
-				addr:    func() string { return t.listeners[dst].Addr().String() },
-				out:     make(chan []byte, 256),
+				addr:    t.listeners[d].Addr().String(),
 				pending: make(map[uint64]chan []float32),
-				backoff: rng.New(seed ^ (0x2545f4914f6cdd1d * uint64(s*workers+d+1))),
 			}
-			t.links[s][d] = l
-			t.wg.Add(1)
-			go l.writeLoop()
 		}
 	}
 	for i, ln := range t.listeners {
@@ -171,26 +163,35 @@ func (t *tcpTransport) Stats() TransportStats {
 	}
 }
 
-// Sever cuts the established src→dst connection, if any. The link's
-// writer redials with jittered backoff on the next frame; in-flight
-// requests on the old connection are lost and time out at the caller.
+// Sever cuts the established src→dst connection, if any. The link's next
+// Send redials; in-flight requests on the old connection are lost and time
+// out at the caller.
 func (t *tcpTransport) Sever(src, dst int32) {
 	if l := t.links[src][dst]; l != nil {
 		l.dropConn(nil)
 	}
 }
 
-// Send registers a reply slot and queues the encoded request for the link
-// writer, serving src's own inbox while the queue is full. The frame is
-// encoded up front: it is the copy of the batch the Transport contract asks
-// for.
-func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, serve func(*tnsReq)) (ticket, bool) {
+// Send writes the encoded request — the copy of the batch the Transport
+// contract asks for — to the link's connection, dialing it first if the
+// link has none. Dial and write are bounded by timeout; either failing
+// fails the attempt, and worker.await retries it after a backoff. The reply
+// slot is registered before the write, since the reply may come back
+// before the write returns.
+func (t *tcpTransport) Send(src, dst int32, b *tnsBatch, timeout time.Duration, _ func(*tnsReq)) (ticket, bool) {
 	l := t.links[src][dst]
+	conn := l.current()
+	if conn == nil {
+		if conn = l.dial(timeout); conn == nil {
+			return ticket{}, false
+		}
+	}
 	tk := ticket{reply: make(chan []float32, 1), id: l.nextID.Add(1)}
 	l.pendMu.Lock()
 	l.pending[tk.id] = tk.reply
 	l.pendMu.Unlock()
-	if !deliver(l.out, encodeReq(tk.id, b), t.inboxes[src], timeout, serve) {
+	if !t.write(conn, encodeReq(tk.id, b), timeout) {
+		l.dropConn(conn)
 		l.forget(tk.id)
 		return ticket{}, false
 	}
@@ -214,104 +215,65 @@ func (l *peerLink) forget(id uint64) {
 	l.pendMu.Unlock()
 }
 
+// SendOneWay writes the frame on the link's established connection and
+// never dials: a link with no connection drops it. The id is never
+// registered in pending, so the reply — if one comes back — is discarded
+// as late.
 func (t *tcpTransport) SendOneWay(src, dst int32, b *tnsBatch) {
 	l := t.links[src][dst]
-	// The id is never registered in pending, so the reply — if one comes
-	// back — is discarded as late. Best-effort: a full writer queue drops
-	// the frame rather than block the caller.
-	frame := encodeReq(l.nextID.Add(1), b)
-	select {
-	case l.out <- frame:
-	default:
-	}
-}
-
-// writeLoop drains the link's frame queue onto the connection. One frame
-// wakes it; everything queued behind rides the same bufio flush — the
-// write batching that keeps a 256-deep retry burst to a handful of
-// syscalls.
-func (l *peerLink) writeLoop() {
-	defer l.t.wg.Done()
-	for {
-		select {
-		case <-l.t.closed:
-			return
-		case frame := <-l.out:
-			l.writeBatch(frame)
-		}
-	}
-}
-
-func (l *peerLink) writeBatch(frame []byte) {
-	conn, bw := l.ensureConn()
-	if conn == nil {
-		return // transport closed mid-dial; the frame is lost, the caller's deadline covers it
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {
+	if conn := l.current(); conn != nil && !t.write(conn, encodeReq(l.nextID.Add(1), b), t.timeout) {
 		l.dropConn(conn)
-		return
-	}
-	for {
-		if _, err := bw.Write(frame); err != nil {
-			l.dropConn(conn)
-			return
-		}
-		l.t.framesOut.Add(1)
-		l.t.bytesOut.Add(uint64(len(frame)))
-		select {
-		case frame = <-l.out:
-		default:
-			if err := bw.Flush(); err != nil {
-				l.dropConn(conn)
-			}
-			return
-		}
 	}
 }
 
-// ensureConn returns the link's live connection, dialing (and redialing,
-// with seeded jittered exponential backoff) until it has one or the
-// transport closes. Runs only on the writer goroutine.
-func (l *peerLink) ensureConn() (net.Conn, *bufio.Writer) {
+// write puts one whole frame on conn within timeout and counts it. A
+// failed write may have left part of the frame on the stream, so the
+// caller must give the connection up.
+func (t *tcpTransport) write(conn net.Conn, frame []byte, timeout time.Duration) bool {
+	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+		return false
+	}
+	if _, err := conn.Write(frame); err != nil {
+		return false
+	}
+	t.framesOut.Add(1)
+	t.bytesOut.Add(uint64(len(frame)))
+	return true
+}
+
+// current returns the link's live connection, or nil.
+func (l *peerLink) current() net.Conn {
 	l.connMu.Lock()
-	if l.conn != nil {
-		c, bw := l.conn, l.bw
-		l.connMu.Unlock()
-		return c, bw
+	defer l.connMu.Unlock()
+	return l.conn
+}
+
+// dial connects the link, bounded by timeout and tcpDialTimeout, and starts
+// its reply reader. A loopback connect completes in the kernel, so this
+// costs the requester one syscall round, not a wait on the peer. It returns
+// nil if the dial fails or the transport is closing.
+func (l *peerLink) dial(timeout time.Duration) net.Conn {
+	c, err := net.DialTimeout("tcp", l.addr, min(timeout, tcpDialTimeout))
+	if err != nil {
+		return nil
 	}
-	l.connMu.Unlock()
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-l.t.closed:
-			return nil, nil
-		default:
-		}
-		c, err := net.DialTimeout("tcp", l.addr(), tcpDialTimeout)
-		if err == nil {
-			bw := bufio.NewWriter(c)
-			l.connMu.Lock()
-			l.conn, l.bw = c, bw
-			if l.dialed {
-				l.t.reconnects.Add(1)
-			}
-			l.dialed = true
-			l.connMu.Unlock()
-			l.t.dials.Add(1)
-			l.t.wg.Add(1)
-			go l.readLoop(c)
-			return c, bw
-		}
-		shift := attempt
-		if shift > tcpRedialMaxShift {
-			shift = tcpRedialMaxShift
-		}
-		d := time.Duration(float64(tcpRedialBase<<shift) * (0.5 + l.backoff.Float64()))
-		select {
-		case <-l.t.closed:
-			return nil, nil
-		case <-time.After(d):
-		}
+	l.connMu.Lock()
+	defer l.connMu.Unlock()
+	// Checked under connMu, which Close's dropConn takes after closing
+	// t.closed: either Close sees this connection or this sees Close.
+	if l.t.closing() {
+		_ = c.Close() // never used (error deliberately dropped)
+		return nil
 	}
+	l.conn = c
+	if l.dialed {
+		l.t.reconnects.Add(1)
+	}
+	l.dialed = true
+	l.t.dials.Add(1)
+	l.t.wg.Add(1)
+	go l.readLoop(c)
+	return c
 }
 
 // dropConn detaches and closes a connection. With c == nil it drops
@@ -324,7 +286,7 @@ func (l *peerLink) dropConn(c net.Conn) {
 	if c != nil && victim != c {
 		victim = c // stale: close it, but leave the current connection alone
 	} else {
-		l.conn, l.bw = nil, nil
+		l.conn = nil
 	}
 	l.connMu.Unlock()
 	if victim != nil {
@@ -334,7 +296,7 @@ func (l *peerLink) dropConn(c net.Conn) {
 
 // readLoop demultiplexes reply frames off one client connection into the
 // pending table. It exits when the connection breaks (severed, peer gone,
-// transport closed); the writer's next ensureConn starts a fresh one.
+// transport closed); the link's next Send dials a fresh one.
 func (l *peerLink) readLoop(conn net.Conn) {
 	defer l.t.wg.Done()
 	for {
@@ -381,7 +343,7 @@ func (t *tcpTransport) closing() bool {
 }
 
 // acceptLoop owns worker id's listener: every inbound connection gets its
-// own handler goroutine.
+// own reader goroutine.
 func (t *tcpTransport) acceptLoop(id int32, ln net.Listener) {
 	defer t.wg.Done()
 	for {
@@ -394,16 +356,15 @@ func (t *tcpTransport) acceptLoop(id int32, ln net.Listener) {
 	}
 }
 
-// serveConn is the server half of one connection: decode a request,
-// deliver it to the worker's inbox, await the gradients and write the
-// reply. Replies are flushed per request — the server cannot know when
-// the next request comes, and a parked reply is a stalled caller.
+// serveConn reads the requests of one inbound connection and delivers them
+// to the worker's inbox; it does not wait for their replies, which the
+// serving worker writes back through inConn.
 func (t *tcpTransport) serveConn(dst int32, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
 		_ = conn.Close() // teardown of a connection that may already be broken (error deliberately dropped)
 	}()
-	bw := bufio.NewWriter(conn)
+	in := &inConn{t: t, conn: conn}
 	for {
 		payload, err := readFrame(conn)
 		if err != nil {
@@ -421,32 +382,30 @@ func (t *tcpTransport) serveConn(dst int32, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		req := &tnsReq{tnsBatch: batch, reply: make(chan []float32, 1)}
 		select {
-		case t.inboxes[dst] <- req:
+		case t.inboxes[dst] <- &tnsReq{tnsBatch: batch, in: in, id: id}:
 		case <-t.done:
-			continue // serve phase over: the request is dropped, not replied to
+			// Serve phase over: the request is dropped, not replied to.
 		case <-t.closed:
 			return
 		}
-		var grads []float32
-		select {
-		case grads = <-req.reply:
-		case <-t.closed:
-			return // the worker will never answer (teardown); drop the connection
-		}
-		resp := encodeResp(id, grads)
-		if err := conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {
-			return
-		}
-		if _, err := bw.Write(resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		t.framesOut.Add(1)
-		t.bytesOut.Add(uint64(len(resp)))
+	}
+}
+
+// inConn is the server half of one connection, as a request delivered
+// from it carries it: where its reply goes.
+type inConn struct {
+	t    *tcpTransport
+	conn net.Conn
+}
+
+// reply writes one reply frame. Only the goroutine serving the owner's
+// inbox calls it, so the connection's replies have one writer. A failed
+// write ends the connection rather than leave a partial frame on it: the
+// requester's reader sees the stream close and its Await times out.
+func (c *inConn) reply(id uint64, grads []float32) {
+	if !c.t.write(c.conn, encodeResp(id, grads), c.t.timeout) {
+		_ = c.conn.Close() // the stream is unusable either way (error deliberately dropped)
 	}
 }
 
@@ -478,7 +437,7 @@ func readFrame(conn net.Conn) ([]byte, error) {
 	buf := make([]byte, 0, min(int(size), frameReadChunk))
 	for len(buf) < int(size) {
 		n := min(int(size)-len(buf), frameReadChunk)
-		if err := conn.SetReadDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(tcpChunkTimeout)); err != nil {
 			return nil, err
 		}
 		off := len(buf)

@@ -127,12 +127,12 @@ func drainInbox(tr Transport, id int32, f func(*tnsReq) []float32) chan struct{}
 		for {
 			select {
 			case req := <-inbox:
-				req.reply <- f(req)
+				req.reply(f(req))
 			case <-done:
 				for {
 					select {
 					case req := <-inbox:
-						req.reply <- f(req)
+						req.reply(f(req))
 					default:
 						return
 					}
@@ -141,6 +141,51 @@ func drainInbox(tr Transport, id int32, f func(*tnsReq) []float32) chan struct{}
 		}
 	}()
 	return stop
+}
+
+// A tcp frame leaves on the goroutine that made it: once Send returns true
+// the request has been written and counted, once the serving side's reply
+// method returns the reply has, and SendOneWay writes on an established
+// connection but never dials one. Nothing here waits on a clock — every
+// figure is read right after the call that must have produced it.
+func TestTCPFramesLeaveOnTheGoroutineThatMadeThem(t *testing.T) {
+	tr, err := newTCPTransport(2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	noServe := func(*tnsReq) { t.Error("worker 0 was handed a request; nobody sends it any") }
+	b := tnsBatch{lr: 0.5, counts: []int32{2}, ctxs: []int32{3, 4}, vecs: []float32{1, 2, 3}}
+	grads := []float32{7, 8, 9}
+	reqBytes := uint64(len(encodeReq(1, &b)))
+	respBytes := uint64(len(encodeResp(1, grads)))
+	want := func(when string, frames, bytes, dials uint64) {
+		t.Helper()
+		if st := tr.Stats(); st.FramesSent != frames || st.BytesSent != bytes || st.Dials != dials {
+			t.Fatalf("%s: %d frames, %d B sent, %d dials; want %d, %d, %d",
+				when, st.FramesSent, st.BytesSent, st.Dials, frames, bytes, dials)
+		}
+	}
+
+	tr.SendOneWay(0, 1, &b)
+	want("one-way frame on an undialed link", 0, 0, 0)
+
+	tk, ok := tr.Send(0, 1, &b, 5*time.Second, noServe)
+	if !ok {
+		t.Fatal("Send failed on a fresh loopback link")
+	}
+	want("Send returned", 1, reqBytes, 1)
+
+	req := <-tr.Inbox(1)
+	req.reply(grads)
+	want("reply returned", 2, reqBytes+respBytes, 1)
+	got, ok := tr.Await(0, 1, tk, 5*time.Second, noServe)
+	if !ok || !sameBits(got, grads) {
+		t.Fatalf("Await = %v, %v; want %v", got, ok, grads)
+	}
+
+	tr.SendOneWay(0, 1, &b)
+	want("one-way frame on the established link", 3, 2*reqBytes+respBytes, 1)
 }
 
 // The wire must not alter payloads: a seeded workload of batches pushed
@@ -153,7 +198,7 @@ func TestTransportPayloadBitIdentity(t *testing.T) {
 		case TransportChan:
 			return newChanTransport(2)
 		default:
-			tr, err := newTCPTransport(2, 42)
+			tr, err := newTCPTransport(2, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,6 +75,10 @@ type worker struct {
 	// which keeps a false-positive death from ever producing two live
 	// incarnations of one partition. gone is closed when the incarnation's
 	// goroutine fully exits; the supervisor waits on it before respawning.
+	// heartbeat is bumped on every pair, scanned sequence, served request
+	// and retry decision; the monitor samples it. It lives in the worker's
+	// block because it is written as often as the pair counters.
+	heartbeat   atomic.Uint64
 	fenced      atomic.Bool
 	gone        chan struct{}
 	cursor      atomic.Uint64
@@ -369,7 +373,7 @@ func (w *worker) scanSequence(seq []int32) {
 	defer w.endSequence()
 	// Scanning itself is liveness, even when this worker ends up training
 	// no pair in the sequence (it may own nothing in this region).
-	e.heartbeat[w.id].Add(1)
+	w.heartbeat.Add(1)
 	kept := w.kept[:0]
 	for _, t := range seq {
 		if e.keep != nil && w.r.Float32() >= e.keep[t] {
@@ -475,7 +479,7 @@ func (w *worker) trainPair(vi, vj int32, i int) {
 		w.stallIdx++
 		time.Sleep(d)
 	}
-	e.heartbeat[w.id].Add(1)
+	w.heartbeat.Add(1)
 	w.pairs.Add(1)
 	if w.replacement {
 		w.recoveredPairs.Add(1)
@@ -714,7 +718,7 @@ func (w *worker) await(dst int32, f *flight) ([]float32, bool) {
 		}
 		// Deadline fired: the worker is alive and deciding, which counts
 		// as liveness for the watchdog.
-		e.heartbeat[w.id].Add(1)
+		w.heartbeat.Add(1)
 		w.retries.Add(1)
 		if !w.backoffWait(a) {
 			return nil, false // fenced while backing off
@@ -754,7 +758,7 @@ func (w *worker) backoffWait(a int) bool {
 		case in := <-inbox:
 			w.serve(in)
 		case <-beat.C:
-			w.e.heartbeat[w.id].Add(1)
+			w.heartbeat.Add(1)
 		case <-timer.C:
 			return true
 		}
@@ -769,7 +773,7 @@ func (w *worker) serve(req *tnsReq) {
 	if w.opt.SlowWorker == int(w.id) && w.opt.SlowWorkerDelay > 0 {
 		time.Sleep(w.opt.SlowWorkerDelay)
 	}
-	w.e.heartbeat[w.id].Add(1)
+	w.heartbeat.Add(1)
 	w.servedPairs.Add(uint64(len(req.ctxs)))
 	dim := w.opt.Dim
 	grads := make([]float32, len(req.vecs))
@@ -783,7 +787,7 @@ func (w *worker) serve(req *tnsReq) {
 		}
 		ctxs = ctxs[n:]
 	}
-	req.reply <- grads
+	req.reply(grads)
 }
 
 // maybeServe opportunistically drains the inbox between sequences so a
