@@ -12,6 +12,7 @@ import (
 	"sisg/internal/eges"
 	"sisg/internal/emb"
 	"sisg/internal/graph"
+	"sisg/internal/race"
 	"sisg/internal/sgns"
 	"sisg/internal/sisg"
 )
@@ -84,6 +85,54 @@ func TestSingleWorkerModelsBytePinned(t *testing.T) {
 		}
 		if got, want := matrixSum(m.In, m.Out), uint64(0xc5834acde4067f86); got != want {
 			t.Errorf("eges.Train W=1 model sum %#x, want %#x", got, want)
+		}
+	})
+}
+
+// The one-worker sums cannot see how two workers split the work: Hogwild's
+// shards or dist's ownership filter. Both trainers' pair accounting is
+// deterministic at two workers — only per-worker RNG streams drive the
+// scan — so it is pinned on the same corpus, with counts recorded before
+// the trainers shared one walk.
+func TestTwoWorkerPairAccountingPinned(t *testing.T) {
+	cfg := corpus.Tiny()
+	cfg.NumSessions = 900
+	ds, err := corpus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := sisg.Enrich(ds.Dict, ds.Sessions, sisg.VariantSISGFUD)
+
+	t.Run("sgns", func(t *testing.T) {
+		if race.Enabled {
+			t.Skip("Hogwild at two workers is racy by design")
+		}
+		o := sisg.TrainOptions(sgns.Defaults(), sisg.VariantSISGFUD, 3)
+		o.Epochs, o.Workers = 1, 2
+		_, st, err := sgns.Train(ds.Dict.Dict, seqs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3]uint64{st.Pairs, st.Updates, st.Tokens}
+		if want := [3]uint64{141061, 846366, 46431}; got != want {
+			t.Errorf("sgns.Train W=2 pairs, updates, tokens %v, want %v", got, want)
+		}
+	})
+	t.Run("dist", func(t *testing.T) {
+		part, _, err := dist.PartitionForDataset(ds, ds.Sessions, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := dist.DefaultOptions(2)
+		o.Options = sisg.TrainOptions(o.Options, sisg.VariantSISGFUD, 3)
+		o.Epochs, o.HotTopK = 1, 64
+		_, st, err := dist.Train(ds.Dict.Dict, seqs, part, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]uint64{st.Pairs, st.LocalPairs, st.RemotePairs, st.RemoteCalls}
+		if want := [4]uint64{141176, 120905, 20271, 1447}; got != want {
+			t.Errorf("dist.Train W=2 over chan pairs, local, remote, calls %v, want %v", got, want)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"sisg/internal/emb"
 	"sisg/internal/graph"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vocab"
 )
 
@@ -104,6 +104,7 @@ type engine struct {
 	hotOut [][]float32
 
 	counts      []uint64
+	noiseW      []float64 // count^NoiseAlpha per token
 	keep        []float32
 	totalTokens uint64 // corpus tokens × epochs (per worker scan)
 	maxLen      int    // longest sequence, in tokens
@@ -184,8 +185,9 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 		e.totalTokens = 1
 	}
 	if opt.SubsampleT > 0 {
-		e.keep = subsampleKeep(dict, e.counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		e.keep = sgns.KeepProbs(dict, e.counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
 	}
+	e.noiseW = sgns.NoiseWeights(e.counts, opt.NoiseAlpha)
 
 	// Hot set Q (§III-C step 4).
 	e.hotIdx = make([]int32, dict.Len())
@@ -324,10 +326,8 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 	return e, nil
 }
 
-// checkpointBlockSeqs mirrors the sgns trainer's block granularity: a
-// snapshot can only be cut at a block barrier, so CheckpointEvery is a
-// lower bound on the pair gap between snapshots.
-const checkpointBlockSeqs = 512
+// checkpointBlockSeqs is the sgns trainer's block granularity.
+const checkpointBlockSeqs = sgns.CheckpointBlockSeqs
 
 // workerCounterLen is the per-worker slot count in a snapshot's Counters
 // (see worker.saveCounters). Recovery state (recovered pairs, restarts,
@@ -393,26 +393,6 @@ func selectHot(counts []uint64, threshold uint64, topK int) []int32 {
 		out[i] = b.t
 	}
 	return out
-}
-
-func subsampleKeep(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost float64) []float32 {
-	p := make([]float32, len(counts))
-	for i := range counts {
-		if counts[i] == 0 || total == 0 {
-			p[i] = 1
-			continue
-		}
-		f := float64(counts[i]) / float64(total)
-		keep := math.Sqrt(t/f) + t/f
-		if keep > 1 {
-			keep = 1
-		}
-		if dict.KindOf(int32(i)) != vocab.KindItem {
-			keep *= siBoost
-		}
-		p[i] = float32(keep)
-	}
-	return p
 }
 
 // run starts the workers and the health monitor, orchestrates checkpoint
@@ -846,7 +826,7 @@ func (e *engine) noiseFor(id int) (*alias.Table, []int32, error) {
 			continue
 		}
 		if e.owner[t] == int32(id) || e.hotIdx[t] >= 0 {
-			w := math.Pow(float64(e.counts[t]), e.opt.NoiseAlpha)
+			w := e.noiseW[t]
 			if e.hotIdx[t] >= 0 {
 				w /= float64(e.opt.Workers)
 			}

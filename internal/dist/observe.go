@@ -56,14 +56,9 @@ func (e *engine) liveRecovery() (restarts, takeovers, recovered uint64) {
 }
 
 // liveLR recomputes the current decayed learning rate from the shared scan
-// counter — the same formula every worker applies in scanSequence.
+// counter — the rate every worker applies in scanSequence.
 func (e *engine) liveLR() float32 {
-	done := e.scanTokens.Load()
-	f := 1 - float32(float64(done)/float64(e.totalTokens*uint64(e.opt.Workers)))
-	if f < e.opt.MinLRFrac {
-		f = e.opt.MinLRFrac
-	}
-	return e.opt.LR * f
+	return sgns.DecayLR(e.opt.LR, e.opt.MinLRFrac, e.scanTokens.Load(), e.totalTokens*uint64(e.opt.Workers))
 }
 
 // registerMetrics mirrors the engine's counters into the registry as

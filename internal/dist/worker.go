@@ -8,6 +8,7 @@ import (
 	"sisg/internal/alias"
 	"sisg/internal/cacheline"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 )
 
@@ -25,6 +26,7 @@ type worker struct {
 
 	noise       *alias.Table
 	noiseTokens []int32
+	walk        sgns.Walk
 
 	// Hot replicas and the base values used for delta synchronization.
 	hotIn, hotOut         [][]float32
@@ -120,6 +122,7 @@ func newWorker(e *engine, id int, r *rng.RNG) (*worker, error) {
 	w, ints, floats := cacheline.Alloc[worker](n+e.maxLen, e.opt.Dim)
 	*w = worker{
 		e: e, id: int32(id), r: *r, opt: &e.opt,
+		walk: sgns.NewWalk(e.opt.Window, e.opt.Stride, e.opt.Directed),
 		grad: floats,
 		kept: ints[n:n],
 		negs: ints[:n:n],
@@ -360,7 +363,7 @@ serving:
 	e.state[w.id].Store(stateScanning)
 }
 
-// scanSequence subsamples, then walks the windows. Every worker scans every
+// scanSequence walks one sequence (sgns's walk). Every worker scans every
 // sequence with its own RNG; a pair is trained only by its processor, so
 // each pair is handled exactly once per scanning worker that owns it
 // (Algorithm 1: "If v_i is not managed by Worker A, the pair is ignored").
@@ -369,38 +372,12 @@ serving:
 // previous sequence's replies are settled (endSequence).
 func (w *worker) scanSequence(seq []int32) {
 	e := w.e
-	opt := w.opt
 	defer w.endSequence()
 	// Scanning itself is liveness, even when this worker ends up training
 	// no pair in the sequence (it may own nothing in this region).
 	w.heartbeat.Add(1)
-	kept := w.kept[:0]
-	for _, t := range seq {
-		if e.keep != nil && w.r.Float32() >= e.keep[t] {
-			continue
-		}
-		kept = append(kept, t)
-	}
-	w.kept = kept
-	done := e.scanTokens.Add(uint64(len(seq)))
-	f := 1 - float32(float64(done)/float64(e.totalTokens*uint64(opt.Workers)))
-	if f < opt.MinLRFrac {
-		f = opt.MinLRFrac
-	}
-	w.lr = opt.LR * f
-	if len(kept) < 2 {
-		w.maybeServe()
-		return
-	}
-
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
+	kept := sgns.Subsample(w.kept, seq, e.keep, &w.r)
+	w.lr = sgns.DecayLR(w.opt.LR, w.opt.MinLRFrac, e.scanTokens.Add(uint64(len(seq))), e.totalTokens*uint64(w.opt.Workers))
 	for i := range kept {
 		if w.stopped() {
 			return
@@ -408,26 +385,14 @@ func (w *worker) scanSequence(seq []int32) {
 		// Serve pending peer requests between window centers so a remote
 		// caller is never stalled behind this worker's whole scan.
 		w.maybeServe()
-		win := stride * (1 + w.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
+		lo, hi := w.walk.Span(&w.r, i, len(kept))
 		for j := lo; j <= hi; j++ {
-			if j == i {
+			// Someone else's pair is skipped; if its processor is dead,
+			// the replacement retrains it from its cursor.
+			if j == i || w.processor(kept[i], kept[j]) != w.id {
 				continue
 			}
-			vi, vj := kept[i], kept[j]
-			if w.processor(vi, vj) != w.id {
-				// Someone else's pair; if its processor is dead, the
-				// replacement retrains it from its cursor.
-				continue
-			}
-			w.trainPair(vi, vj, i)
+			w.trainPair(kept[i], kept[j], i)
 			if w.stopped() {
 				return
 			}

@@ -23,6 +23,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sisg/internal/alias"
@@ -31,6 +32,7 @@ import (
 	"sisg/internal/emb"
 	"sisg/internal/knn"
 	"sisg/internal/rng"
+	"sisg/internal/sgns"
 	"sisg/internal/vecmath"
 )
 
@@ -165,13 +167,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 		}
 		totalTokens += uint64(len(w))
 	}
-	weights := make([]float64, numItems)
-	for i, c := range counts {
-		if c > 0 {
-			weights[i] = math.Pow(float64(c), opt.NoiseAlpha)
-		}
-	}
-	noise, err := alias.New(weights)
+	noise, err := alias.New(sgns.NoiseWeights(counts, opt.NoiseAlpha))
 	if err != nil {
 		return nil, fmt.Errorf("eges: noise distribution: %w", err)
 	}
@@ -187,36 +183,23 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	var pairsTotal sync.Mutex
-	var pairsSum uint64
-	var doneTokens uint64
-	var doneMu sync.Mutex
+	var doneTokens, pairs atomic.Uint64
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(shard int, st *trainerState) {
 			defer wg.Done()
 			for ep := 0; ep < opt.Epochs; ep++ {
 				for i := shard; i < len(walks); i += workers {
-					doneMu.Lock()
-					doneTokens += uint64(len(walks[i]))
-					done := doneTokens
-					doneMu.Unlock()
-					f := 1 - float32(float64(done)/float64(total))
-					if f < opt.MinLRFrac {
-						f = opt.MinLRFrac
-					}
-					st.lr = opt.LR * f
+					st.lr = sgns.DecayLR(opt.LR, opt.MinLRFrac, doneTokens.Add(uint64(len(walks[i]))), total)
 					st.trainWalk(walks[i])
 				}
 			}
-			pairsTotal.Lock()
-			pairsSum += st.pairs
-			pairsTotal.Unlock()
+			pairs.Add(st.pairs)
 		}(wk, newTrainerState(m, &opt, noise, master.Split()))
 	}
 	wg.Wait()
 
-	m.Stats = Stats{Walks: len(walks), Pairs: pairsSum, Elapsed: time.Since(start)}
+	m.Stats = Stats{Walks: len(walks), Pairs: pairs.Load(), Elapsed: time.Since(start)}
 	m.materializeH()
 	return m, nil
 }
@@ -224,6 +207,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 type trainerState struct {
 	m     *Model
 	opt   *Options
+	walk  sgns.Walk
 	r     rng.RNG
 	noise *alias.Table
 	h     []float32 // aggregated input embedding H_i
@@ -243,6 +227,8 @@ func newTrainerState(m *Model, opt *Options, noise *alias.Table, r *rng.RNG) *tr
 	st, negs, f := cacheline.Alloc[trainerState](opt.Negatives, na+2*opt.Dim)
 	*st = trainerState{
 		m: m, opt: opt, r: *r, noise: noise,
+		// Walks are already a sample: stride 1, both sides, no subsampling.
+		walk: sgns.NewWalk(opt.Window, 1, false),
 		alph: f[:na:na],
 		h:    f[na : na+opt.Dim : na+opt.Dim],
 		dh:   f[na+opt.Dim:],
@@ -275,45 +261,22 @@ func (st *trainerState) aggregate(item int32) {
 }
 
 func (st *trainerState) trainWalk(walk []int32) {
-	opt := st.opt
 	for i := range walk {
-		win := 1 + st.r.Intn(opt.Window)
-		lo, hi := i-win, i+win
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(walk) {
-			hi = len(walk) - 1
-		}
+		lo, hi := st.walk.Span(&st.r, i, len(walk))
 		for j := lo; j <= hi; j++ {
-			if j == i {
-				continue
+			if j != i {
+				st.trainPair(walk[i], walk[j])
 			}
-			st.trainPair(walk[i], walk[j])
 		}
 	}
 }
 
-// trainPair applies one EGES update for (target item i, context item c).
+// trainPair applies one EGES update for (target item i, context item c):
+// sgns's pair update with v = H_i and grad = dH_i, then dH_i backpropagated.
 func (st *trainerState) trainPair(item, ctx int32) {
 	m := st.m
 	st.aggregate(item)
-	vecmath.Zero(st.dh)
-
-	// Negatives are drawn and prefetched before any step, then stepped in
-	// draw order (see sgns's trainPair): same draws, same model.
-	for n := range st.negs {
-		t := int32(st.noise.Sample(&st.r))
-		st.negs[n] = t
-		vecmath.Prefetch(m.Out.Row(t))
-	}
-	vecmath.PairStep(st.h, m.Out.Row(ctx), st.dh, 1, st.lr)
-	for _, t := range st.negs {
-		if t == ctx {
-			continue
-		}
-		vecmath.PairStep(st.h, m.Out.Row(t), st.dh, 0, st.lr)
-	}
+	sgns.TrainPair(m.Out, st.noise, &st.r, st.negs, st.h, st.dh, ctx, st.lr)
 
 	// Backprop dh into the item vector, SI vectors and attention logits:
 	// H = Σ α_j W_j ⇒ ∂L/∂W_j = α_j·dh, ∂L/∂a_j = α_j(dh·W_j − dh·H).

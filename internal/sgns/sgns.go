@@ -19,7 +19,6 @@ package sgns
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -242,13 +241,13 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		maxLen = max(maxLen, len(s))
 	}
 
-	noise, err := alias.New(noiseWeights(counts, opt.NoiseAlpha))
+	noise, err := alias.New(NoiseWeights(counts, opt.NoiseAlpha))
 	if err != nil {
 		return Stats{}, fmt.Errorf("sgns: noise distribution: %w", err)
 	}
 	var keep []float32
 	if opt.SubsampleT > 0 {
-		keep = subsampleKeepProbs(dict, counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		keep = KeepProbs(dict, counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
 	}
 
 	// Linear LR decay over the estimated total number of consumed tokens.
@@ -276,8 +275,8 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	// below degenerates to the classic barrier-free Hogwild schedule.
 	ckptOn := opt.CheckpointDir != "" && opt.CheckpointEvery > 0
 	blockSize := len(seqs)
-	if ckptOn && blockSize > checkpointBlockSeqs {
-		blockSize = checkpointBlockSeqs
+	if ckptOn && blockSize > CheckpointBlockSeqs {
+		blockSize = CheckpointBlockSeqs
 	}
 	if blockSize < 1 {
 		blockSize = 1
@@ -324,7 +323,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		stop := StartProgress(opt.Progress, opt.ProgressEvery, opt.Epochs, totalTokens,
 			func() (int, uint64, uint64, float32) {
 				d := doneTokens.Load()
-				return int(curEpoch.Load()), pairs.Load(), d, decayLR(opt.LR, opt.MinLRFrac, d, totalTokens)
+				return int(curEpoch.Load()), pairs.Load(), d, DecayLR(opt.LR, opt.MinLRFrac, d, totalTokens)
 			})
 		defer stop() // emits the final Done snapshot, on error paths too
 	}
@@ -359,8 +358,8 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 					for i := first; i < hi; i += workers {
 						ws.trainSequence(seqs[i], &doneTokens, totalTokens)
 						pairs.Add(ws.pairs)
-						updates.Add(ws.updates)
-						ws.pairs, ws.updates = 0, 0
+						updates.Add(ws.pairs * uint64(1+opt.Negatives))
+						ws.pairs = 0
 					}
 				}(w, states[w])
 			}
@@ -396,7 +395,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	for w, ws := range states {
 		st.Busy[w] = ws.busy
 	}
-	st.FinalLR = decayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
+	st.FinalLR = DecayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
 	return st, nil
 }
 
@@ -408,11 +407,11 @@ var checkpointCrashHook func(epoch, block int) bool
 
 var errCrashHook = errors.New("sgns: crashed by test hook")
 
-// checkpointBlockSeqs is the sequence-block granularity used when
-// checkpointing is enabled: a snapshot can be cut only at a block barrier,
-// so CheckpointEvery is a lower bound on the pair gap between snapshots,
-// not an exact cadence.
-const checkpointBlockSeqs = 512
+// CheckpointBlockSeqs is the sequence-block granularity used when
+// checkpointing is enabled, here and in dist: a snapshot can be cut only at
+// a block barrier, so CheckpointEvery is a lower bound on the pair gap
+// between snapshots, not an exact cadence.
+const CheckpointBlockSeqs = 512
 
 // saveCheckpoint cuts a snapshot at a block barrier (no shard goroutines
 // running, so the model and counters are a consistent view).
@@ -431,63 +430,20 @@ func saveCheckpoint(dir string, fp uint64, epoch, block int, states []*workerSta
 	})
 }
 
-// noiseWeights returns count^alpha per token (P_noise(v) ∝ freq(v)^α,
-// §III-C); zero-count tokens get zero weight and are never drawn.
-func noiseWeights(counts []uint64, alpha float64) []float64 {
-	w := make([]float64, len(counts))
-	for i, c := range counts {
-		if c > 0 {
-			w[i] = math.Pow(float64(c), alpha)
-		}
-	}
-	return w
-}
-
-// subsampleKeepProbs computes Mikolov keep probabilities over the training
-// corpus counts, multiplying non-item tokens by siBoost (the paper's
-// "aggressive" SI downsampling).
-func subsampleKeepProbs(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost float64) []float32 {
-	p := make([]float32, len(counts))
-	for i := range counts {
-		if counts[i] == 0 || total == 0 {
-			p[i] = 1
-			continue
-		}
-		f := float64(counts[i]) / float64(total)
-		keep := math.Sqrt(t/f) + t/f
-		if keep > 1 {
-			keep = 1
-		}
-		if dict.KindOf(int32(i)) != vocab.KindItem {
-			keep *= siBoost
-		}
-		p[i] = float32(keep)
-	}
-	return p
-}
-
-func decayLR(lr0, minFrac float32, done, total uint64) float32 {
-	f := 1 - float32(float64(done)/float64(total))
-	if f < minFrac {
-		f = minFrac
-	}
-	return lr0 * f
-}
-
 // workerState is one Hogwild shard's scratch space.
 type workerState struct {
-	model   *emb.Model
-	noise   *alias.Table
-	keep    []float32
-	opt     *Options
-	r       rng.RNG
-	grad    []float32
-	kept    []int32
-	negs    []int32 // the current pair's negative samples
-	pairs   uint64
-	updates uint64
-	lr      float32
-	busy    time.Duration
+	model *emb.Model
+	noise *alias.Table
+	keep  []float32
+	opt   *Options
+	walk  Walk
+	r     rng.RNG
+	grad  []float32
+	kept  []int32
+	negs  []int32 // the current pair's negative samples
+	pairs uint64  // this sequence's, flushed by the caller
+	lr    float32
+	busy  time.Duration
 }
 
 // newWorkerState allocates one shard's state as one padded block
@@ -500,6 +456,7 @@ func newWorkerState(model *emb.Model, noise *alias.Table, keep []float32, opt *O
 	ws, ints, floats := cacheline.Alloc[workerState](n+maxLen, opt.Dim)
 	*ws = workerState{
 		model: model, noise: noise, keep: keep, opt: opt, r: *r,
+		walk: NewWalk(opt.Window, opt.Stride, opt.Directed),
 		grad: floats,
 		kept: ints[n:n],
 		negs: ints[:n:n],
@@ -507,85 +464,22 @@ func newWorkerState(model *emb.Model, noise *alias.Table, keep []float32, opt *O
 	return ws
 }
 
-// trainSequence consumes one sequence: subsample, then slide the (reduced)
-// window and train each pair.
+// trainSequence walks one sequence, training every pair into the shared
+// model without locks. Gradients w.r.t. the input vector are accumulated
+// per pair and applied once, per the original word2vec.
 func (ws *workerState) trainSequence(seq []int32, doneTokens *atomic.Uint64, totalTokens uint64) {
-	opt := ws.opt
-	kept := ws.kept[:0]
-	for _, t := range seq {
-		if ws.keep != nil && ws.r.Float32() >= ws.keep[t] {
-			continue
-		}
-		kept = append(kept, t)
-	}
-	ws.kept = kept
-	done := doneTokens.Add(uint64(len(seq)))
-	ws.lr = decayLR(opt.LR, opt.MinLRFrac, done, totalTokens)
-	if len(kept) < 2 {
-		return
-	}
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
-	for i := range kept {
-		// word2vec-style reduced window, in stride units:
-		// uniform over {stride, 2*stride, ..., steps*stride}.
-		win := stride * (1 + ws.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i // directed: no left context
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
-		for j := lo; j <= hi; j++ {
-			if j == i {
-				continue
-			}
-			ws.trainPair(kept[i], kept[j])
-		}
-	}
-}
-
-// trainPair applies one SGNS update: the positive (target, context) pair
-// plus Negatives samples from the noise distribution. Gradients w.r.t. the
-// input vector are accumulated and applied once, per the original word2vec.
-//
-// The negatives are drawn first and their output rows prefetched, so the
-// cache misses of rows scattered over the whole matrix overlap with each
-// other and with the positive step instead of stalling one PairStep each.
-// Nothing else draws from ws.r in between and the steps run in draw order,
-// so the model is the one the draw-then-step loop produced, bit for bit.
-func (ws *workerState) trainPair(target, ctx int32) {
+	kept := Subsample(ws.kept, seq, ws.keep, &ws.r)
+	ws.lr = DecayLR(ws.opt.LR, ws.opt.MinLRFrac, doneTokens.Add(uint64(len(seq))), totalTokens)
 	m := ws.model
-	v := m.In.Row(target)
-	grad := ws.grad
-	vecmath.Zero(grad)
-
-	for n := range ws.negs {
-		t := int32(ws.noise.Sample(&ws.r))
-		ws.negs[n] = t
-		vecmath.Prefetch(m.Out.Row(t))
-	}
-
-	// Positive sample: label 1.
-	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, ws.lr)
-
-	// Negative samples: label 0. A draw equal to the true context is
-	// rejected, as in word2vec.
-	for _, t := range ws.negs {
-		if t == ctx {
-			continue
+	for i := range kept {
+		lo, hi := ws.walk.Span(&ws.r, i, len(kept))
+		v := m.In.Row(kept[i])
+		for j := lo; j <= hi; j++ {
+			if j != i {
+				TrainPair(m.Out, ws.noise, &ws.r, ws.negs, v, ws.grad, kept[j], ws.lr)
+				vecmath.Add(ws.grad, v)
+			}
 		}
-		vecmath.PairStep(v, m.Out.Row(t), grad, 0, ws.lr)
+		ws.pairs += uint64(hi - lo)
 	}
-	vecmath.Add(grad, v)
-	ws.pairs++
-	ws.updates += uint64(1 + len(ws.negs))
 }

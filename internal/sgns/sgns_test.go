@@ -263,13 +263,13 @@ func TestWorkerStatesShareNoCacheLine(t *testing.T) {
 }
 
 func TestDecayLR(t *testing.T) {
-	if got := decayLR(0.1, 1e-4, 0, 100); got != 0.1 {
+	if got := DecayLR(0.1, 1e-4, 0, 100); got != 0.1 {
 		t.Fatalf("start LR %v", got)
 	}
-	if got := decayLR(0.1, 1e-4, 100, 100); got != 0.1*1e-4 {
+	if got := DecayLR(0.1, 1e-4, 100, 100); got != 0.1*1e-4 {
 		t.Fatalf("end LR %v", got)
 	}
-	mid := decayLR(0.1, 1e-4, 50, 100)
+	mid := DecayLR(0.1, 1e-4, 50, 100)
 	if mid < 0.049 || mid > 0.051 {
 		t.Fatalf("mid LR %v", mid)
 	}

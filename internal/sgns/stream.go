@@ -87,11 +87,13 @@ func (o *LiveOptions) validate() error {
 type Live struct {
 	opt   LiveOptions
 	model *emb.Model // Capacity × Dim, allocated once; rows < rows are live
+	walk  Walk
 
 	rows   int
 	kinds  []vocab.Kind // per-row, for SIBoost
 	counts []uint64     // per-row occurrences consumed
 	total  uint64       // total tokens consumed
+	keep   []float32    // per-row keep probability, set for a sequence's rows before it is subsampled; nil without subsampling
 
 	r    *rng.RNG
 	grad []float32
@@ -103,7 +105,7 @@ type Live struct {
 	noiseAt      []uint64    // the count noiseW was computed from
 	sinceRebuild uint64
 
-	pairs, updates uint64
+	pairs uint64
 }
 
 // NewLive allocates the trainer and its full-capacity matrices up front:
@@ -116,12 +118,18 @@ func NewLive(opt LiveOptions) (*Live, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	var keep []float32
+	if opt.SubsampleT > 0 {
+		keep = make([]float32, opt.Capacity)
+	}
 	return &Live{
 		opt: opt,
 		model: &emb.Model{
 			In:  emb.NewMatrix(opt.Capacity, opt.Dim),
 			Out: emb.NewMatrix(opt.Capacity, opt.Dim),
 		},
+		walk:    NewWalk(opt.Window, opt.Stride, opt.Directed),
+		keep:    keep,
 		kinds:   make([]vocab.Kind, 0, opt.Capacity),
 		counts:  make([]uint64, 0, opt.Capacity),
 		noiseW:  make([]float64, 0, opt.Capacity),
@@ -176,61 +184,26 @@ func (l *Live) TrainSequence(seq []int32) {
 		l.rebuildNoise()
 	}
 
-	kept := l.kept[:0]
-	for _, row := range seq {
-		if opt.SubsampleT > 0 && l.r.Float32() >= l.keepProb(row) {
-			continue
+	// Keep probabilities come from the live counts, this sequence's
+	// included: the batch trainers' table, refreshed per sequence.
+	if l.keep != nil {
+		for _, row := range seq {
+			l.keep[row] = keepProb(l.counts[row], l.total, l.kinds[row], opt.SubsampleT, opt.SIBoost)
 		}
-		kept = append(kept, row)
 	}
-	l.kept = kept
-	if len(kept) < 2 {
-		return
-	}
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	steps := opt.Window / stride
-	if steps < 1 {
-		steps = 1
-	}
+	l.kept = Subsample(l.kept, seq, l.keep, l.r)
+	kept, m := l.kept, l.model
 	for i := range kept {
-		win := stride * (1 + l.r.Intn(steps))
-		lo := i - win
-		if opt.Directed || lo < 0 {
-			lo = i
-		}
-		hi := i + win
-		if hi >= len(kept) {
-			hi = len(kept) - 1
-		}
+		lo, hi := l.walk.Span(l.r, i, len(kept))
+		v := m.In.Row(kept[i])
 		for j := lo; j <= hi; j++ {
-			if j == i {
-				continue
+			if j != i {
+				TrainPair(m.Out, &l.noise, l.r, l.negs, v, l.grad, kept[j], opt.LR)
+				vecmath.Add(l.grad, v)
 			}
-			l.trainPair(kept[i], kept[j])
 		}
+		l.pairs += uint64(hi - lo)
 	}
-}
-
-// keepProb is the Mikolov keep probability from the live counts, with the
-// SI boost for non-item rows — the streaming analogue of
-// subsampleKeepProbs, computed per occurrence instead of per epoch.
-func (l *Live) keepProb(row int32) float32 {
-	c := l.counts[row]
-	if c == 0 || l.total == 0 {
-		return 1
-	}
-	f := float64(c) / float64(l.total)
-	keep := math.Sqrt(l.opt.SubsampleT/f) + l.opt.SubsampleT/f
-	if keep > 1 {
-		keep = 1
-	}
-	if l.kinds[row] != vocab.KindItem {
-		keep *= l.opt.SIBoost
-	}
-	return float32(keep)
 }
 
 // rebuildNoise re-derives the negative-sampling table from the live counts.
@@ -251,40 +224,8 @@ func (l *Live) rebuildNoise() {
 	}
 	// Rebuild fails only on all-zero counts (rows admitted, nothing
 	// consumed yet) and then leaves the table alone: the previous
-	// distribution stands, or none — trainPair then skips negatives.
+	// distribution stands, or none — TrainPair then draws no negatives.
 	_ = l.noise.Rebuild(l.noiseW)
-}
-
-// trainPair is the batch trainer's pair update (see workerState.trainPair
-// for why the negatives are drawn and prefetched before any step) at the
-// constant streaming learning rate. Before the first noise table exists a
-// pair trains its positive term only.
-func (l *Live) trainPair(target, ctx int32) {
-	opt := &l.opt
-	m := l.model
-	v := m.In.Row(target)
-	grad := l.grad
-	vecmath.Zero(grad)
-
-	negs := l.negs
-	if l.noise.N() == 0 {
-		negs = nil
-	}
-	for n := range negs {
-		t := int32(l.noise.Sample(l.r))
-		negs[n] = t
-		vecmath.Prefetch(m.Out.Row(t))
-	}
-	vecmath.PairStep(v, m.Out.Row(ctx), grad, 1, opt.LR)
-	for _, t := range negs {
-		if t == ctx {
-			continue
-		}
-		vecmath.PairStep(v, m.Out.Row(t), grad, 0, opt.LR)
-	}
-	vecmath.Add(grad, v)
-	l.pairs++
-	l.updates += uint64(1 + opt.Negatives)
 }
 
 // Rows returns how many rows are live.
@@ -304,7 +245,7 @@ func (l *Live) Count(row int32) uint64 { return l.counts[row] }
 func (l *Live) Pairs() uint64 { return l.pairs }
 
 // Updates returns pairs × (1+negatives) applied so far.
-func (l *Live) Updates() uint64 { return l.updates }
+func (l *Live) Updates() uint64 { return l.pairs * uint64(1+l.opt.Negatives) }
 
 // Tokens returns total tokens consumed (before subsampling).
 func (l *Live) Tokens() uint64 { return l.total }

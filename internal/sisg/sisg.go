@@ -131,21 +131,26 @@ func (l *lazySnapshot) get(build func() *Snapshot) *Snapshot {
 	return s
 }
 
-// TrainOptions adapts sgns.Options for a variant: SI-enhanced sequences are
-// (1+NumSIColumns)× longer, so the window is widened proportionally — the
-// paper: "we can adjust the window size, such that all possible pairs per
-// sequence are sampled". itemWindow is the window measured in *items*.
+// TrainOptions adapts sgns.Options for a variant (see walk). itemWindow is
+// the window measured in *items*.
 func TrainOptions(base sgns.Options, v Variant, itemWindow int) sgns.Options {
 	opt := base
-	opt.Directed = v.Directed
-	w := itemWindow
-	if v.UseSI {
-		stride := 1 + corpus.NumSIColumns
-		w *= stride
-		opt.Stride = stride
-	}
-	opt.Window = w
+	opt.Window, opt.Stride, opt.Directed = v.walk(itemWindow, base.Stride)
 	return opt
+}
+
+// walk returns the variant's window, stride and direction for an item-unit
+// window, for the batch and the streaming trainer alike: SI-enhanced
+// sequences are (1+NumSIColumns)× longer, so the window is widened
+// proportionally and reduced in whole items — the paper: "we can adjust
+// the window size, such that all possible pairs per sequence are sampled".
+// Item-only sequences keep the given stride.
+func (v Variant) walk(itemWindow, stride int) (int, int, bool) {
+	if v.UseSI {
+		stride = 1 + corpus.NumSIColumns
+		itemWindow *= stride
+	}
+	return itemWindow, stride, v.Directed
 }
 
 // Train enriches the sessions for the variant and trains a model.

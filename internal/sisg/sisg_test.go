@@ -84,20 +84,33 @@ func TestEnrichLayout(t *testing.T) {
 	}
 }
 
+// The batch and the streaming trainer widen an item-unit window the same
+// way for every variant.
 func TestTrainOptions(t *testing.T) {
 	base := sgns.Defaults()
 	base.Window = 5
-	plain := TrainOptions(base, VariantSGNS, 5)
-	if plain.Window != 5 || plain.Stride != 0 || plain.Directed {
-		t.Fatalf("plain options: %+v", plain)
-	}
-	f := TrainOptions(base, VariantSISGF, 5)
-	if f.Window != 5*(1+corpus.NumSIColumns) || f.Stride != 1+corpus.NumSIColumns {
-		t.Fatalf("F options: window %d stride %d", f.Window, f.Stride)
-	}
-	d := TrainOptions(base, VariantSISGFUD, 5)
-	if !d.Directed {
-		t.Fatal("D options not directed")
+	live := sgns.LiveDefaults(0)
+	live.Window = 5
+	const stride = 1 + corpus.NumSIColumns
+	for _, tc := range []struct {
+		v              Variant
+		window, stride int
+		directed       bool
+	}{
+		{VariantSGNS, 5, 0, false},
+		{VariantSISGF, 5 * stride, stride, false},
+		{VariantSISGFUD, 5 * stride, stride, true},
+	} {
+		o := TrainOptions(base, tc.v, 5)
+		if o.Window != tc.window || o.Stride != tc.stride || o.Directed != tc.directed {
+			t.Errorf("%s batch options: window %d stride %d directed %v, want %d %d %v",
+				tc.v.Name, o.Window, o.Stride, o.Directed, tc.window, tc.stride, tc.directed)
+		}
+		lo := liveOptions(StreamConfig{Variant: tc.v, Live: live}, 100)
+		if lo.Window != tc.window || lo.Stride != tc.stride || lo.Directed != tc.directed || lo.Capacity != 100 {
+			t.Errorf("%s stream options: window %d stride %d directed %v capacity %d, want %d %d %v 100",
+				tc.v.Name, lo.Window, lo.Stride, lo.Directed, lo.Capacity, tc.window, tc.stride, tc.directed)
+		}
 	}
 }
 

@@ -64,14 +64,7 @@ func NewStreamer(dict *corpus.Dict, cfg StreamConfig) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo := cfg.Live
-	lo.Capacity = adm.Budget()
-	lo.Directed = cfg.Variant.Directed
-	if cfg.Variant.UseSI {
-		stride := 1 + corpus.NumSIColumns
-		lo.Window *= stride
-		lo.Stride = stride
-	}
+	lo := liveOptions(cfg, adm.Budget())
 	live, err := sgns.NewLive(lo)
 	if err != nil {
 		return nil, err
@@ -86,6 +79,15 @@ func NewStreamer(dict *corpus.Dict, cfg StreamConfig) (*Streamer, error) {
 		st.slot[i] = -1
 	}
 	return st, nil
+}
+
+// liveOptions is cfg.Live sized to capacity rows, its item-unit window
+// widened by the variant's walk exactly as TrainOptions widens a batch run's.
+func liveOptions(cfg StreamConfig, capacity int) sgns.LiveOptions {
+	lo := cfg.Live
+	lo.Capacity = capacity
+	lo.Window, lo.Stride, lo.Directed = cfg.Variant.walk(lo.Window, lo.Stride)
+	return lo
 }
 
 // Ingest consumes one session: admission (with Eq. 6 seeding of any newly

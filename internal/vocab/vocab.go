@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -200,52 +199,6 @@ func (d *Dict) AboveThreshold(minCount uint64) []ID {
 		}
 	}
 	return out
-}
-
-// NoiseWeights returns per-token weights proportional to count^alpha, the
-// unigram noise distribution P_noise(v) ∝ freq(v)^α of §III-C. Tokens with
-// zero count get zero weight. restrict, if non-nil, zeroes every token not
-// in the set — used by distributed workers whose noise distribution covers
-// only their local partition ∪ shared hot set.
-func (d *Dict) NoiseWeights(alpha float64, restrict map[ID]bool) []float64 {
-	w := make([]float64, len(d.entries))
-	for i := range d.entries {
-		if restrict != nil && !restrict[ID(i)] {
-			continue
-		}
-		c := d.entries[i].Count
-		if c > 0 {
-			w[i] = math.Pow(float64(c), alpha)
-		}
-	}
-	return w
-}
-
-// SubsampleKeepProbs returns, for each token, the probability of KEEPING an
-// occurrence under Mikolov-style frequent-token subsampling with threshold
-// t: p = sqrt(t/f) + t/f where f is the token's relative frequency. The
-// paper applies this "aggressively" to high-frequency SI tokens (§III-A);
-// siBoost < 1 multiplies the keep probability of SI and user-type tokens to
-// model that aggressiveness.
-func (d *Dict) SubsampleKeepProbs(t float64, siBoost float64) []float32 {
-	total := float64(d.TotalTokens())
-	p := make([]float32, len(d.entries))
-	for i := range d.entries {
-		if d.entries[i].Count == 0 || total == 0 {
-			p[i] = 1
-			continue
-		}
-		f := float64(d.entries[i].Count) / total
-		keep := math.Sqrt(t/f) + t/f
-		if keep > 1 {
-			keep = 1
-		}
-		if d.entries[i].Kind != KindItem {
-			keep *= siBoost
-		}
-		p[i] = float32(keep)
-	}
-	return p
 }
 
 // Save writes the dictionary as tab-separated "name kind count" lines,

@@ -2,7 +2,6 @@ package vocab
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,44 +93,6 @@ func TestTopKAndThreshold(t *testing.T) {
 	above := d.AboveThreshold(8)
 	if len(above) != 3 { // item_0 (10), leaf (15), ut (8)
 		t.Fatalf("AboveThreshold = %v", above)
-	}
-}
-
-func TestNoiseWeights(t *testing.T) {
-	d := buildTestDict()
-	w := d.NoiseWeights(1.0, nil)
-	if w[0] != 10 || w[2] != 15 {
-		t.Fatalf("NoiseWeights = %v", w)
-	}
-	restricted := d.NoiseWeights(1.0, map[ID]bool{1: true})
-	for i, v := range restricted {
-		if i == 1 && v != 5 {
-			t.Fatalf("restricted[1] = %v", v)
-		}
-		if i != 1 && v != 0 {
-			t.Fatalf("restricted[%d] = %v, want 0", i, v)
-		}
-	}
-}
-
-func TestSubsampleKeepProbs(t *testing.T) {
-	d := buildTestDict()
-	p := d.SubsampleKeepProbs(1e-2, 0.5)
-	for i, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("keep prob %d out of [0,1]: %v", i, v)
-		}
-	}
-	// Hotter tokens keep less (same kind): item_0 (10) vs item_1 (5).
-	if p[0] >= p[1] {
-		t.Fatalf("hot item keep %v !< cold item keep %v", p[0], p[1])
-	}
-	// SIBoost halves non-item keep probs: brand_3 has f = 2/40, so
-	// keep = (sqrt(t/f) + t/f) × 0.5.
-	f := 2.0 / 40.0
-	want := float32((math.Sqrt(1e-2/f) + 1e-2/f) * 0.5)
-	if diff := p[3] - want; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("SI boost keep = %v, want %v", p[3], want)
 	}
 }
 
