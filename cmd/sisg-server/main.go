@@ -17,11 +17,12 @@
 // /v1/similar queries are served from a bounded LRU of result sets.
 //
 // Overload behavior: retrievals are admitted by predicted scan cost
-// against -cost-budget; excess load is shed 503 with a load-derived
-// Retry-After, identical in-flight /v1/similar scans are coalesced, and
-// under sustained pressure default scans brown out from exact flat to IVF
-// (responses then carry "X-Degraded: ivf" until pressure recedes). Clients
-// that disconnect mid-scan cancel their scan at the next tile boundary.
+// against a budget of -max-inflight full flat scans; excess load is shed
+// 503 with a load-derived Retry-After, identical in-flight /v1/similar
+// scans are coalesced, and under sustained pressure default scans brown
+// out from exact flat to IVF (responses then carry "X-Degraded: ivf" until
+// pressure recedes). Clients that disconnect mid-scan cancel their scan at
+// the next tile boundary.
 //
 // The listener binds immediately: while the corpus generates and the model
 // trains or loads, /healthz already answers 200 (the process is alive) and
@@ -69,12 +70,6 @@ func main() {
 		maxInFly   = flag.Int("max-inflight", 256, "admission budget in full-flat-scan units (cheap scans pack many per unit)")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handling deadline (cancels the scan at the next tile)")
 		cacheSize  = flag.Int("cache", 0, "LRU cache entries for repeated /v1/similar queries (0 = off)")
-		costBudget = flag.Int64("cost-budget", 0, "admission budget in rows×dims scan units (0 = max-inflight × one flat scan)")
-		brownHigh  = flag.Float64("brownout-high", 0, "admission pressure entering brownout (0 = default 0.75)")
-		brownLow   = flag.Float64("brownout-low", 0, "admission pressure leaving brownout (0 = default 0.25)")
-		brownLat   = flag.Duration("brownout-latency", 0, "retrieval EWMA latency entering brownout (0 = request-timeout/4)")
-		brownHold  = flag.Duration("brownout-hold", 0, "how long an enter/exit condition must persist (0 = default 1s)")
-		brownProbe = flag.Int("brownout-nprobe", 0, "IVF probe width for degraded scans (0 = engine default)")
 		warmIVF    = flag.Bool("warm-ivf", false, "build the IVF ANN layer before reporting ready (first index=ivf request otherwise pays the k-means build)")
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window on SIGINT/SIGTERM")
 		pprofAddr  = flag.String("pprof-addr", "", "expose net/http/pprof and /metrics on this sidecar address (e.g. localhost:6060)")
@@ -163,17 +158,11 @@ func main() {
 	}
 
 	s := server.NewWithHolder(ds, model.NewHolder(sisg.NewModelSnapshot(mdl, 1)), server.Config{
-		MaxK:              *maxK,
-		MaxInFlight:       *maxInFly,
-		RequestTimeout:    *reqTimeout,
-		CacheSize:         *cacheSize,
-		CostBudget:        *costBudget,
-		BrownoutHighWater: *brownHigh,
-		BrownoutLowWater:  *brownLow,
-		BrownoutLatency:   *brownLat,
-		BrownoutHold:      *brownHold,
-		BrownoutNProbe:    *brownProbe,
-		Metrics:           reg, // one registry for the serving port and the sidecar
+		MaxK:           *maxK,
+		MaxInFlight:    *maxInFly,
+		RequestTimeout: *reqTimeout,
+		CacheSize:      *cacheSize,
+		Metrics:        reg, // one registry for the serving port and the sidecar
 	})
 	handler.Store(s.Handler().ServeHTTP)
 

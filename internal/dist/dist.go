@@ -23,14 +23,15 @@
 // machines and Go channels for the network, with every remote call and its
 // payload bytes counted, so communication-cost claims (the whole point of
 // ATNS + HBGP) are measured rather than assumed. Cluster wall-clock is
-// derived from those measured counters by CostModel — the host may have
-// fewer cores than simulated workers. See DESIGN.md §2 for the substitution
-// argument.
+// derived from those measured counters by a fixed cost model (simElapsed) —
+// the host may have fewer cores than simulated workers. See DESIGN.md §2 for
+// the substitution argument.
 package dist
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sisg/internal/corpus"
@@ -47,15 +48,11 @@ import (
 type Options struct {
 	sgns.Options
 
-	// Hot-token replication (the ATNS "shared set Q").
+	// Hot-token replication (the ATNS "shared set Q"): Q is the HotTopK
+	// most frequent tokens, and each worker synchronizes its replicas every
+	// syncEvery processed pairs.
 	HotReplication bool
-	// HotThreshold selects Q = tokens with frequency >= HotThreshold; if 0,
-	// the HotTopK most frequent tokens are used instead.
-	HotThreshold uint64
-	HotTopK      int
-	// SyncEvery is the number of processed pairs between a worker's hot
-	// replica synchronizations.
-	SyncEvery int
+	HotTopK        int
 
 	// Transport selects how TNS requests move between workers: "chan"
 	// (default; the in-process channel mesh) or "tcp" (real loopback
@@ -65,11 +62,6 @@ type Options struct {
 	// protocol, failure policy and accounting are transport-independent;
 	// see DESIGN.md §5h.
 	Transport string
-
-	// SlowWorker injects a delay per served request on one worker (-1 =
-	// none): the straggler experiment.
-	SlowWorker      int
-	SlowWorkerDelay time.Duration
 
 	// Faults injects failures into the run; the zero value injects none.
 	// See FaultPlan.
@@ -115,9 +107,6 @@ type Options struct {
 	// doubled per attempt (capped) and jittered, so survivors do not
 	// hammer a struggling peer in lockstep. Zero means RemoteTimeout/8.
 	RetryBackoff time.Duration
-
-	// Cost holds the cluster cost model used to compute SimElapsed.
-	Cost CostModel
 
 	// HaltAfterBarriers, when positive, stops a checkpointing run cleanly
 	// after that many block barriers have been released, forcing a snapshot
@@ -240,13 +229,18 @@ type StallSpec struct {
 }
 
 // Validate reports the first invalid fault parameter.
-func (f FaultPlan) Validate() error {
+func (f FaultPlan) Validate() error { return f.validate(math.MaxInt) }
+
+// validate is Validate for a run of the given worker count: a spec naming a
+// worker the run does not have would silently inject nothing.
+func (f FaultPlan) validate(workers int) error {
+	bad := func(id int) bool { return id < 0 || id >= workers }
 	if f.DropFraction < 0 || f.DropFraction >= 1 {
 		return fmt.Errorf("dist: DropFraction %v out of [0,1)", f.DropFraction)
 	}
 	for i, c := range f.Crashes {
-		if c.Worker < 0 {
-			return fmt.Errorf("dist: Crashes[%d].Worker %d negative", i, c.Worker)
+		if bad(c.Worker) {
+			return fmt.Errorf("dist: Crashes[%d].Worker %d is not a worker of the run", i, c.Worker)
 		}
 		if !c.AtStart && c.AtPairs == 0 {
 			return fmt.Errorf("dist: Crashes[%d] needs AtPairs > 0 or AtStart", i)
@@ -256,8 +250,8 @@ func (f FaultPlan) Validate() error {
 		}
 	}
 	for i, s := range f.Stalls {
-		if s.Worker < 0 {
-			return fmt.Errorf("dist: Stalls[%d].Worker %d negative", i, s.Worker)
+		if bad(s.Worker) {
+			return fmt.Errorf("dist: Stalls[%d].Worker %d is not a worker of the run", i, s.Worker)
 		}
 		if s.For <= 0 {
 			return fmt.Errorf("dist: Stalls[%d].For must be positive", i)
@@ -273,8 +267,8 @@ func (f FaultPlan) Validate() error {
 		return fmt.Errorf("dist: Wire.DupFraction %v out of [0,1]", f.Wire.DupFraction)
 	}
 	for i, s := range f.Wire.Severs {
-		if s.From < 0 || s.To < 0 {
-			return fmt.Errorf("dist: Wire.Severs[%d] has a negative worker", i)
+		if bad(s.From) || bad(s.To) {
+			return fmt.Errorf("dist: Wire.Severs[%d] names a worker the run does not have", i)
 		}
 		if s.From == s.To {
 			return fmt.Errorf("dist: Wire.Severs[%d] severs a worker from itself", i)
@@ -284,8 +278,8 @@ func (f FaultPlan) Validate() error {
 		}
 	}
 	for i, p := range f.Wire.Partitions {
-		if p.From < 0 || p.To < 0 {
-			return fmt.Errorf("dist: Wire.Partitions[%d] has a negative worker", i)
+		if bad(p.From) || bad(p.To) {
+			return fmt.Errorf("dist: Wire.Partitions[%d] names a worker the run does not have", i)
 		}
 		if p.From == p.To {
 			return fmt.Errorf("dist: Wire.Partitions[%d] partitions a worker from itself", i)
@@ -325,45 +319,9 @@ func (f FaultPlan) stallsFor(id int) []StallSpec {
 	return out
 }
 
-// CostModel converts the engine's measured counters (pairs, remote calls,
-// bytes, syncs) into simulated cluster wall-clock. The in-process engine
-// runs on however many cores the host has — possibly one — so real elapsed
-// time cannot exhibit multi-machine scaling; the model, applied to real
-// per-worker counters, can. Constants are calibrated to the paper's
-// hardware class (50-core workers, 10 Gbps Ethernet); see DESIGN.md §2.
-type CostModel struct {
-	// PairUpdateNs is the compute cost of one positive pair at reference
-	// shape (d=32, 5 negatives); scaled linearly in dim and (1+negatives).
-	PairUpdateNs float64
-	// RemoteRTTNs is the requester-visible overhead of one remote TNS call
-	// in a pipelined engine (serialization + its amortized share of the
-	// in-flight window; NOT a full network round trip, which production
-	// engines overlap with computation).
-	RemoteRTTNs float64
-	// BandwidthBytes is per-worker NIC bandwidth in bytes/second.
-	BandwidthBytes float64
-	// CacheBytes models the per-worker fast-memory working set; once the
-	// vector table exceeds it, updates pay MissPenalty extra.
-	CacheBytes  float64
-	MissPenalty float64
-	// StartupNsPerToken is the fixed per-run overhead (vocabulary build,
-	// partitioning, model allocation) per vocabulary row.
-	StartupNsPerVocab float64
-}
-
-// DefaultCostModel returns constants calibrated so a single simulated
-// worker roughly matches the measured single-goroutine throughput of the
-// local trainer.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PairUpdateNs:      250,
-		RemoteRTTNs:       150,
-		BandwidthBytes:    1.25e9, // 10 Gbps
-		CacheBytes:        32 << 20,
-		MissPenalty:       1.5,
-		StartupNsPerVocab: 2_000,
-	}
-}
+// syncEvery is the number of processed pairs between a worker's hot replica
+// synchronizations: the "regular intervals" of §III-A.
+const syncEvery = 4096
 
 // DefaultOptions returns the configuration used by the scalability benches.
 func DefaultOptions(workers int) Options {
@@ -371,8 +329,6 @@ func DefaultOptions(workers int) Options {
 	o.Workers = workers
 	o.HotReplication = true
 	o.HotTopK = 512
-	o.SyncEvery = 4096
-	o.SlowWorker = -1
 	return o
 }
 
@@ -431,7 +387,7 @@ func (o *Options) retryBackoff() time.Duration {
 type Stats struct {
 	Workers     int
 	Elapsed     time.Duration // real wall time of the in-process run
-	SimElapsed  time.Duration // modeled cluster wall time (see CostModel)
+	SimElapsed  time.Duration // modeled cluster wall time (see engine.simElapsed)
 	Tokens      uint64        // tokens consumed (across the cluster, post-subsampling)
 	Pairs       uint64        // positive pairs trained
 	LocalPairs  uint64        // pairs completed without a remote call
@@ -559,11 +515,8 @@ func Train(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Options)
 	if part.W != opt.Workers {
 		return nil, Stats{}, fmt.Errorf("dist: partition has %d workers, options say %d", part.W, opt.Workers)
 	}
-	if err := opt.Faults.Validate(); err != nil {
+	if err := opt.Faults.validate(opt.Workers); err != nil {
 		return nil, Stats{}, err
-	}
-	if opt.SyncEvery <= 0 {
-		opt.SyncEvery = 4096
 	}
 	e, err := newEngine(dict, seqs, part, opt)
 	if err != nil {

@@ -154,11 +154,14 @@ func TestModelQualityComparableToLocal(t *testing.T) {
 	}
 }
 
+// A straggler: worker 1 pauses every 500 pairs, serving nothing meanwhile,
+// so its peers block on it over and over. The run must still finish.
 func TestSlowWorkerNoDeadlock(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 3)
 	opt := tinyOptions(3)
-	opt.SlowWorker = 1
-	opt.SlowWorkerDelay = 50 * time.Microsecond
+	for at := uint64(500); at <= 20_000; at += 500 {
+		opt.Faults.Stalls = append(opt.Faults.Stalls, StallSpec{Worker: 1, AtPairs: at, For: 2 * time.Millisecond})
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := Train(ds.Dict.Dict, seqs, part, opt)
@@ -193,15 +196,11 @@ func TestOptionErrors(t *testing.T) {
 
 func TestHotThresholdSelection(t *testing.T) {
 	counts := []uint64{100, 5, 50, 0, 7}
-	ids := selectHot(counts, 10, 0)
-	if len(ids) != 2 { // 100 and 50
-		t.Fatalf("threshold selection: %v", ids)
-	}
-	top := selectHot(counts, 0, 3)
+	top := selectHot(counts, 3)
 	if len(top) != 3 || top[0] != 0 || top[1] != 2 || top[2] != 4 {
 		t.Fatalf("topK selection: %v", top)
 	}
-	if got := selectHot(counts, 0, 0); got != nil {
+	if got := selectHot(counts, 0); got != nil {
 		t.Fatalf("topK=0 returned %v", got)
 	}
 }

@@ -195,7 +195,7 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 		e.hotIdx[i] = -1
 	}
 	if opt.HotReplication {
-		e.hotIDs = selectHot(e.counts, opt.HotThreshold, opt.HotTopK)
+		e.hotIDs = selectHot(e.counts, opt.HotTopK)
 		for i, id := range e.hotIDs {
 			e.hotIdx[id] = int32(i)
 		}
@@ -241,7 +241,7 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 	// and timeout knobs are deliberately excluded — restarting a faulted
 	// run without the fault plan is the expected recovery move.
 	e.fp = opt.Options.Fingerprint("dist", dict.Len(), len(seqs), opt.Workers,
-		opt.HotReplication, opt.HotThreshold, opt.HotTopK, opt.SyncEvery)
+		opt.HotReplication, opt.HotTopK)
 	if e.ckptOn {
 		e.barriers = make([]blockBarrier, opt.Epochs*e.numBlocks)
 		for i := range e.barriers {
@@ -338,18 +338,8 @@ const checkpointBlockSeqs = sgns.CheckpointBlockSeqs
 // snapshot with another slot count is refused.
 const workerCounterLen = 14
 
-// selectHot returns the shared set Q: tokens above the frequency threshold,
-// or the top-K most frequent when threshold is zero.
-func selectHot(counts []uint64, threshold uint64, topK int) []int32 {
-	if threshold > 0 {
-		var out []int32
-		for t, c := range counts {
-			if c >= threshold {
-				out = append(out, int32(t))
-			}
-		}
-		return out
-	}
+// selectHot returns the shared set Q: the topK most frequent tokens.
+func selectHot(counts []uint64, topK int) []int32 {
 	if topK <= 0 {
 		return nil
 	}
@@ -738,22 +728,43 @@ func (e *engine) markDead(id int32) {
 	e.spawnMu.Unlock()
 }
 
+// The cost model's constants, calibrated to the paper's hardware class
+// (50-core workers, 10 Gbps Ethernet; DESIGN.md §2) so that one simulated
+// worker roughly matches the local trainer's single-goroutine throughput.
+const (
+	// costPairUpdateNs is the compute cost of one positive pair at the
+	// reference shape (d=32, 5 negatives), scaled linearly in dim and
+	// (1+negatives).
+	costPairUpdateNs = 250
+	// costRemoteNs is the requester-visible overhead of one remote pair in a
+	// pipelined engine (serialization plus its amortized share of the
+	// in-flight window, not a full network round trip).
+	costRemoteNs = 150
+	// costBandwidth is per-worker NIC bandwidth in bytes/second.
+	costBandwidth = 1.25e9
+	// costCacheBytes is the per-worker fast-memory working set; past it,
+	// updates pay up to costMissPenalty extra.
+	costCacheBytes  = 32 << 20
+	costMissPenalty = 1.5
+	// costStartupNsPerVocab is the fixed per-run overhead (vocabulary
+	// build, partitioning, model allocation) per vocabulary row.
+	costStartupNsPerVocab = 2_000
+)
+
 // simElapsed applies the cost model to the measured per-worker counters:
 // the cluster finishes when its slowest worker does (makespan), plus the
-// fixed startup overhead. See CostModel for the constituent terms.
+// fixed startup overhead. The in-process engine runs on however many cores
+// the host has — possibly one — so real elapsed time cannot show
+// multi-machine scaling; the model, applied to real counters, can.
 func (e *engine) simElapsed() time.Duration {
-	cm := e.opt.Cost
-	if cm == (CostModel{}) {
-		cm = DefaultCostModel()
-	}
 	dim := float64(e.opt.Dim)
 	// Per-update compute cost, scaled from the reference shape and
 	// inflated by the cache-miss factor of the full vector table.
-	pairNs := cm.PairUpdateNs * (dim / 32) * (float64(1+e.opt.Negatives) / 6)
+	pairNs := costPairUpdateNs * (dim / 32) * (float64(1+e.opt.Negatives) / 6)
 	vocabBytes := float64(e.dict.Len()) * dim * 2 * 4 // in + out, float32
 	miss := 0.0
-	if vocabBytes > cm.CacheBytes && vocabBytes > 0 {
-		miss = cm.MissPenalty * (1 - cm.CacheBytes/vocabBytes)
+	if vocabBytes > costCacheBytes {
+		miss = costMissPenalty * (1 - costCacheBytes/vocabBytes)
 	}
 	pairNs *= 1 + miss
 
@@ -762,13 +773,13 @@ func (e *engine) simElapsed() time.Duration {
 		compute := float64(wk.pairs.Load()-wk.remotePairs.Load()+wk.servedPairs.Load()) * pairNs
 		// The requester also pays the (overlapped) round-trip latency and
 		// its share of NIC time.
-		comm := float64(wk.remotePairs.Load())*cm.RemoteRTTNs +
-			float64(wk.bytesSent.Load())/cm.BandwidthBytes*1e9
+		comm := float64(wk.remotePairs.Load())*costRemoteNs +
+			float64(wk.bytesSent.Load())/costBandwidth*1e9
 		if t := compute + comm; t > worst {
 			worst = t
 		}
 	}
-	startup := cm.StartupNsPerVocab * float64(e.dict.Len())
+	startup := costStartupNsPerVocab * float64(e.dict.Len())
 	return time.Duration(worst + startup)
 }
 

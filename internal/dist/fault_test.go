@@ -146,12 +146,25 @@ func TestLongStallFalsePositiveIsSafe(t *testing.T) {
 	}
 }
 
+// Train refuses an invalid plan, and a plan naming a worker the run does not
+// have: that fault would never fire and the scenario would pass vacuously.
 func TestFaultPlanValidate(t *testing.T) {
 	ds, seqs, part := tinySetup(t, 2)
-	opt := tinyOptions(2)
-	opt.Faults.DropFraction = 1.5
-	if _, _, err := Train(ds.Dict.Dict, seqs, part, opt); err == nil {
-		t.Fatal("DropFraction 1.5 accepted")
+	for _, c := range []struct {
+		name string
+		plan FaultPlan
+	}{
+		{"DropFraction 1.5", FaultPlan{DropFraction: 1.5}},
+		{"crash of worker 2", FaultPlan{Crashes: []CrashSpec{{Worker: 2, AtPairs: 100}}}},
+		{"stall of worker 5", FaultPlan{Stalls: []StallSpec{{Worker: 5, AtPairs: 100, For: time.Millisecond}}}},
+		{"sever to worker 2", FaultPlan{Wire: WireFaults{Severs: []SeverSpec{{From: 0, To: 2, AtSends: 1}}}}},
+		{"partition from worker 3", FaultPlan{Wire: WireFaults{Partitions: []PartitionSpec{{From: 3, To: 0, AtSends: 1}}}}},
+	} {
+		opt := tinyOptions(2)
+		opt.Faults = c.plan
+		if _, _, err := Train(ds.Dict.Dict, seqs, part, opt); err == nil {
+			t.Errorf("%s accepted in a 2-worker run", c.name)
+		}
 	}
 }
 

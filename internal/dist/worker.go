@@ -458,7 +458,7 @@ func (w *worker) trainPair(vi, vj int32, i int) {
 		w.recordRemote(e.owner[vj], vi, vj, i)
 	}
 	w.sincSync++
-	if w.sincSync >= w.opt.SyncEvery && len(e.hotIDs) > 0 {
+	if w.sincSync >= syncEvery && len(e.hotIDs) > 0 {
 		w.sincSync = 0
 		e.hotSync(w)
 	}
@@ -641,8 +641,8 @@ func (w *worker) tns(vin []float32, ctx int32, lr float32, r *rng.RNG) []float32
 // BytesSent stays the MODEL's payload accounting — lr, entry count, counts,
 // contexts and vectors per attempted request, gradients per success —
 // independent of what any transport serializes; Stats.WireBytesSent carries
-// the measured figure, and the CostModel honesty test keeps the two within
-// tolerance.
+// the measured figure, and TestCostModelBytesMatchTCPWire keeps the two
+// within tolerance.
 func (w *worker) launch(dst int32, f *flight) bool {
 	if w.fenced.Load() {
 		return false
@@ -735,9 +735,6 @@ func (w *worker) backoffWait(a int) bool {
 // the next context (what the requester would do between one-pair calls),
 // and their sum returned as the entry's gradient.
 func (w *worker) serve(req *tnsReq) {
-	if w.opt.SlowWorker == int(w.id) && w.opt.SlowWorkerDelay > 0 {
-		time.Sleep(w.opt.SlowWorkerDelay)
-	}
 	w.heartbeat.Add(1)
 	w.servedPairs.Add(uint64(len(req.ctxs)))
 	dim := w.opt.Dim

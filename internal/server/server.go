@@ -84,36 +84,22 @@ type Config struct {
 	// MaxK bounds the candidate-set size a single request may ask for
 	// (<=0 means 1000).
 	MaxK int
-	// MaxInFlight sizes the default admission budget: CostBudget defaults
-	// to MaxInFlight concurrent full flat scans' worth of predicted cost
-	// (<=0 means 256). Cheap requests (IVF probes, small corpora) pack
-	// many-per-scan into the same budget; see CostBudget.
+	// MaxInFlight sizes the admission budget: MaxInFlight concurrent full
+	// flat scans' worth of predicted cost (rows×dims scan units,
+	// knn.Index.PredictedCost; <=0 means 256). Cheap requests (IVF probes,
+	// small corpora) pack many-per-scan into the same budget; excess is
+	// shed with 503 + Retry-After.
 	MaxInFlight int
 	// RequestTimeout bounds one request's handling time; a request that
 	// exceeds it is answered 503 and its retrieval scan is cancelled at
-	// the next tile boundary (<=0 means 10s).
+	// the next tile boundary (<=0 means 10s). A retrieval-latency EWMA at
+	// or above RequestTimeout/4 counts as brownout pressure.
 	RequestTimeout time.Duration
 	// RetryAfter floors the back-off advertised on shed responses. The
 	// advertised value is derived per shed from the latency EWMA and
 	// admission pressure, with deterministic per-request jitter, and never
 	// falls below this (<=0 means 1s).
 	RetryAfter time.Duration
-	// CostBudget bounds the total *predicted* retrieval cost (rows×dims
-	// scan units, knn.Index.PredictedCost) admitted concurrently; excess
-	// is shed with 503 + Retry-After. <=0 derives MaxInFlight × the cost
-	// of one full flat scan over the item index.
-	CostBudget int64
-	// BrownoutNProbe is the IVF probe width degraded /v1/similar scans use
-	// under brownout (<=0 means the engine default of about sqrt(nlist)).
-	BrownoutNProbe int
-	// BrownoutHighWater and BrownoutLowWater are the admission-pressure
-	// thresholds (fractions of CostBudget) for entering and leaving
-	// brownout; wide hysteresis prevents flapping. <=0 mean 0.75 and 0.25.
-	BrownoutHighWater float64
-	BrownoutLowWater  float64
-	// BrownoutLatency is the retrieval-latency EWMA above which the server
-	// counts as hot even at low pressure (<=0 means RequestTimeout/4).
-	BrownoutLatency time.Duration
 	// BrownoutHold is how long an enter/exit condition must persist before
 	// the transition fires (<=0 means 1s).
 	BrownoutHold time.Duration
@@ -121,14 +107,20 @@ type Config struct {
 	// a private registry; pass a shared one to co-locate serving and
 	// training series in a single /metrics page.
 	Metrics *metrics.Registry
-	// LatencyBuckets overrides the request-latency histogram bounds
-	// (seconds, ascending). Nil means metrics.DefBuckets.
-	LatencyBuckets []float64
 	// CacheSize bounds the /v1/similar result cache in entries. Production
 	// matching traffic is heavily head-skewed, so a modest cache absorbs a
 	// large fraction of full-matrix scans. <=0 disables caching.
 	CacheSize int
 }
+
+// The brownout thresholds, as fractions of the admission budget: pressure
+// at or above brownoutHighWater is hot, at or below brownoutLowWater cool.
+// The wide gap is the hysteresis in level that keeps the machine from
+// flapping.
+const (
+	brownoutHighWater = 0.75
+	brownoutLowWater  = 0.25
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxK <= 0 {
@@ -142,15 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.BrownoutHighWater <= 0 {
-		c.BrownoutHighWater = 0.75
-	}
-	if c.BrownoutLowWater <= 0 {
-		c.BrownoutLowWater = 0.25
-	}
-	if c.BrownoutLatency <= 0 {
-		c.BrownoutLatency = c.RequestTimeout / 4
 	}
 	if c.BrownoutHold <= 0 {
 		c.BrownoutHold = time.Second
@@ -293,22 +276,20 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 
 		endpoints: make(map[string]*endpointMetrics, len(knownPaths)+1),
 	}
-	budget := cfg.CostBudget
-	if budget <= 0 {
-		snap, release := models.Acquire()
-		flat := flatCost(snap)
-		release()
-		if budget = int64(cfg.MaxInFlight) * flat; budget < flat {
-			budget = flat // overflow or degenerate config: one scan at a time
-		}
+	snap, release := models.Acquire()
+	flat := flatCost(snap)
+	release()
+	budget := int64(cfg.MaxInFlight) * flat
+	if budget < flat {
+		budget = flat // overflow or degenerate config: one scan at a time
 	}
 	s.adm = &admission{budget: budget}
 	s.lat = metrics.NewEWMA(0.1)
 	s.press = metrics.NewEWMA(0.1)
 	s.brown = &brownout{
-		highWater: cfg.BrownoutHighWater,
-		lowWater:  cfg.BrownoutLowWater,
-		latHigh:   cfg.BrownoutLatency.Seconds(),
+		highWater: brownoutHighWater,
+		lowWater:  brownoutLowWater,
+		latHigh:   (cfg.RequestTimeout / 4).Seconds(),
 		hold:      cfg.BrownoutHold,
 		entered:   s.brownEntered,
 		exited:    s.brownExited,
@@ -322,7 +303,7 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 	}
 	for _, p := range append(append([]string(nil), knownPaths...), "other") {
 		em := &endpointMetrics{
-			latency: reg.Histogram("http_request_duration_seconds", "request handling latency", cfg.LatencyBuckets, metrics.L("path", p)),
+			latency: reg.Histogram("http_request_duration_seconds", "request handling latency", nil, metrics.L("path", p)),
 			codes:   make(map[string]*metrics.Counter, 4),
 		}
 		for _, cls := range []string{"2xx", "3xx", "4xx", "5xx"} {
@@ -358,8 +339,8 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		}
 		return 0
 	})
-	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", cfg.LatencyBuckets, metrics.L("source", "scan"))
-	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", cfg.LatencyBuckets, metrics.L("source", "cache"))
+	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", nil, metrics.L("source", "scan"))
+	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", nil, metrics.L("source", "cache"))
 	if cfg.CacheSize > 0 {
 		s.cacheHits = reg.Counter("retrieval_cache_hits_total", "/similar requests answered from the result cache")
 		s.cacheMisses = reg.Counter("retrieval_cache_misses_total", "/similar requests that fell through to a full scan")
@@ -728,7 +709,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	degraded := s.brown.active()
 	scanOpts := opts
 	if degraded {
-		scanOpts = knn.Options{K: k, Index: knn.IndexIVF, NProbe: s.cfg.BrownoutNProbe}
+		scanOpts = knn.Options{K: k, Index: knn.IndexIVF}
 	}
 	group := &s.flights[0]
 	if degraded {
