@@ -3,7 +3,7 @@
 // sets over HTTP, covering the paper's three production retrieval paths:
 //
 //	GET /v1/similar?item=123&k=20          item-to-item candidates (§II)
-//	    &index=ivf&nprobe=8&quantized=1    sub-linear ANN retrieval (opt-in)
+//	    &index=ivf&nprobe=8                sub-linear ANN retrieval (opt-in)
 //	GET /v1/coldstart/item?item=123&k=20   Eq. 6 SI-only inference (§IV-C2)
 //	GET /v1/coldstart/user?gender=F&age=2&power=1&k=20
 //	                                       user-type averaging (§IV-C1)

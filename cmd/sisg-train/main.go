@@ -10,7 +10,9 @@
 //	sisg-train -corpus Sim25K -variant SISG-F-U-D -workers 8 -out model.emb
 //
 // Sessions are regenerated deterministically from the corpus config, or
-// read from a file produced by sisg-datagen via -sessions.
+// read from a file produced by sisg-datagen via -sessions. A flag the
+// chosen mode would ignore (a batch flag with -stream, -transport without
+// -workers, ...) is a fatal error.
 //
 // Crash recovery: with -checkpoint-dir the trainer snapshots model and
 // progress roughly every -checkpoint-every pairs; a killed run restarted
@@ -50,10 +52,12 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -105,7 +109,6 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume from the snapshot in -checkpoint-dir if one exists")
 		maxRestart = flag.Int("max-restarts", 0, "resurrections per worker before partition takeover (0 = default budget, negative = takeover immediately)")
 		showProg   = flag.Bool("metrics", false, "print periodic training progress lines (pairs/sec, tokens/sec, LR, ETA)")
-		progEvery  = flag.Duration("metrics-every", 2*time.Second, "progress reporting interval for -metrics")
 		pprofAddr  = flag.String("pprof-addr", "", "expose net/http/pprof and /metrics on this sidecar address (e.g. localhost:6060)")
 
 		stream       = flag.Bool("stream", false, "streaming mode: ingest a live session stream and publish snapshot generations instead of batch epochs")
@@ -120,6 +123,11 @@ func main() {
 		serveAddr    = flag.String("serve", "", "streaming: serve the latest snapshot over HTTP on this address, hot-swapped on every publish")
 	)
 	flag.Parse()
+	set := make(map[string]string)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	if err := checkModeFlags(set); err != nil {
+		log.Fatal(err)
+	}
 
 	reg := metrics.NewRegistry()
 	if *pprofAddr != "" {
@@ -200,12 +208,8 @@ func main() {
 	opt.CheckpointDir = *ckptDir
 	opt.CheckpointEvery = *ckptEvery
 	opt.Resume = *resume
-	if *resume && *ckptDir == "" {
-		log.Fatal("-resume needs -checkpoint-dir")
-	}
 	if *showProg {
 		opt.Progress = logProgress
-		opt.ProgressEvery = *progEvery
 	}
 
 	start := time.Now()
@@ -295,6 +299,51 @@ func main() {
 	}
 }
 
+// Flags that only one mode reads: batch training (the default) or -stream.
+var (
+	batchOnly = []string{"out", "w2v", "sessions", "epochs", "workers", "transport", "warm-start",
+		"checkpoint-dir", "checkpoint-every", "resume", "max-restarts", "metrics"}
+	streamOnly = []string{"stream-sessions", "publish-every", "reserve-items", "launch-every",
+		"drift-every", "vocab-budget", "admit-min-count", "stream-rate", "serve"}
+)
+
+// checkModeFlags refuses a command line that sets a flag its mode would
+// drop silently. set maps every flag given on the command line to its
+// value. The mode is -stream, else -warm-start (local incremental
+// training), else -workers > 0 (distributed), else local Hogwild; the
+// error names the first ignored flag.
+func checkModeFlags(set map[string]string) error {
+	ignored := func(names []string, why string) error {
+		for _, n := range names {
+			if _, ok := set[n]; ok {
+				return fmt.Errorf("-%s has no effect %s", n, why)
+			}
+		}
+		return nil
+	}
+	if set["stream"] == "true" {
+		return ignored(batchOnly, "with -stream")
+	}
+	if err := ignored(streamOnly, "without -stream"); err != nil {
+		return err
+	}
+	workers, _ := strconv.Atoi(set["workers"]) // absent: 0; set: flag.Int already parsed it
+	switch {
+	case set["warm-start"] != "":
+		if err := ignored([]string{"workers", "transport", "max-restarts"}, "with -warm-start, which trains locally"); err != nil {
+			return err
+		}
+	case workers <= 0:
+		if err := ignored([]string{"transport", "max-restarts"}, "without -workers"); err != nil {
+			return err
+		}
+	}
+	if set["checkpoint-dir"] == "" {
+		return ignored([]string{"checkpoint-every", "resume"}, "without -checkpoint-dir")
+	}
+	return nil
+}
+
 // streamParams carries the -stream flag set (plus the shared training
 // hyperparameters) into runStream.
 type streamParams struct {
@@ -317,8 +366,8 @@ type streamParams struct {
 // live generator, publishing immutable snapshot generations into a
 // model.Holder; the optional serving tier reads whatever generation the
 // holder currently publishes, so a swap is invisible to in-flight
-// requests. The model lives in those in-memory snapshots — -out and -w2v
-// are not written in this mode.
+// requests. The model lives in those in-memory snapshots only, which is
+// why checkModeFlags refuses -out and -w2v here.
 func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p streamParams) {
 	if p.publishEvery <= 0 {
 		log.Fatal("-publish-every must be positive")
@@ -357,7 +406,7 @@ func runStream(cfg corpus.Config, v sisg.Variant, reg *metrics.Registry, p strea
 	// (-pprof-addr serves them with or without -serve). All set from the
 	// ingest goroutine, which owns the streamer.
 	var (
-		publishSeconds = reg.Histogram("stream_publish_seconds", "Duration of Streamer.Publish (snapshot copy and IVF build), spent on the ingest goroutine.", nil)
+		publishSeconds = reg.Histogram("stream_publish_seconds", "Duration of Streamer.Publish (snapshot copy and IVF build), spent on the ingest goroutine.")
 		generation     = reg.Gauge("stream_generation", "Latest snapshot generation cut by the streamer.")
 		admittedRows   = reg.Gauge("stream_admitted_rows", "Embedding rows admitted to the live vocabulary.")
 		sessionsTotal  = reg.Counter("stream_sessions_total", "Sessions ingested by the streamer.")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,7 +27,97 @@ var (
 	flagUseRE = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 	// codeSpanRE matches a Markdown inline code span within one paragraph.
 	codeSpanRE = regexp.MustCompile("`([^`\n]+(?:\n[^`\n]+)*)`")
+	// testNameRE matches a Go test function name.
+	testNameRE = regexp.MustCompile(`\bTest[A-Z]\w*`)
+	// testFuncRE matches a test function declaration, capturing its name.
+	testFuncRE = regexp.MustCompile(`(?m)^func (Test[A-Z]\w*)\(\w+ \*testing\.T\)`)
+	// runPatternRE matches a go test -run argument, quoted or bare.
+	runPatternRE = regexp.MustCompile("-run(?:=|\\s+)(?:'([^']*)'|\"([^\"]*)\"|([^\\s`]+))")
 )
+
+// The documents whose Test… names must name real tests.
+var testCitingFiles = []string{
+	"DESIGN.md",
+	"README.md",
+	".claude/skills/verify/SKILL.md",
+}
+
+// TestDocumentedTestNamesExist checks every Test… name the docs cite
+// against the tests of the repository, so a deleted or renamed test cannot
+// live on in the docs. A name inside a -run pattern is a regular
+// expression: it has to match at least one test.
+func TestDocumentedTestNamesExist(t *testing.T) {
+	defined := testFuncs(t)
+	for _, doc := range testCitingFiles {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		for _, m := range runPatternRE.FindAllStringSubmatch(text, -1) {
+			for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+				if !testNameRE.MatchString(alt) {
+					continue // not a test name: -run NONE, or sisg-chaos's scenario filter
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run pattern %q: %v", doc, alt, err)
+					continue
+				}
+				if !matchesAny(re, defined) {
+					t.Errorf("%s: -run pattern %q matches no test", doc, alt)
+				}
+			}
+		}
+		for _, name := range testNameRE.FindAllString(runPatternRE.ReplaceAllString(text, ""), -1) {
+			if !defined[name] {
+				t.Errorf("%s cites %s, which is not a test", doc, name)
+			}
+		}
+	}
+}
+
+// testFuncs returns the names of the test functions in every _test.go file
+// of the repository, the benchmark module's included.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || (strings.HasPrefix(d.Name(), ".") && path != ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncRE.FindAllSubmatch(src, -1) {
+			out[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatal("no test functions found")
+	}
+	return out
+}
+
+func matchesAny(re *regexp.Regexp, names map[string]bool) bool {
+	for n := range names {
+		if re.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}
 
 // TestDocumentedCommandLinesUseRealFlags checks every flag that a command
 // line in the docs and CI passes to one of cmd/'s commands against the flags

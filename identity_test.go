@@ -36,7 +36,9 @@ func matrixSum(ms ...*emb.Matrix) uint64 {
 // and prefetch their rows: any change to the RNG draw order or to the
 // arithmetic moves them. They hold for the AVX kernels and, under -tags
 // purego, for the reference kernels alike. (The streaming trainer's sum is
-// pinned in internal/sisg, where the live matrices are reachable.)
+// pinned in internal/sisg, where the live matrices are reachable.) The
+// undirected SISG-F-U sums pin the left half of the window, which the
+// directed SISG-F-U-D runs never read.
 func TestSingleWorkerModelsBytePinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("sums recorded on amd64; the helpers outside PairStep and DotRows promise no rounding order across architectures")
@@ -47,35 +49,44 @@ func TestSingleWorkerModelsBytePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := sisg.Enrich(ds.Dict, ds.Sessions, sisg.VariantSISGFUD)
 
-	t.Run("sgns", func(t *testing.T) {
-		o := sisg.TrainOptions(sgns.Defaults(), sisg.VariantSISGFUD, 3)
-		o.Epochs, o.Workers = 1, 1
-		m, _, err := sgns.Train(ds.Dict.Dict, seqs, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := matrixSum(m.In, m.Out), uint64(0x6b3bfd37abc5af4e); got != want {
-			t.Errorf("sgns.Train W=1 model sum %#x, want %#x", got, want)
-		}
-	})
-	t.Run("dist", func(t *testing.T) {
-		part, _, err := dist.PartitionForDataset(ds, ds.Sessions, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := dist.DefaultOptions(1)
-		o.Options = sisg.TrainOptions(o.Options, sisg.VariantSISGFUD, 3)
-		o.Workers, o.Epochs, o.HotTopK = 1, 1, 64
-		m, _, err := dist.Train(ds.Dict.Dict, seqs, part, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := matrixSum(m.In, m.Out), uint64(0x38877fd9a503602e); got != want {
-			t.Errorf("dist.Train one worker over chan model sum %#x, want %#x", got, want)
-		}
-	})
+	for _, c := range []struct {
+		suffix     string
+		v          sisg.Variant
+		sgns, dist uint64
+	}{
+		{"", sisg.VariantSISGFUD, 0x6b3bfd37abc5af4e, 0x38877fd9a503602e},
+		{"-undirected", sisg.VariantSISGFU, 0x4ac326f57b6d9ae4, 0x3fa25cb7af8118f6},
+	} {
+		seqs := sisg.Enrich(ds.Dict, ds.Sessions, c.v)
+		t.Run("sgns"+c.suffix, func(t *testing.T) {
+			o := sisg.TrainOptions(sgns.Defaults(), c.v, 3)
+			o.Epochs, o.Workers = 1, 1
+			m, _, err := sgns.Train(ds.Dict.Dict, seqs, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := matrixSum(m.In, m.Out), c.sgns; got != want {
+				t.Errorf("sgns.Train %s W=1 model sum %#x, want %#x", c.v.Name, got, want)
+			}
+		})
+		t.Run("dist"+c.suffix, func(t *testing.T) {
+			part, _, err := dist.PartitionForDataset(ds, ds.Sessions, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := dist.DefaultOptions(1)
+			o.Options = sisg.TrainOptions(o.Options, c.v, 3)
+			o.Workers, o.Epochs, o.HotTopK = 1, 1, 64
+			m, _, err := dist.Train(ds.Dict.Dict, seqs, part, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := matrixSum(m.In, m.Out), c.dist; got != want {
+				t.Errorf("dist.Train %s one worker over chan model sum %#x, want %#x", c.v.Name, got, want)
+			}
+		})
+	}
 	t.Run("eges", func(t *testing.T) {
 		o := eges.Defaults()
 		o.Dim, o.Epochs, o.Workers = 16, 1, 1

@@ -127,13 +127,6 @@ func (lv *Live) remap(it int32) int32 {
 	return it % int32(lv.visible)
 }
 
-// Sessions returns how many sessions the stream has produced.
-func (lv *Live) Sessions() int { return lv.sessions }
-
-// Visible returns how many items have launched (ids < Visible appear in
-// sessions).
-func (lv *Live) Visible() int { return lv.visible }
-
 // Launched returns the reserved items that have launched so far, in launch
 // order.
 func (lv *Live) Launched() []int32 {

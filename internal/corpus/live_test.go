@@ -30,22 +30,22 @@ func TestLiveDeterministic(t *testing.T) {
 func TestLiveLaunchSchedule(t *testing.T) {
 	base := Tiny()
 	lv := tinyLive(t, LiveConfig{Base: base, ReserveItems: 20, LaunchEvery: 5})
-	if lv.Visible() != base.NumItems {
-		t.Fatalf("visible at start %d, want %d", lv.Visible(), base.NumItems)
+	if lv.visible != base.NumItems {
+		t.Fatalf("visible at start %d, want %d", lv.visible, base.NumItems)
 	}
 	seen := make(map[int32]bool)
 	for i := 0; i < 200; i++ {
 		s := lv.Next()
 		for _, it := range s.Items {
-			if int(it) >= lv.Visible() && !seen[it] {
-				t.Fatalf("session %d contains unlaunched item %d (visible %d)", i, it, lv.Visible())
+			if int(it) >= lv.visible && !seen[it] {
+				t.Fatalf("session %d contains unlaunched item %d (visible %d)", i, it, lv.visible)
 			}
 			seen[it] = true
 		}
 	}
 	// 200 sessions at one launch per 5 sessions: all 20 reserved items out.
-	if lv.Visible() != base.NumItems+20 {
-		t.Fatalf("visible after 200 sessions %d, want %d", lv.Visible(), base.NumItems+20)
+	if lv.visible != base.NumItems+20 {
+		t.Fatalf("visible after 200 sessions %d, want %d", lv.visible, base.NumItems+20)
 	}
 	if got := len(lv.Launched()); got != 20 {
 		t.Fatalf("launched %d, want 20", got)
@@ -98,7 +98,7 @@ func TestLiveNoReserveNoDriftMatchesStationaryStream(t *testing.T) {
 			t.Fatalf("session %d empty", i)
 		}
 		for _, it := range s.Items {
-			if int(it) >= lv.Visible() {
+			if int(it) >= lv.visible {
 				t.Fatalf("item %d out of range", it)
 			}
 		}

@@ -50,11 +50,10 @@ func ageBucketName(b int) string {
 type Population struct {
 	Types []UserType
 
-	// leafAffinity[t] is the per-leaf sampling weight for user type t
-	// (already multiplied by leaf popularity).
-	leafAffinity [][]float64
-	samplers     []*weightSampler
-	typeSampler  *weightSampler
+	// samplers[t] draws a leaf for user type t by its affinity (already
+	// multiplied by leaf popularity).
+	samplers    []*weightSampler
+	typeSampler *weightSampler
 }
 
 // BuildPopulation derives the user-type universe for cfg and precomputes
@@ -106,7 +105,6 @@ func BuildPopulation(cfg Config, cat *Catalog) (*Population, error) {
 			scores[i][t] = r.NormFloat64() * 1.6
 		}
 	}
-	p.leafAffinity = make([][]float64, len(p.Types))
 	p.samplers = make([]*weightSampler, len(p.Types))
 	weights := make([]float64, len(p.Types))
 	for t := range p.Types {
@@ -122,7 +120,6 @@ func BuildPopulation(cfg Config, cat *Catalog) (*Population, error) {
 			top := cat.LeafTop[leaf]
 			aff[leaf] = cat.LeafWeight[leaf] * math.Exp(2.6*(sc[top]+perturb[top]))
 		}
-		p.leafAffinity[t] = aff
 		s, err := newWeightSampler(aff)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: affinity sampler for type %d: %w", t, err)
@@ -175,10 +172,6 @@ func (p *Population) SampleType(r *rng.RNG) int32 {
 func (p *Population) SampleLeaf(t int32, r *rng.RNG) int32 {
 	return int32(p.samplers[t].sample(r))
 }
-
-// LeafAffinity exposes the (unnormalized) leaf preference vector of type t;
-// the A/B-test click model uses it as ground-truth relevance.
-func (p *Population) LeafAffinity(t int32) []float64 { return p.leafAffinity[t] }
 
 // StyleOffset returns the user type's style preference as an offset into
 // its current leaf's typical style range (leaves draw styles from

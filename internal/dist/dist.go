@@ -31,7 +31,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"sisg/internal/corpus"
@@ -228,11 +227,9 @@ type StallSpec struct {
 	For     time.Duration
 }
 
-// Validate reports the first invalid fault parameter.
-func (f FaultPlan) Validate() error { return f.validate(math.MaxInt) }
-
-// validate is Validate for a run of the given worker count: a spec naming a
-// worker the run does not have would silently inject nothing.
+// validate reports the first invalid fault parameter for a run of the given
+// worker count: a spec naming a worker the run does not have would silently
+// inject nothing.
 func (f FaultPlan) validate(workers int) error {
 	bad := func(id int) bool { return id < 0 || id >= workers }
 	if f.DropFraction < 0 || f.DropFraction >= 1 {
@@ -469,14 +466,6 @@ func (s Stats) BlockedShare() float64 {
 		return 0
 	}
 	return s.RemoteBlocked.Seconds() / (s.Elapsed.Seconds() * float64(s.Workers))
-}
-
-// TokensPerSec returns cluster throughput (the y-axis of Figure 7(b)).
-func (s Stats) TokensPerSec() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Tokens) / s.Elapsed.Seconds()
 }
 
 // Imbalance returns max/mean pairs per worker (1.0 = perfect).

@@ -241,9 +241,6 @@ func TestStatsHelpers(t *testing.T) {
 	if st.SimTokensPerSec() != 1000 {
 		t.Fatal("SimTokensPerSec")
 	}
-	if st.TokensPerSec() != 500 {
-		t.Fatal("TokensPerSec")
-	}
 	if st.PairsPerCall() != 5 || (Stats{}).PairsPerCall() != 0 {
 		t.Fatal("PairsPerCall")
 	}

@@ -104,7 +104,7 @@ type engine struct {
 	hotOut [][]float32
 
 	counts      []uint64
-	noiseW      []float64 // count^NoiseAlpha per token
+	noiseW      []float64 // sgns.NoiseWeights of the counts
 	keep        []float32
 	totalTokens uint64 // corpus tokens × epochs (per worker scan)
 	maxLen      int    // longest sequence, in tokens
@@ -185,9 +185,9 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 		e.totalTokens = 1
 	}
 	if opt.SubsampleT > 0 {
-		e.keep = sgns.KeepProbs(dict, e.counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		e.keep = sgns.KeepProbs(dict, e.counts, corpusTokens, opt.SubsampleT)
 	}
-	e.noiseW = sgns.NoiseWeights(e.counts, opt.NoiseAlpha)
+	e.noiseW = sgns.NoiseWeights(e.counts)
 
 	// Hot set Q (§III-C step 4).
 	e.hotIdx = make([]int32, dict.Len())

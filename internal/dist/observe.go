@@ -58,7 +58,7 @@ func (e *engine) liveRecovery() (restarts, takeovers, recovered uint64) {
 // liveLR recomputes the current decayed learning rate from the shared scan
 // counter — the rate every worker applies in scanSequence.
 func (e *engine) liveLR() float32 {
-	return sgns.DecayLR(e.opt.LR, e.opt.MinLRFrac, e.scanTokens.Load(), e.totalTokens*uint64(e.opt.Workers))
+	return sgns.DecayLR(e.opt.LR, e.scanTokens.Load(), e.totalTokens*uint64(e.opt.Workers))
 }
 
 // registerMetrics mirrors the engine's counters into the registry as

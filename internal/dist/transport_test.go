@@ -363,8 +363,8 @@ func TestWireFaultsValidate(t *testing.T) {
 		{"negative sever worker", FaultPlan{Wire: WireFaults{Severs: []SeverSpec{{From: -1, To: 1, AtSends: 1}}}}},
 	}
 	for _, c := range cases {
-		if err := c.plan.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid plan", c.name)
+		if err := c.plan.validate(math.MaxInt); err == nil {
+			t.Errorf("%s: validate accepted an invalid plan", c.name)
 		}
 	}
 	ok := FaultPlan{
@@ -375,7 +375,7 @@ func TestWireFaultsValidate(t *testing.T) {
 			Partitions: []PartitionSpec{{From: 1, To: 0, AtSends: 5, ForSends: 3}},
 		},
 	}
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(math.MaxInt); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

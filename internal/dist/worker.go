@@ -377,7 +377,7 @@ func (w *worker) scanSequence(seq []int32) {
 	// no pair in the sequence (it may own nothing in this region).
 	w.heartbeat.Add(1)
 	kept := sgns.Subsample(w.kept, seq, e.keep, &w.r)
-	w.lr = sgns.DecayLR(w.opt.LR, w.opt.MinLRFrac, e.scanTokens.Add(uint64(len(seq))), e.totalTokens*uint64(w.opt.Workers))
+	w.lr = sgns.DecayLR(w.opt.LR, e.scanTokens.Add(uint64(len(seq))), e.totalTokens*uint64(w.opt.Workers))
 	for i := range kept {
 		if w.stopped() {
 			return

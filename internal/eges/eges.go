@@ -43,10 +43,8 @@ type Options struct {
 	Negatives    int     // negative samples per positive pair
 	Epochs       int     // passes over the walk corpus
 	LR           float32 // initial learning rate, linearly decayed
-	MinLRFrac    float32
 	WalksPerNode int
 	WalkLength   int
-	NoiseAlpha   float64
 	Workers      int
 	Seed         uint64
 }
@@ -59,10 +57,8 @@ func Defaults() Options {
 		Negatives:    5,
 		Epochs:       2,
 		LR:           0.025,
-		MinLRFrac:    1e-4,
 		WalksPerNode: 2,
 		WalkLength:   10,
-		NoiseAlpha:   0.75,
 		Seed:         1,
 	}
 }
@@ -82,8 +78,6 @@ func (o *Options) Validate() error {
 		return errors.New("eges: LR must be positive")
 	case o.WalksPerNode <= 0 || o.WalkLength < 2:
 		return errors.New("eges: walk parameters out of range")
-	case o.NoiseAlpha <= 0:
-		return errors.New("eges: NoiseAlpha must be positive")
 	}
 	return nil
 }
@@ -114,8 +108,7 @@ type Stats struct {
 }
 
 // Walker abstracts the random-walk corpus source (satisfied by
-// *graph.Graph's WalkCorpus via a small adapter in the caller, or any
-// precomputed [][]int32).
+// *graph.Graph).
 type Walker interface {
 	WalkCorpus(walksPerNode, walkLength int, seed uint64) [][]int32
 }
@@ -129,14 +122,11 @@ func Train(d *corpus.Dict, g Walker, opt Options) (*Model, error) {
 	if len(walks) == 0 {
 		return nil, errors.New("eges: empty walk corpus")
 	}
-	return TrainOnWalks(d, walks, opt)
+	return trainOnWalks(d, walks, opt)
 }
 
-// TrainOnWalks trains EGES on a precomputed walk corpus.
-func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+// trainOnWalks trains EGES on a walk corpus, under options Train validated.
+func trainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) {
 	numItems := d.NumItems
 	master := rng.New(opt.Seed)
 
@@ -167,7 +157,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 		}
 		totalTokens += uint64(len(w))
 	}
-	noise, err := alias.New(sgns.NoiseWeights(counts, opt.NoiseAlpha))
+	noise, err := alias.New(sgns.NoiseWeights(counts))
 	if err != nil {
 		return nil, fmt.Errorf("eges: noise distribution: %w", err)
 	}
@@ -190,7 +180,7 @@ func TrainOnWalks(d *corpus.Dict, walks [][]int32, opt Options) (*Model, error) 
 			defer wg.Done()
 			for ep := 0; ep < opt.Epochs; ep++ {
 				for i := shard; i < len(walks); i += workers {
-					st.lr = sgns.DecayLR(opt.LR, opt.MinLRFrac, doneTokens.Add(uint64(len(walks[i]))), total)
+					st.lr = sgns.DecayLR(opt.LR, doneTokens.Add(uint64(len(walks[i]))), total)
 					st.trainWalk(walks[i])
 				}
 			}

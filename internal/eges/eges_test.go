@@ -30,7 +30,6 @@ func TestValidate(t *testing.T) {
 		func(o *Options) { o.LR = 0 },
 		func(o *Options) { o.WalksPerNode = 0 },
 		func(o *Options) { o.WalkLength = 1 },
-		func(o *Options) { o.NoiseAlpha = 0 },
 	}
 	for i, mutate := range bad {
 		o := Defaults()

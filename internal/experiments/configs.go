@@ -25,6 +25,3 @@ func CorpusByName(name string) (corpus.Config, error) {
 		return corpus.Config{}, fmt.Errorf("unknown corpus %q (want Sim25K, Sim100K, Sim800K, quick or tiny)", name)
 	}
 }
-
-// QuickCorpus exposes the reduced experiment corpus to the tools.
-func QuickCorpus() corpus.Config { return quickCorpus() }

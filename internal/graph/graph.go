@@ -116,12 +116,6 @@ func (g *Graph) Out(v int32) []Edge {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
 }
 
-// OutWeight returns the total outgoing weight of v.
-func (g *Graph) OutWeight(v int32) float64 { return g.outW[v] }
-
-// NumEdges returns the number of distinct directed edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Weight returns the weight of edge a→b, or 0.
 func (g *Graph) Weight(a, b int32) float64 {
 	lo, hi := int(g.offsets[a]), int(g.offsets[a+1])

@@ -17,8 +17,8 @@ func TestAddEdgeAndFinalize(t *testing.T) {
 	g.AddEdge(2, 2, 9) // self-loop ignored
 	g.Finalize()
 
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
+	if len(g.edges) != 3 {
+		t.Fatalf("%d edges, want 3", len(g.edges))
 	}
 	if w := g.Weight(0, 1); w != 5 {
 		t.Fatalf("Weight(0,1) = %v", w)
@@ -26,8 +26,8 @@ func TestAddEdgeAndFinalize(t *testing.T) {
 	if w := g.Weight(0, 3); w != 0 {
 		t.Fatalf("Weight(0,3) = %v", w)
 	}
-	if w := g.OutWeight(0); w != 6 {
-		t.Fatalf("OutWeight(0) = %v", w)
+	if w := g.outW[0]; w != 6 {
+		t.Fatalf("out-weight of 0 = %v", w)
 	}
 	out := g.Out(0)
 	if len(out) != 2 || out[0].To != 1 || out[1].To != 2 {

@@ -88,7 +88,6 @@ func TestQueryPreCancelledScansNothing(t *testing.T) {
 		{K: 10},
 		{K: 10, Parallelism: 4},
 		{K: 10, Index: IndexIVF},
-		{K: 10, Index: IndexIVF, Quantized: true},
 	} {
 		before := ix.TilesScanned()
 		if _, err := ix.Query(ctx, qs[0], opts); !errors.Is(err, ErrCanceled) {

@@ -3,11 +3,9 @@
 // over the indexed matrix (nlist ≈ sqrt(rows) coarse centroids); a query
 // scores all centroids, probes the NProbe most promising non-empty
 // clusters, and the union of their posting lists is the candidate set.
-// Candidates are optionally pre-screened with int8 quantized dot products
-// (Options.Quantized, over the index's int8 mirror — the one the flat scan
-// reads, see quant.go) and always re-ranked with the exact float32 kernel
-// under the engine's canonical total order — approximation decides which
-// rows are *considered*, never what score a served row carries.
+// Candidates are scored with the exact float32 kernel under the engine's
+// canonical total order — approximation decides which rows are
+// *considered*, never what score a served row carries.
 //
 // Determinism: the build is a pure function of the matrix and, for a
 // warm start (BuildIVF), the centroids it was handed — centroids seed from
@@ -37,23 +35,16 @@ const (
 	// coarse quantizer. Convergence beyond ~10 iterations moves recall by
 	// noise only. A warm build runs none: see buildIVF.
 	kmeansIters = 10
-	// rerankFactor and rerankMin size the exact-re-rank shortlist the
-	// quantized pre-screen keeps: max(rerankFactor*K, rerankMin)
-	// candidates survive to float32 scoring.
-	rerankFactor = 4
-	rerankMin    = 64
 )
 
 // ivfIndex is the immutable IVF layer of an Index: coarse centroids and one
-// ascending posting list per centroid. Shortlist scoring reads the index's
-// int8 mirror, which the layer refers to and does not own.
+// ascending posting list per centroid.
 type ivfIndex struct {
 	nlist     int
 	dim       int
 	centroids []float32 // nlist × dim, row-major
 	lists     [][]int32 // per centroid, ascending row ids (may be empty)
 	nonEmpty  int       // number of non-empty posting lists
-	*quantMirror
 }
 
 // ivfLayer returns the IVF layer, building it cold on first use unless
@@ -202,7 +193,6 @@ func buildIVF(ix *Index, warm []float32) *ivfIndex {
 	if !filled {
 		iv.assignRows(assign, data, rows, workers, nil)
 	}
-	iv.quantMirror = ix.mirror.Load()
 	iv.carveLists(assign)
 	if seeded > 0 {
 		if iv.nonEmpty < nlist {
@@ -292,7 +282,7 @@ func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int
 }
 
 // queryIVF answers one query through the IVF layer. The context is checked
-// once per candidate tile inside the shortlist and re-rank stages.
+// once per candidate tile.
 func (ix *Index) queryIVF(ctx context.Context, q []float32, opts Options) ([]Result, error) {
 	iv := ix.ivfLayer()
 	sc := scratchPool.Get().(*scratch)
@@ -301,13 +291,6 @@ func (ix *Index) queryIVF(ctx context.Context, q []float32, opts Options) ([]Res
 	st := &sc.qs[0]
 	cands := iv.candidates(st.q, opts.NProbe)
 	ix.tiles.Add(uint64(1 + (iv.nlist-1)/blockRows)) // centroid scoring pass
-	if opts.Quantized && st.bounded {
-		var err error
-		cands, err = ix.quantShortlist(ctx, sc, st, iv, cands, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
 	for _, l := range cands {
 		if err := ix.rerank(ctx, sc, st, l, opts.K, opts.Skip); err != nil {
 			return nil, err
@@ -370,9 +353,7 @@ func (ix *Index) queryBatchIVF(ctx context.Context, qs [][]float32, opts Options
 // in multiply-accumulate units (rows × dims touched). It is the admission
 // currency of the serving tier: a flat scan costs rows·dim; an IVF probe
 // costs the centroid pass plus the expected fraction of rows its probe
-// width reaches (quantized shortlists count at a quarter weight — int8
-// traffic — plus the exact re-rank of the kept shortlist). The estimate
-// is derived from index geometry only and never forces the IVF build. A
+// width reaches. The estimate is derived from index geometry only and never forces the IVF build. A
 // flat scan is deliberately still priced at rows·dim although it now moves
 // about a quarter of those bytes: the server's MaxInFlight budget and its
 // brownout thresholds are denominated in "one flat scan", and re-weighting
@@ -396,19 +377,7 @@ func (ix *Index) PredictedCost(opts Options) int64 {
 	}
 	// Expected candidates under a uniform cluster-size model.
 	cand := rows * np / nlist
-	cost := nlist * dim // centroid scoring
-	if opts.Quantized {
-		keep := int64(opts.K * rerankFactor)
-		if keep < rerankMin {
-			keep = rerankMin
-		}
-		if keep > cand {
-			keep = cand
-		}
-		cost += cand*dim/4 + keep*dim // int8 pre-screen + exact re-rank
-	} else {
-		cost += cand * dim
-	}
+	cost := nlist*dim + cand*dim // centroid scoring + exact candidates
 	if cost > flat {
 		cost = flat
 	}
@@ -455,48 +424,4 @@ func (iv *ivfIndex) candidates(q []float32, nprobe int) [][]int32 {
 		}
 	}
 	return probeLists
-}
-
-// quantShortlist pre-screens candidates with int8 quantized dot products
-// — each row's codes against the int16 query of st, by the same kernel as
-// the flat scan — keeping the max(rerankFactor*K, rerankMin) best under the
-// total order for the exact re-rank. Quantized scores only ever decide
-// membership of the re-rank set; they are never served. The context is
-// checked once per blockRows candidates (a tile unit of work, counted on
-// ix.tiles).
-func (ix *Index) quantShortlist(ctx context.Context, sc *scratch, st *scan, iv *ivfIndex, lists [][]int32, opts Options) ([][]int32, error) {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	keep := max(opts.K*rerankFactor, rerankMin)
-	if keep >= total {
-		return lists, nil
-	}
-	dim := iv.dim
-	dot := sc.dots[:1]
-	for _, l := range lists {
-		for _, id := range l {
-			if st.seen%blockRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, canceledErr(err)
-				}
-				ix.tiles.Add(1)
-			}
-			st.seen++
-			if opts.Skip != nil && opts.Skip(id) {
-				continue
-			}
-			vecmath.DotRowsI8(dot, iv.codes[int(id)*dim:(int(id)+1)*dim], st.u)
-			approx := float64(iv.scales[id]) * st.t * float64(dot[0])
-			pushBounded(&st.top, Result{ID: id, Score: float32(approx)}, keep)
-		}
-	}
-	ids := make([]int32, len(st.top))
-	for i, r := range st.top {
-		ids[i] = r.ID
-	}
-	slices.Sort(ids)
-	st.top, st.seen = st.top[:0], 0
-	return [][]int32{ids}, nil
 }

@@ -67,22 +67,8 @@ func TestIVFExhaustiveBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
-// Quantized exhaustive probe is also bit-identical whenever the shortlist
-// budget covers every candidate (the int8 pre-screen only trims when it
-// must): quantization decides membership, never served scores.
-func TestIVFQuantizedExhaustiveSmallIsExact(t *testing.T) {
-	rows, dim, k := 60, 12, 5 // shortlist keep = rerankMin = 64 >= rows
-	m := randomMatrix(rows, dim, 11)
-	ix := NewIndex(m, rows, false)
-	q := randomMatrix(1, dim, 13).Row(0)
-	flat := queryT(ix, q, Options{K: k})
-	ivf := queryT(ix, q, Options{K: k, Index: IndexIVF, NProbe: rows, Quantized: true})
-	sameResults(t, "quantized exhaustive", ivf, flat)
-}
-
-// Recall on clustered data, quantized and not, against the flat scan as
-// ground truth. At the default NProbe a loose floor catches a broken probe
-// order or a shortlist that drops the true neighbors wholesale; sweeping
+// Recall on clustered data against the flat scan as ground truth. At the
+// default NProbe a loose floor catches a broken probe order; sweeping
 // NProbe, some width short of every list must reach the serving floor of
 // 0.95 — the accuracy half of the IVF trade-off. (The speed half is read
 // from knn.ivf_query_us against knn.flat_query_us in traced benchmark
@@ -102,29 +88,27 @@ func TestIVFRecallOnClusteredData(t *testing.T) {
 		}
 		queries[i], truth[i] = q, queryT(ix, q, Options{K: k})
 	}
-	recall := func(nprobe int, quantized bool) float64 {
+	recall := func(nprobe int) float64 {
 		hits, want := 0, 0
 		for i, q := range queries {
-			got := queryT(ix, q, Options{K: k, Index: IndexIVF, NProbe: nprobe, Quantized: quantized})
+			got := queryT(ix, q, Options{K: k, Index: IndexIVF, NProbe: nprobe})
 			want += len(truth[i])
 			hits += overlap(truth[i], got)
 		}
 		return float64(hits) / float64(want)
 	}
-	for _, quantized := range []bool{false, true} {
-		got := recall(0, quantized)
-		t.Logf("quantized=%v default nprobe: recall@%d = %.3f", quantized, k, got)
-		if got < 0.9 {
-			t.Errorf("quantized=%v recall@%d = %.3f at the default nprobe, want >= 0.9", quantized, k, got)
-		}
-		best, nlist := 0.0, ix.IVFClusters()
-		for nprobe := 1; nprobe < nlist && best < 0.95; nprobe *= 2 {
-			best = recall(nprobe, quantized)
-			t.Logf("quantized=%v nprobe=%d/%d: recall@%d = %.3f", quantized, nprobe, nlist, k, best)
-		}
-		if best < 0.95 {
-			t.Errorf("quantized=%v: no nprobe below the %d lists reaches recall@%d >= 0.95", quantized, nlist, k)
-		}
+	got := recall(0)
+	t.Logf("default nprobe: recall@%d = %.3f", k, got)
+	if got < 0.9 {
+		t.Errorf("recall@%d = %.3f at the default nprobe, want >= 0.9", k, got)
+	}
+	best, nlist := 0.0, ix.IVFClusters()
+	for nprobe := 1; nprobe < nlist && best < 0.95; nprobe *= 2 {
+		best = recall(nprobe)
+		t.Logf("nprobe=%d/%d: recall@%d = %.3f", nprobe, nlist, k, best)
+	}
+	if best < 0.95 {
+		t.Errorf("no nprobe below the %d lists reaches recall@%d >= 0.95", nlist, k)
 	}
 }
 
@@ -137,7 +121,7 @@ func TestIVFBatchMatchesSingle(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomMatrix(1, dim, uint64(100+i)).Row(0)
 	}
-	opts := Options{K: k, Index: IndexIVF, NProbe: 3, Quantized: true}
+	opts := Options{K: k, Index: IndexIVF, NProbe: 3}
 	single := make([][]Result, nq)
 	for i, q := range qs {
 		single[i] = queryT(ix, q, opts)
@@ -305,12 +289,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"flat explicit ok", Options{K: 5, Index: IndexFlat}, ""},
 		{"ivf ok", Options{K: 5, Index: IndexIVF}, ""},
 		{"ivf nprobe ok", Options{K: 5, Index: IndexIVF, NProbe: 8}, ""},
-		{"ivf quantized ok", Options{K: 5, Index: IndexIVF, Quantized: true}, ""},
 		{"zero k", Options{K: 0}, "knn: k must be positive, got 0"},
 		{"negative k", Options{K: -3, Index: IndexIVF}, "knn: k must be positive, got -3"},
 		{"negative nprobe", Options{K: 5, Index: IndexIVF, NProbe: -1}, "knn: nprobe must be >= 0 (0 means default), got -1"},
 		{"nprobe without ivf", Options{K: 5, NProbe: 4}, "knn: nprobe is only meaningful with index=ivf"},
-		{"quantized without ivf", Options{K: 5, Index: IndexFlat, Quantized: true}, "knn: quantized is only meaningful with index=ivf"},
 		{"unknown index", Options{K: 5, Index: "hnsw"}, `knn: unknown index "hnsw" (want "flat" or "ivf")`},
 	}
 	for _, tc := range cases {
@@ -408,10 +390,11 @@ func TestWarmBuildIsAssignMeanQuantize(t *testing.T) {
 						t.Fatalf("%s: centroid value %d = %v, want the cell mean %v", tag, i, iv.centroids[i], means[i])
 					}
 				}
+				mir := ix.mirror.Load()
 				code := make([]int8, m.Dim)
 				for r := 0; r < ix.rows; r++ {
 					scale := vecmath.QuantizeRow(code, view.Row(int32(r)))
-					if scale != iv.scales[r] || !slices.Equal(code, iv.codes[r*m.Dim:(r+1)*m.Dim]) {
+					if scale != mir.scales[r] || !slices.Equal(code, mir.codes[r*m.Dim:(r+1)*m.Dim]) {
 						t.Fatalf("%s: row %d code differs from QuantizeRow", tag, r)
 					}
 				}

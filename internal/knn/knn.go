@@ -116,17 +116,11 @@ type Options struct {
 	// speed for recall; NProbe >= the cluster count is an exhaustive scan,
 	// bit-identical to IndexFlat. Only meaningful with IndexIVF.
 	NProbe int
-	// Quantized scores the IVF shortlist with int8 quantized dot products
-	// before the exact float32 re-rank — 4x less scan traffic at a small
-	// recall cost (TestIVFRecallOnClusteredData holds both to the same
-	// floor). Only meaningful with IndexIVF; served scores stay exact
-	// float32 either way.
-	Quantized bool
 }
 
 // Validate reports whether the options describe an executable query:
-// positive K, a known Index name, and NProbe/Quantized only combined with
-// the IVF index. It is the validation surface API layers (the /v1 server)
+// positive K, a known Index name, and NProbe only combined with the IVF
+// index. It is the validation surface API layers (the /v1 server)
 // map onto their own error envelopes; Query panics on an unknown index
 // name rather than silently falling back.
 func (o Options) Validate() error {
@@ -137,9 +131,6 @@ func (o Options) Validate() error {
 	case "", IndexFlat:
 		if o.NProbe != 0 {
 			return fmt.Errorf("knn: nprobe is only meaningful with index=%s", IndexIVF)
-		}
-		if o.Quantized {
-			return fmt.Errorf("knn: quantized is only meaningful with index=%s", IndexIVF)
 		}
 	case IndexIVF:
 		if o.NProbe < 0 {
@@ -239,14 +230,8 @@ func NewIndexSharded(mat *emb.Matrix, rows int, normalize bool, shards int) *Ind
 	return ix
 }
 
-// Rows returns the number of indexed rows.
-func (ix *Index) Rows() int { return ix.rows }
-
 // Shards returns the number of row shards.
 func (ix *Index) Shards() int { return len(ix.shards) }
-
-// Dim returns the embedding dimensionality of the indexed rows.
-func (ix *Index) Dim() int { return ix.mat.Dim }
 
 // TilesScanned returns the cumulative scan work this index has performed,
 // in tile units (one unit ≈ one kernel pass over up to 256 rows). The

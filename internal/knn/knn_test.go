@@ -129,8 +129,8 @@ func TestNormalizedSearchIsCosine(t *testing.T) {
 func TestRowsBound(t *testing.T) {
 	m := randomMatrix(100, 4, 5)
 	idx := NewIndex(m, 30, false)
-	if idx.Rows() != 30 {
-		t.Fatalf("Rows = %d", idx.Rows())
+	if idx.rows != 30 {
+		t.Fatalf("rows = %d", idx.rows)
 	}
 	got, err := idx.Query(context.Background(), m.Row(0), Options{K: 100})
 	if err != nil {

@@ -1,8 +1,7 @@
 // The int8 side of the index: the quantised mirror of the indexed rows, and
 // the per-query state that turns its integer scores into intervals around
 // the exact float32 scores. The flat scan prunes with those intervals and
-// stays exact (scan.prune has the bound and its proof); the IVF pre-screen
-// (Options.Quantized) ranks a shortlist by their midpoints.
+// stays exact (scan.prune has the bound and its proof).
 package knn
 
 import (
@@ -150,7 +149,7 @@ type scan struct {
 	ids   []int32   // candidates: rows not pruned when they were seen, ascending
 	ups   []float64 // their upper bounds
 	top   minHeap   // the exact top-K of the rows scored so far
-	seen  int       // candidates visited by the current shortlist or re-rank stage
+	seen  int       // candidates visited by the current re-rank stage
 }
 
 // begin resets the state for query q, scored as is or L2-normalised (on a

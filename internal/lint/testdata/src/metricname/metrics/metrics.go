@@ -15,4 +15,4 @@ func (r *Registry) Gauge(name, help string, labels ...Label) int { return 0 }
 
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {}
 
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) int { return 0 }
+func (r *Registry) Histogram(name, help string, labels ...Label) int { return 0 }

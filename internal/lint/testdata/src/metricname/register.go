@@ -13,7 +13,7 @@ const goodName = "requests_total"
 func register(reg *metrics.Registry, user string) {
 	reg.Counter(goodName, "constant name")
 	reg.Counter("literal_total", "string literal is a constant")
-	reg.Histogram(goodName+"_seconds", "constant expression", nil)
+	reg.Histogram(goodName+"_seconds", "constant expression")
 
 	reg.Gauge(fmt.Sprintf("user_%s_total", user), "formatted") // want "metric name passed to Gauge is not a compile-time constant"
 

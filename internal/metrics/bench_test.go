@@ -21,7 +21,7 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := newHistogram(DefBuckets())
+	h := newHistogram(defBuckets)
 	b.RunParallel(func(pb *testing.PB) {
 		v := 0.0001
 		for pb.Next() {
@@ -35,7 +35,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkHistogramObserveSince(b *testing.B) {
-	h := newHistogram(nil)
+	h := newHistogram(defBuckets)
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		h.ObserveSince(start)
@@ -46,7 +46,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	r := NewRegistry()
 	for _, path := range []string{"/v1/similar", "/v1/coldstart/item", "/v1/coldstart/user", "/healthz", "/v1/stats"} {
 		r.Counter("http_requests_total", "h", L("path", path), L("code", "2xx")).Inc()
-		r.Histogram("http_request_duration_seconds", "h", nil, L("path", path)).Observe(0.01)
+		r.Histogram("http_request_duration_seconds", "h", L("path", path)).Observe(0.01)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

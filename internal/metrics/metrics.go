@@ -59,16 +59,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds delta (CAS loop; gauges are low-frequency by design).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -85,17 +75,13 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// DefBuckets are the default latency buckets in seconds, spanning 100µs to
-// 10s — wide enough for both the KNN fast path and a shed-or-timeout tail.
-func DefBuckets() []float64 {
-	return []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-}
+// defBuckets are the latency buckets in seconds of every registry
+// histogram, spanning 100µs to 10s — wide enough for both the KNN fast path
+// and a shed-or-timeout tail.
+var defBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // newHistogram validates and copies the bounds.
 func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets()
-	}
 	b := append([]float64(nil), bounds...)
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {
@@ -346,9 +332,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 }
 
 // Histogram returns the histogram for name+labels, creating it with the
-// given bucket upper bounds on first use (nil bounds = DefBuckets). Bounds
-// of an existing histogram are not re-checked: first registration wins.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+// latency buckets defBuckets on first use.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	f := r.familyFor(name, help, "histogram")
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -356,7 +341,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if s, ok := f.children[key]; ok {
 		return s.h
 	}
-	s := &series{labels: key, h: newHistogram(bounds)}
+	s := &series{labels: key, h: newHistogram(defBuckets)}
 	f.children[key] = s
 	return s.h
 }

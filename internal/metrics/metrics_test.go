@@ -109,7 +109,7 @@ func TestHistogramConcurrentConservation(t *testing.T) {
 }
 
 func TestHistogramEmptyAndValidation(t *testing.T) {
-	h := newHistogram(nil) // defaults
+	h := newHistogram(defBuckets)
 	if v := h.Quantile(0.5); v != 0 {
 		t.Fatalf("empty histogram Quantile = %v, want 0", v)
 	}
@@ -148,7 +148,7 @@ func TestRegistryValue(t *testing.T) {
 	r.Counter("c_total", "h", L("k", "v")).Add(7)
 	r.Gauge("g", "h").Set(2.5)
 	r.GaugeFunc("gf", "h", func() float64 { return 9 })
-	r.Histogram("h_seconds", "h", nil).Observe(0.1)
+	r.Histogram("h_seconds", "h").Observe(0.1)
 
 	for _, tc := range []struct {
 		name   string
@@ -192,7 +192,7 @@ func TestWritePrometheusFormatAndOrdering(t *testing.T) {
 	r.Counter("b_total", "b help", L("path", "/x")).Add(2)
 	r.Counter("b_total", "b help", L("path", "/a")).Inc()
 	r.Gauge("a_gauge", "a help").Set(1.25)
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
+	h := r.Histogram("lat_seconds", "latency")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)

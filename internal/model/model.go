@@ -59,7 +59,7 @@ type Snapshot interface {
 	// candidates per seed, each seed's own id excluded, under the
 	// variant's scoring rule. One seed runs a single scan; several seeds
 	// ride the engine's batched scan. Normalize and Skip are owned by the
-	// snapshot; Index/NProbe/Quantized select the scan strategy. A seed
+	// snapshot; Index and NProbe select the scan strategy. A seed
 	// the snapshot cannot serve fails with ErrNotServable.
 	Similar(ctx context.Context, seeds []int32, opts knn.Options) ([][]knn.Result, error)
 	// SimilarToVector retrieves for an arbitrary query vector (the

@@ -223,6 +223,3 @@ func (z *Zipf) Sample() int {
 	}
 	return lo
 }
-
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }

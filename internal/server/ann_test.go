@@ -22,8 +22,6 @@ func TestANNOptionsBadRequests(t *testing.T) {
 		{"nprobe not integer", "/v1/similar?item=1&k=5&index=ivf&nprobe=lots", "nprobe is not an integer"},
 		{"nprobe without ivf", "/v1/similar?item=1&k=5&nprobe=4", "nprobe is only meaningful with index=ivf"},
 		{"nprobe with flat", "/v1/similar?item=1&k=5&index=flat&nprobe=4", "nprobe is only meaningful with index=ivf"},
-		{"quantized without ivf", "/v1/similar?item=1&k=5&quantized=true", "quantized is only meaningful with index=ivf"},
-		{"quantized not boolean", "/v1/similar?item=1&k=5&index=ivf&quantized=maybe", "quantized is not a boolean"},
 	}
 	before := s.Stats().ClientErrors
 	for _, tc := range cases {
@@ -90,7 +88,6 @@ func TestANNServesAndCacheStaysExact(t *testing.T) {
 		}
 	}
 	warm(ts.URL+"/v1/similar?item=7&k=10&index=ivf", 10)
-	warm(ts.URL+"/v1/similar?item=7&k=10&index=ivf&quantized=true", 10)
 	warm(ts.URL+"/v1/similar?item=7&k=10&index=ivf&nprobe=3", 10)
 	if got := s.cacheMisses.Value() + s.cacheHits.Value(); got != 0 {
 		t.Fatalf("ANN requests touched the exact-scan cache (%d hits+misses)", got)

@@ -303,7 +303,7 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 	}
 	for _, p := range append(append([]string(nil), knownPaths...), "other") {
 		em := &endpointMetrics{
-			latency: reg.Histogram("http_request_duration_seconds", "request handling latency", nil, metrics.L("path", p)),
+			latency: reg.Histogram("http_request_duration_seconds", "request handling latency", metrics.L("path", p)),
 			codes:   make(map[string]*metrics.Counter, 4),
 		}
 		for _, cls := range []string{"2xx", "3xx", "4xx", "5xx"} {
@@ -339,8 +339,8 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		}
 		return 0
 	})
-	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", nil, metrics.L("source", "scan"))
-	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", nil, metrics.L("source", "cache"))
+	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", metrics.L("source", "scan"))
+	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", metrics.L("source", "cache"))
 	if cfg.CacheSize > 0 {
 		s.cacheHits = reg.Counter("retrieval_cache_hits_total", "/similar requests answered from the result cache")
 		s.cacheMisses = reg.Counter("retrieval_cache_misses_total", "/similar requests that fell through to a full scan")
@@ -687,7 +687,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	// are scoped to the pinned generation — the cache by construction
 	// (cacheFor), the flight by key — so two generations' answers can
 	// never coalesce or shadow one another across a swap. Only the exact
-	// default scan is cached: ANN answers depend on index/nprobe/quantized,
+	// default scan is cached: ANN answers depend on index and nprobe,
 	// and folding those into the key would let approximate results shadow
 	// exact ones (and vice versa). Cached results are served even during
 	// brownout — they are exact and cost nothing, which is the whole point
@@ -774,7 +774,7 @@ func (s *Server) admittedRetrieve(ctx context.Context, snap model.Snapshot, item
 }
 
 // annOptions parses the retrieval-strategy query parameters (index,
-// nprobe, quantized) into knn.Options and rejects inconsistent
+// nprobe) into knn.Options and rejects inconsistent
 // combinations with the engine's own Validate message. The zero Index
 // (parameter absent) keeps the cached exact-scan fast path.
 func (s *Server) annOptions(w http.ResponseWriter, r *http.Request, k int) (knn.Options, bool) {
@@ -786,14 +786,6 @@ func (s *Server) annOptions(w http.ResponseWriter, r *http.Request, k int) (knn.
 		return opts, false
 	}
 	opts.NProbe = nprobe
-	if v := r.URL.Query().Get("quantized"); v != "" {
-		q, err := strconv.ParseBool(v)
-		if err != nil {
-			s.clientError(w, "quantized is not a boolean")
-			return opts, false
-		}
-		opts.Quantized = q
-	}
 	opts.K = k // so Validate sees the full picture
 	if err := opts.Validate(); err != nil {
 		s.clientError(w, "%s", err)

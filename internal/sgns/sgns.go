@@ -12,8 +12,8 @@
 //     sampled only from the RIGHT context window, preserving the click
 //     order; the matching serving-time change (scoring in·out) lives in
 //     internal/emb and internal/knn.
-//   - Aggressive SI subsampling (§III-A): non-item tokens can be subsampled
-//     harder than items via Options.SIBoost.
+//   - Aggressive SI subsampling (§III-A): non-item tokens are subsampled
+//     harder than items (siBoost in walk.go).
 package sgns
 
 import (
@@ -40,11 +40,8 @@ type Options struct {
 	Window     int     // maximum context window, in enriched-token units
 	Negatives  int     // negatives per positive pair (paper production: 20)
 	Epochs     int     // full passes over the corpus (paper: 2)
-	LR         float32 // initial learning rate
-	MinLRFrac  float32 // final LR as a fraction of LR (word2vec: 1e-4)
+	LR         float32 // initial learning rate, decayed linearly to minLRFrac of itself
 	SubsampleT float64 // subsampling threshold t; 0 disables
-	SIBoost    float64 // multiplier on keep-prob of non-item tokens (≤1 = more aggressive)
-	NoiseAlpha float64 // unigram exponent for negative sampling (paper: 0.75)
 	// Stride makes the randomly reduced window a multiple of a token
 	// stride. SI-enriched sequences place 1+NumSIColumns tokens per item;
 	// reducing the window below that stride would starve item→item pairs,
@@ -86,10 +83,7 @@ func Defaults() Options {
 		Negatives:  5,
 		Epochs:     2,
 		LR:         0.025,
-		MinLRFrac:  1e-4,
 		SubsampleT: 1e-3,
-		SIBoost:    0.5,
-		NoiseAlpha: 0.75,
 		Workers:    0,
 		Seed:       1,
 	}
@@ -127,10 +121,6 @@ func (o *Options) Validate() error {
 		return errors.New("sgns: Epochs must be positive")
 	case o.LR <= 0:
 		return errors.New("sgns: LR must be positive")
-	case o.SIBoost < 0 || o.SIBoost > 1:
-		return errors.New("sgns: SIBoost out of [0,1]")
-	case o.NoiseAlpha <= 0:
-		return errors.New("sgns: NoiseAlpha must be positive")
 	}
 	return nil
 }
@@ -241,13 +231,13 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		maxLen = max(maxLen, len(s))
 	}
 
-	noise, err := alias.New(NoiseWeights(counts, opt.NoiseAlpha))
+	noise, err := alias.New(NoiseWeights(counts))
 	if err != nil {
 		return Stats{}, fmt.Errorf("sgns: noise distribution: %w", err)
 	}
 	var keep []float32
 	if opt.SubsampleT > 0 {
-		keep = KeepProbs(dict, counts, corpusTokens, opt.SubsampleT, opt.SIBoost)
+		keep = KeepProbs(dict, counts, corpusTokens, opt.SubsampleT)
 	}
 
 	// Linear LR decay over the estimated total number of consumed tokens.
@@ -323,7 +313,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 		stop := StartProgress(opt.Progress, opt.ProgressEvery, opt.Epochs, totalTokens,
 			func() (int, uint64, uint64, float32) {
 				d := doneTokens.Load()
-				return int(curEpoch.Load()), pairs.Load(), d, DecayLR(opt.LR, opt.MinLRFrac, d, totalTokens)
+				return int(curEpoch.Load()), pairs.Load(), d, DecayLR(opt.LR, d, totalTokens)
 			})
 		defer stop() // emits the final Done snapshot, on error paths too
 	}
@@ -395,7 +385,7 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	for w, ws := range states {
 		st.Busy[w] = ws.busy
 	}
-	st.FinalLR = DecayLR(opt.LR, opt.MinLRFrac, st.Tokens, totalTokens)
+	st.FinalLR = DecayLR(opt.LR, st.Tokens, totalTokens)
 	return st, nil
 }
 
@@ -469,7 +459,7 @@ func newWorkerState(model *emb.Model, noise *alias.Table, keep []float32, opt *O
 // per pair and applied once, per the original word2vec.
 func (ws *workerState) trainSequence(seq []int32, doneTokens *atomic.Uint64, totalTokens uint64) {
 	kept := Subsample(ws.kept, seq, ws.keep, &ws.r)
-	ws.lr = DecayLR(ws.opt.LR, ws.opt.MinLRFrac, doneTokens.Add(uint64(len(seq))), totalTokens)
+	ws.lr = DecayLR(ws.opt.LR, doneTokens.Add(uint64(len(seq))), totalTokens)
 	m := ws.model
 	for i := range kept {
 		lo, hi := ws.walk.Span(&ws.r, i, len(kept))

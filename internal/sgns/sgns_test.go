@@ -54,8 +54,6 @@ func TestValidate(t *testing.T) {
 		func(o *Options) { o.Negatives = -1 },
 		func(o *Options) { o.Epochs = 0 },
 		func(o *Options) { o.LR = 0 },
-		func(o *Options) { o.SIBoost = 2 },
-		func(o *Options) { o.NoiseAlpha = 0 },
 	}
 	for i, mutate := range bad {
 		o := Defaults()
@@ -263,13 +261,13 @@ func TestWorkerStatesShareNoCacheLine(t *testing.T) {
 }
 
 func TestDecayLR(t *testing.T) {
-	if got := DecayLR(0.1, 1e-4, 0, 100); got != 0.1 {
+	if got := DecayLR(0.1, 0, 100); got != 0.1 {
 		t.Fatalf("start LR %v", got)
 	}
-	if got := DecayLR(0.1, 1e-4, 100, 100); got != 0.1*1e-4 {
+	if got := DecayLR(0.1, 100, 100); got != 0.1*1e-4 {
 		t.Fatalf("end LR %v", got)
 	}
-	mid := DecayLR(0.1, 1e-4, 50, 100)
+	mid := DecayLR(0.1, 50, 100)
 	if mid < 0.049 || mid > 0.051 {
 		t.Fatalf("mid LR %v", mid)
 	}

@@ -32,32 +32,28 @@ type LiveOptions struct {
 	Negatives  int     // negatives per positive pair
 	LR         float32 // constant streaming learning rate
 	SubsampleT float64 // Mikolov subsampling threshold; 0 disables
-	SIBoost    float64 // keep-prob multiplier for non-item rows (≤1)
-	NoiseAlpha float64 // unigram exponent for negative sampling
 	Stride     int     // reduced-window stride (1+NumSIColumns for SI variants)
 	Directed   bool    // right-window sampling (§II-C)
 	Seed       uint64
-	// RebuildEvery re-derives the negative-sampling alias table after this
-	// many consumed tokens. Rows admitted since the last rebuild train as
-	// targets immediately but are not drawn as negatives until the next
-	// rebuild — the streaming analogue of word2vec building its table from
-	// a frozen vocabulary. <=0 means 4096.
-	RebuildEvery uint64
 }
+
+// rebuildEvery is how many consumed tokens pass between rebuilds of the
+// negative-sampling alias table. Rows admitted since the last rebuild train
+// as targets immediately but are not drawn as negatives until the next
+// rebuild — the streaming analogue of word2vec building its table from a
+// frozen vocabulary.
+const rebuildEvery = 4096
 
 // LiveDefaults mirrors the batch Defaults for the fields both share.
 func LiveDefaults(capacity int) LiveOptions {
 	return LiveOptions{
-		Capacity:     capacity,
-		Dim:          32,
-		Window:       5,
-		Negatives:    5,
-		LR:           0.025,
-		SubsampleT:   1e-3,
-		SIBoost:      0.5,
-		NoiseAlpha:   0.75,
-		Seed:         1,
-		RebuildEvery: 4096,
+		Capacity:   capacity,
+		Dim:        32,
+		Window:     5,
+		Negatives:  5,
+		LR:         0.025,
+		SubsampleT: 1e-3,
+		Seed:       1,
 	}
 }
 
@@ -73,10 +69,6 @@ func (o *LiveOptions) validate() error {
 		return errors.New("sgns: Negatives must be non-negative")
 	case o.LR <= 0:
 		return errors.New("sgns: LR must be positive")
-	case o.SIBoost < 0 || o.SIBoost > 1:
-		return errors.New("sgns: SIBoost out of [0,1]")
-	case o.NoiseAlpha <= 0:
-		return errors.New("sgns: NoiseAlpha must be positive")
 	}
 	return nil
 }
@@ -90,7 +82,7 @@ type Live struct {
 	walk  Walk
 
 	rows   int
-	kinds  []vocab.Kind // per-row, for SIBoost
+	kinds  []vocab.Kind // per-row, for siBoost
 	counts []uint64     // per-row occurrences consumed
 	total  uint64       // total tokens consumed
 	keep   []float32    // per-row keep probability, set for a sequence's rows before it is subsampled; nil without subsampling
@@ -101,7 +93,7 @@ type Live struct {
 	negs []int32 // the current pair's negative samples
 
 	noise        alias.Table // rebuilt in place; no outcomes (N() == 0) until the first successful rebuild
-	noiseW       []float64   // count^NoiseAlpha per row, as of noiseAt
+	noiseW       []float64   // count^noiseAlpha per row, as of noiseAt
 	noiseAt      []uint64    // the count noiseW was computed from
 	sinceRebuild uint64
 
@@ -112,9 +104,6 @@ type Live struct {
 // growth never reallocates, so snapshot copies and row views stay valid
 // row indices forever.
 func NewLive(opt LiveOptions) (*Live, error) {
-	if opt.RebuildEvery <= 0 {
-		opt.RebuildEvery = 4096
-	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -180,7 +169,7 @@ func (l *Live) TrainSequence(seq []int32) {
 	}
 	l.total += uint64(len(seq))
 	l.sinceRebuild += uint64(len(seq))
-	if l.noise.N() == 0 || l.sinceRebuild >= opt.RebuildEvery {
+	if l.noise.N() == 0 || l.sinceRebuild >= rebuildEvery {
 		l.rebuildNoise()
 	}
 
@@ -188,7 +177,7 @@ func (l *Live) TrainSequence(seq []int32) {
 	// included: the batch trainers' table, refreshed per sequence.
 	if l.keep != nil {
 		for _, row := range seq {
-			l.keep[row] = keepProb(l.counts[row], l.total, l.kinds[row], opt.SubsampleT, opt.SIBoost)
+			l.keep[row] = keepProb(l.counts[row], l.total, l.kinds[row], opt.SubsampleT)
 		}
 	}
 	l.kept = Subsample(l.kept, seq, l.keep, l.r)
@@ -207,7 +196,7 @@ func (l *Live) TrainSequence(seq []int32) {
 }
 
 // rebuildNoise re-derives the negative-sampling table from the live counts.
-// It runs every RebuildEvery tokens against every live row, so it keeps its
+// It runs every rebuildEvery tokens against every live row, so it keeps its
 // weights between calls — count^α is recomputed only for a row whose count
 // moved — and rebuilds the table in its own storage. The table is the one
 // alias.New(count^α over all live rows) builds, bit for bit.
@@ -218,7 +207,7 @@ func (l *Live) rebuildNoise() {
 	l.noiseW, l.noiseAt = l.noiseW[:l.rows], l.noiseAt[:l.rows]
 	for i, c := range l.counts {
 		if c != l.noiseAt[i] {
-			l.noiseW[i] = math.Pow(float64(c), l.opt.NoiseAlpha)
+			l.noiseW[i] = math.Pow(float64(c), noiseAlpha)
 			l.noiseAt[i] = c
 		}
 	}
@@ -238,14 +227,5 @@ func (l *Live) Model() *emb.Model { return l.model }
 // KindOf returns the kind recorded for a live row.
 func (l *Live) KindOf(row int32) vocab.Kind { return l.kinds[row] }
 
-// Count returns how many occurrences of row have been consumed.
-func (l *Live) Count(row int32) uint64 { return l.counts[row] }
-
 // Pairs returns how many positive pairs have been trained.
 func (l *Live) Pairs() uint64 { return l.pairs }
-
-// Updates returns pairs × (1+negatives) applied so far.
-func (l *Live) Updates() uint64 { return l.pairs * uint64(1+l.opt.Negatives) }
-
-// Tokens returns total tokens consumed (before subsampling).
-func (l *Live) Tokens() uint64 { return l.total }

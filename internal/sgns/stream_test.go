@@ -45,8 +45,8 @@ func TestLiveDeterministic(t *testing.T) {
 	if a.Pairs() == 0 {
 		t.Fatal("no pairs trained")
 	}
-	if a.Pairs() != b.Pairs() || a.Updates() != b.Updates() {
-		t.Fatalf("stats diverge: %d/%d vs %d/%d", a.Pairs(), a.Updates(), b.Pairs(), b.Updates())
+	if a.Pairs() != b.Pairs() {
+		t.Fatalf("pair counts diverge: %d vs %d", a.Pairs(), b.Pairs())
 	}
 	ad, bd := a.Model().In.Data(), b.Model().In.Data()
 	for i := range ad {

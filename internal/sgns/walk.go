@@ -26,6 +26,19 @@ import (
 	"sisg/internal/vocab"
 )
 
+// The recipe's fixed values, the same for every trainer and every run.
+const (
+	// minLRFrac floors the linearly decayed learning rate at this share of
+	// the initial one, as word2vec does.
+	minLRFrac = 1e-4
+	// noiseAlpha is the unigram exponent of negative sampling:
+	// P_noise(v) ∝ freq(v)^0.75 (§III-C).
+	noiseAlpha = 0.75
+	// siBoost multiplies a non-item token's keep probability: the paper's
+	// "aggressive" subsampling of side information (§III-A).
+	siBoost = 0.5
+)
+
 // Walk is the reduced-window rule of one training run.
 type Walk struct {
 	stride, steps int
@@ -108,9 +121,9 @@ func TrainPair(out *emb.Matrix, noise *alias.Table, r *rng.RNG, negs []int32, v,
 
 // keepProb is Mikolov's probability of keeping one occurrence of a token
 // seen count times among total: sqrt(t/f) + t/f at relative frequency f,
-// capped at 1, and for a non-item token multiplied by siBoost (the paper's
-// "aggressive" SI downsampling, §III-A). An unseen token is always kept.
-func keepProb(count, total uint64, kind vocab.Kind, t, siBoost float64) float32 {
+// capped at 1, and for a non-item token multiplied by siBoost. An unseen
+// token is always kept.
+func keepProb(count, total uint64, kind vocab.Kind, t float64) float32 {
 	if count == 0 || total == 0 {
 		return 1
 	}
@@ -127,32 +140,32 @@ func keepProb(count, total uint64, kind vocab.Kind, t, siBoost float64) float32 
 
 // KeepProbs is the keep table Subsample reads for a corpus of total tokens
 // with the given per-token counts: keepProb of every dictionary token.
-func KeepProbs(dict *vocab.Dict, counts []uint64, total uint64, t, siBoost float64) []float32 {
+func KeepProbs(dict *vocab.Dict, counts []uint64, total uint64, t float64) []float32 {
 	p := make([]float32, len(counts))
 	for i, c := range counts {
-		p[i] = keepProb(c, total, dict.KindOf(int32(i)), t, siBoost)
+		p[i] = keepProb(c, total, dict.KindOf(int32(i)), t)
 	}
 	return p
 }
 
-// NoiseWeights returns count^alpha per token (P_noise(v) ∝ freq(v)^α,
-// §III-C); zero-count tokens get zero weight and are never drawn.
-func NoiseWeights(counts []uint64, alpha float64) []float64 {
+// NoiseWeights returns count^noiseAlpha per token; zero-count tokens get
+// zero weight and are never drawn.
+func NoiseWeights(counts []uint64) []float64 {
 	w := make([]float64, len(counts))
 	for i, c := range counts {
 		if c > 0 {
-			w[i] = math.Pow(float64(c), alpha)
+			w[i] = math.Pow(float64(c), noiseAlpha)
 		}
 	}
 	return w
 }
 
 // DecayLR is word2vec's linear learning-rate decay: lr0 scaled by the share
-// of total tokens not yet consumed, floored at minFrac.
-func DecayLR(lr0, minFrac float32, done, total uint64) float32 {
+// of total tokens not yet consumed, floored at minLRFrac.
+func DecayLR(lr0 float32, done, total uint64) float32 {
 	f := 1 - float32(float64(done)/float64(total))
-	if f < minFrac {
-		f = minFrac
+	if f < minLRFrac {
+		f = minLRFrac
 	}
 	return lr0 * f
 }

@@ -87,12 +87,12 @@ func TestWalkMatchesBruteForce(t *testing.T) {
 }
 
 func TestNoiseWeights(t *testing.T) {
-	w := NoiseWeights([]uint64{10, 5, 0, 15}, 1.0)
-	if w[0] != 10 || w[1] != 5 || w[2] != 0 || w[3] != 15 {
-		t.Fatalf("NoiseWeights = %v", w)
-	}
-	if w := NoiseWeights([]uint64{16}, 0.75); math.Abs(w[0]-8) > 1e-12 {
+	w := NoiseWeights([]uint64{16, 0, 1})
+	if math.Abs(w[0]-8) > 1e-12 {
 		t.Fatalf("16^0.75 = %v, want 8", w[0])
+	}
+	if w[1] != 0 || w[2] != 1 {
+		t.Fatalf("NoiseWeights = %v, want zero weight for an unseen token and 1 for a single one", w)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestSubsampleKeepProbs(t *testing.T) {
 	d.Add("brand_3", vocab.KindSI, 0)
 	d.Add("ut_F_21-25_p1", vocab.KindUserType, 0)
 	d.Add("brand_9", vocab.KindSI, 0)
-	p := KeepProbs(d, []uint64{10, 5, 15, 2, 8, 0}, 40, 1e-2, 0.5)
+	p := KeepProbs(d, []uint64{10, 5, 15, 2, 8, 0}, 40, 1e-2)
 	for i, v := range p {
 		if v < 0 || v > 1 {
 			t.Fatalf("keep prob %d out of [0,1]: %v", i, v)
@@ -114,7 +114,7 @@ func TestSubsampleKeepProbs(t *testing.T) {
 	if p[0] >= p[1] {
 		t.Fatalf("hot item keep %v !< cold item keep %v", p[0], p[1])
 	}
-	// SIBoost halves non-item keep probs: brand_3 has f = 2/40, so
+	// siBoost halves non-item keep probs: brand_3 has f = 2/40, so
 	// keep = (sqrt(t/f) + t/f) × 0.5.
 	f := 2.0 / 40.0
 	want := float32((math.Sqrt(1e-2/f) + 1e-2/f) * 0.5)

@@ -135,8 +135,8 @@ func (s *Snapshot) translate(rs []knn.Result) []knn.Result {
 // One seed runs a single scan with a skip-self predicate; several seeds
 // ride the engine's batched scan (each shard's rows streamed once for the
 // whole batch), requesting k+1 neighbours and dropping each seed's own id
-// afterwards, which is bit-identical to per-seed calls. opts.Index, NProbe
-// and Quantized select the scan strategy (flat brute force or IVF ANN);
+// afterwards, which is bit-identical to per-seed calls. opts.Index and
+// NProbe select the scan strategy (flat brute force or IVF ANN);
 // Normalize and Skip are owned by the snapshot so the variant's scoring
 // rule and self-exclusion cannot be overridden. A seed the snapshot does
 // not hold fails the call with model.ErrNotServable. The context cancels

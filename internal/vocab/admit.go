@@ -175,19 +175,9 @@ func (a *Admitter) Len() int { return len(a.tokens) }
 // Budget returns the row capacity.
 func (a *Admitter) Budget() int { return a.cfg.Budget }
 
-// Token returns the token admitted to row.
-func (a *Admitter) Token(row int32) ID { return a.tokens[row] }
-
-// Tokens returns the admitted tokens in admission (row) order. The slice
-// is the admitter's own; callers must not mutate it.
-func (a *Admitter) Tokens() []ID { return a.tokens }
-
 // Count returns the exact occurrence count of row since its admission
 // (seeded with the sketch estimate at admission time).
 func (a *Admitter) Count(row int32) uint64 { return a.counts[row] }
-
-// Observed returns the total number of observations.
-func (a *Admitter) Observed() uint64 { return a.observed }
 
 // Denied returns how many observations of unadmitted tokens arrived after
 // the budget filled — the stream the vocabulary is refusing to learn.

@@ -39,8 +39,8 @@ func TestAdmitterRespectsBudget(t *testing.T) {
 	}
 	// First five tokens got the rows, in order.
 	for r := int32(0); r < 5; r++ {
-		if a.Token(r) != ID(r) {
-			t.Fatalf("row %d holds token %d, want %d", r, a.Token(r), r)
+		if a.tokens[r] != ID(r) {
+			t.Fatalf("row %d holds token %d, want %d", r, a.tokens[r], r)
 		}
 	}
 	if a.Denied() != 15 {
@@ -67,7 +67,7 @@ func TestAdmitterDeterministic(t *testing.T) {
 		for _, tok := range stream {
 			a.Observe(tok)
 		}
-		return append([]ID(nil), a.Tokens()...)
+		return append([]ID(nil), a.tokens...)
 	}
 	first, second := run(), run()
 	if len(first) != len(second) {

@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -130,9 +129,6 @@ func (d *Dict) KindOf(id ID) Kind { return d.entries[id].Kind }
 // Count returns the corpus frequency of id.
 func (d *Dict) Count(id ID) uint64 { return d.entries[id].Count }
 
-// Entry returns a copy of the vocabulary row for id.
-func (d *Dict) Entry(id ID) Entry { return d.entries[id] }
-
 // TotalCount returns the summed frequency of all tokens of the given kind.
 func (d *Dict) TotalCount(kind Kind) uint64 { return d.totals[kind] }
 
@@ -155,50 +151,6 @@ func (d *Dict) CountByKind() (items, si, userTypes int) {
 		}
 	}
 	return
-}
-
-// IDsOfKind returns all IDs of the given kind in increasing order.
-func (d *Dict) IDsOfKind(kind Kind) []ID {
-	var out []ID
-	for i := range d.entries {
-		if d.entries[i].Kind == kind {
-			out = append(out, ID(i))
-		}
-	}
-	return out
-}
-
-// TopK returns the k most frequent token IDs across all kinds, ties broken
-// by ID for determinism. This is the "shared set Q" selection of §III-C
-// step 4 when combined with a frequency threshold.
-func (d *Dict) TopK(k int) []ID {
-	ids := make([]ID, len(d.entries))
-	for i := range ids {
-		ids[i] = ID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ca, cb := d.entries[ids[a]].Count, d.entries[ids[b]].Count
-		if ca != cb {
-			return ca > cb
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
-}
-
-// AboveThreshold returns all IDs whose frequency is at least minCount,
-// the literal "frequency above a certain threshold" rule for Q.
-func (d *Dict) AboveThreshold(minCount uint64) []ID {
-	var out []ID
-	for i := range d.entries {
-		if d.entries[i].Count >= minCount {
-			out = append(out, ID(i))
-		}
-	}
-	return out
 }
 
 // Save writes the dictionary as tab-separated "name kind count" lines,

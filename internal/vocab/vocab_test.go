@@ -30,7 +30,7 @@ func TestAddAndLookup(t *testing.T) {
 		t.Fatal("Lookup(missing) succeeded")
 	}
 	if d.Name(2) != "leaf_category_7" || d.KindOf(2) != KindSI || d.Count(2) != 15 {
-		t.Fatalf("entry 2 wrong: %+v", d.Entry(2))
+		t.Fatalf("entry 2 wrong: %+v", d.entries[2])
 	}
 }
 
@@ -75,25 +75,6 @@ func TestCountByKindAndIDs(t *testing.T) {
 	if items != 2 || si != 2 || ut != 1 {
 		t.Fatalf("CountByKind = %d %d %d", items, si, ut)
 	}
-	ids := d.IDsOfKind(KindSI)
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
-		t.Fatalf("IDsOfKind = %v", ids)
-	}
-}
-
-func TestTopKAndThreshold(t *testing.T) {
-	d := buildTestDict()
-	top := d.TopK(2)
-	if len(top) != 2 || top[0] != 2 || top[1] != 0 {
-		t.Fatalf("TopK = %v", top)
-	}
-	if got := d.TopK(100); len(got) != d.Len() {
-		t.Fatalf("TopK over-len = %d", len(got))
-	}
-	above := d.AboveThreshold(8)
-	if len(above) != 3 { // item_0 (10), leaf (15), ut (8)
-		t.Fatalf("AboveThreshold = %v", above)
-	}
 }
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -110,7 +91,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("loaded Len = %d", got.Len())
 	}
 	for i := 0; i < d.Len(); i++ {
-		a, b := d.Entry(ID(i)), got.Entry(ID(i))
+		a, b := d.entries[ID(i)], got.entries[ID(i)]
 		if a != b {
 			t.Fatalf("entry %d: %+v != %+v", i, a, b)
 		}
@@ -148,7 +129,7 @@ func TestSaveLoadProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < d.Len(); i++ {
-			if d.Entry(ID(i)) != got.Entry(ID(i)) {
+			if d.entries[ID(i)] != got.entries[ID(i)] {
 				return false
 			}
 		}
