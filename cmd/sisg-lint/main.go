@@ -2,27 +2,22 @@
 // over the module: determinism, concurrency and durability invariants that
 // go vet does not know about.
 //
-// Lint the whole module (the usual CI invocation):
+// Run it from anywhere inside the module; it takes no arguments:
 //
-//	go run ./cmd/sisg-lint ./...
-//
-// Restrict output to one subtree, or to selected checks:
-//
-//	go run ./cmd/sisg-lint ./internal/graph
-//	go run ./cmd/sisg-lint -checks maporder,errsink ./...
+//	go run ./cmd/sisg-lint
 //
 // Machine-readable output, one JSON object per diagnostic per line:
 //
-//	go run ./cmd/sisg-lint -json ./...
+//	go run ./cmd/sisg-lint -json
 //
 // Diagnostics print as file:line:col: check: message. Suppress a single
 // finding with an end-of-line (or directly-preceding) comment:
 //
 //	//lint:allow <check> <one-line reason>
 //
-// With -strict-allows (on in CI), an allow comment that suppresses
-// nothing — or names a check that does not exist — is itself a finding,
-// so suppressions cannot outlive the code they excuse.
+// Suppressions are audited: an allow comment that suppresses nothing,
+// names a check that does not exist or gives no reason is itself a
+// finding, so suppressions cannot outlive the code they excuse.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 package main
@@ -33,39 +28,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sisg/internal/lint"
 )
 
 func main() {
-	var (
-		jsonOut = flag.Bool("json", false, "emit one JSON diagnostic per line instead of human text")
-		checks  = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list    = flag.Bool("list", false, "list the available checks and exit")
-		strict  = flag.Bool("strict-allows", false, "report //lint:allow comments that suppress nothing")
-	)
+	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic per line instead of human text")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: sisg-lint [flags] [./... | ./path/to/pkg ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: sisg-lint [-json]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.Analyzers()
-	if *checks != "" {
-		var err error
-		analyzers, err = lint.ByName(strings.Split(*checks, ",")...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	root, err := moduleRoot(".")
@@ -79,23 +55,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	keep, err := pathFilter(root, flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sisg-lint:", err)
-		os.Exit(2)
-	}
-
-	diags := mod.Lint(analyzers...)
-	if *strict {
-		diags = append(diags, mod.StaleAllows(analyzers...)...)
-	}
-	n := 0
+	diags := append(mod.Lint(), mod.StaleAllows()...)
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
-		if !keep(d.Pos.Filename) {
-			continue
-		}
-		n++
 		rel := d.Pos.Filename
 		if r, err := filepath.Rel(root, rel); err == nil {
 			rel = r
@@ -109,9 +71,9 @@ func main() {
 			fmt.Printf("%s:%d:%d: %s: %s\n", rel, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 		}
 	}
-	if n > 0 {
+	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Printf("%d diagnostics\n", n)
+			fmt.Printf("%d diagnostics\n", len(diags))
 		}
 		os.Exit(1)
 	}
@@ -142,50 +104,4 @@ func moduleRoot(dir string) (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// pathFilter converts package patterns (./..., ./internal/graph,
-// ./internal/...) into a predicate over diagnostic file paths. The whole
-// module is always analyzed — cross-package checks need the full tree —
-// and the patterns only restrict which findings are reported.
-func pathFilter(root string, patterns []string) (func(string) bool, error) {
-	if len(patterns) == 0 {
-		return func(string) bool { return true }, nil
-	}
-	type rule struct {
-		prefix    string
-		recursive bool
-	}
-	var rules []rule
-	for _, p := range patterns {
-		rec := false
-		if p == "./..." || p == "..." {
-			return func(string) bool { return true }, nil
-		}
-		if rest, ok := strings.CutSuffix(p, "/..."); ok {
-			rec = true
-			p = rest
-		}
-		abs, err := filepath.Abs(p)
-		if err != nil {
-			return nil, err
-		}
-		if abs != root && !strings.HasPrefix(abs, root+string(filepath.Separator)) {
-			return nil, fmt.Errorf("pattern %q is outside the module at %s", p, root)
-		}
-		rules = append(rules, rule{prefix: abs, recursive: rec})
-	}
-	return func(file string) bool {
-		dir := filepath.Dir(file)
-		for _, r := range rules {
-			if r.recursive {
-				if dir == r.prefix || strings.HasPrefix(dir, r.prefix+string(filepath.Separator)) {
-					return true
-				}
-			} else if dir == r.prefix {
-				return true
-			}
-		}
-		return false
-	}, nil
 }

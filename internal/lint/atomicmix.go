@@ -17,7 +17,6 @@ import (
 func AtomicMix() *Analyzer {
 	return &Analyzer{
 		Name: "atomicmix",
-		Doc:  "struct field accessed both via sync/atomic and by plain load/store",
 		Run:  runAtomicMix,
 	}
 }

@@ -28,7 +28,6 @@ import (
 func CtxFlow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
-		Doc:  "request-path context must reach every blocking callee that accepts one",
 		Run:  runCtxFlow,
 	}
 }

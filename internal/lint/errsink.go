@@ -27,7 +27,6 @@ var errSinkMethods = map[string]bool{"Write": true, "Sync": true, "Close": true,
 func ErrSink() *Analyzer {
 	return &Analyzer{
 		Name: "errsink",
-		Doc:  "discarded Write/Sync/Close/Flush errors in durability-critical paths",
 		Run:  runErrSink,
 	}
 }

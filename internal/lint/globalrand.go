@@ -17,7 +17,6 @@ import (
 func GlobalRand() *Analyzer {
 	return &Analyzer{
 		Name: "globalrand",
-		Doc:  "math/rand or time-derived seeds instead of internal/rng streams",
 		Run:  runGlobalRand,
 	}
 }

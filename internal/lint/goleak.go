@@ -27,7 +27,6 @@ import (
 func GoLeak() *Analyzer {
 	return &Analyzer{
 		Name: "goleak",
-		Doc:  "every goroutine needs a reachable termination path",
 		Run:  runGoLeak,
 	}
 }

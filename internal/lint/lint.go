@@ -1,7 +1,7 @@
 // Package lint is sisg's project-specific static analyzer suite. It loads
 // every package in the module with stdlib go/parser + go/types (no external
 // dependencies) and checks invariants the runtime test suite can only catch
-// probabilistically:
+// probabilistically, or not at all:
 //
 //   - maporder:   map iteration accumulating into ordered output without a
 //     sort step, in determinism-critical packages — unsorted map ranges are
@@ -40,8 +40,8 @@
 // directly above it. Each comment covers a single source line, so a
 // suppression never silences more than it names. Suppressions are audited:
 // after a Lint pass, StaleAllows reports every allow comment that
-// suppressed nothing (and every allow naming a check that does not exist),
-// so dead suppressions cannot accumulate as the code under them improves.
+// suppressed nothing, names a check that does not exist or gives no
+// reason, so dead or unexplained suppressions cannot accumulate.
 //
 // Only non-test files are analyzed: _test.go files may use math/rand,
 // unsorted iteration, etc. freely.
@@ -72,7 +72,6 @@ func (d Diagnostic) String() string {
 // returns raw diagnostics; the framework applies //lint:allow suppression.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(m *Module, pkg *Package) []Diagnostic
 }
 
@@ -89,38 +88,6 @@ func Analyzers() []*Analyzer {
 		GoLeak(),
 		LockHold(),
 	}
-}
-
-// ByName returns the named analyzers, or an error naming the first
-// unknown. Names are trimmed of surrounding space (so "-checks a, b"
-// works) and deduplicated, so no analyzer runs — and reports — twice.
-func ByName(names ...string) ([]*Analyzer, error) {
-	all := Analyzers()
-	var out []*Analyzer
-	seen := make(map[string]bool)
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" || seen[n] {
-			continue
-		}
-		seen[n] = true
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			known := make([]string, len(all))
-			for i, a := range all {
-				known[i] = a.Name
-			}
-			return nil, fmt.Errorf("lint: unknown check %q (have %s)", n, strings.Join(known, ", "))
-		}
-	}
-	return out, nil
 }
 
 // Lint runs the analyzers over every loaded package, drops suppressed
@@ -160,10 +127,11 @@ func (m *Module) Lint(analyzers ...*Analyzer) []Diagnostic {
 // the named check on a single source line. used is set when it actually
 // suppresses something, so StaleAllows can report dead suppressions.
 type allow struct {
-	check string
-	line  int
-	pos   token.Position // where the comment itself sits
-	used  bool
+	check  string
+	reason string
+	line   int
+	pos    token.Position // where the comment itself sits
+	used   bool
 }
 
 // allowed reports whether d is suppressed by an allow comment in its
@@ -188,10 +156,10 @@ func (p *Package) allowed(d Diagnostic) bool {
 // same analyzers: a comment that suppressed nothing is a finding (the code
 // under it improved, or the line drifted — either way the suppression is
 // dead and would silently swallow the next real diagnostic), and so is a
-// comment naming a check that does not exist. Only allows for checks in
-// the given set are judged stale, so a partial -checks run never condemns
-// suppressions it did not exercise; pass none to audit against the full
-// suite.
+// comment naming a check that does not exist or giving no reason. Only
+// allows for checks in the given set are judged stale, so a run of one
+// analyzer never condemns suppressions it did not exercise; pass none to
+// audit against the full suite.
 func (m *Module) StaleAllows(analyzers ...*Analyzer) []Diagnostic {
 	if len(analyzers) == 0 {
 		analyzers = Analyzers()
@@ -215,6 +183,12 @@ func (m *Module) StaleAllows(analyzers ...*Analyzer) []Diagnostic {
 						Pos:     a.pos,
 						Check:   "allows",
 						Message: fmt.Sprintf("//lint:allow names unknown check %q; it suppresses nothing", a.check),
+					})
+				case a.reason == "":
+					out = append(out, Diagnostic{
+						Pos:     a.pos,
+						Check:   "allows",
+						Message: fmt.Sprintf("//lint:allow %s gives no reason; say why the finding is acceptable", a.check),
 					})
 				case ran[a.check] && !a.used:
 					out = append(out, Diagnostic{
@@ -249,7 +223,7 @@ func parseAllows(fset *token.FileSet, file *ast.File, src []byte) []allow {
 				continue
 			}
 			rest := strings.TrimSpace(strings.TrimPrefix(c.Text, allowPrefix))
-			check, _, _ := strings.Cut(rest, " ")
+			check, reason, _ := strings.Cut(rest, " ")
 			if check == "" {
 				continue
 			}
@@ -258,7 +232,7 @@ func parseAllows(fset *token.FileSet, file *ast.File, src []byte) []allow {
 			if standalone(src, pos.Offset) {
 				line++
 			}
-			out = append(out, allow{check: check, line: line, pos: pos})
+			out = append(out, allow{check: check, reason: strings.TrimSpace(reason), line: line, pos: pos})
 		}
 	}
 	return out

@@ -36,50 +36,18 @@ func TestRepositoryLintsClean(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	as, err := ByName("maporder", "errsink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 2 || as[0].Name != "maporder" || as[1].Name != "errsink" {
-		t.Fatalf("ByName returned %v", as)
-	}
-	if _, err := ByName("nosuchcheck"); err == nil || !strings.Contains(err.Error(), "nosuchcheck") {
-		t.Fatalf("ByName(nosuchcheck) error = %v, want it named", err)
-	}
-	// The error must list every valid name, so a -checks typo is
-	// self-correcting from the message alone.
-	_, err = ByName("ctxflo")
-	if err == nil {
-		t.Fatal("ByName(ctxflo): want error")
-	}
-	for _, a := range Analyzers() {
-		if !strings.Contains(err.Error(), a.Name) {
-			t.Errorf("ByName error %q does not list valid check %s", err, a.Name)
-		}
-	}
-	// Whitespace (from "-checks a, b") is trimmed; duplicates collapse so
-	// no analyzer runs — and reports — twice.
-	as, err = ByName(" goleak", "goleak ", "goleak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 1 || as[0].Name != "goleak" {
-		t.Fatalf("ByName with spaces/dups returned %v, want one goleak", as)
-	}
-}
-
 // The stale-suppression audit: an allow that suppressed something is
-// quiet, one that suppressed nothing is a finding, and one naming a
-// nonexistent check is a finding regardless of which analyzers ran.
+// quiet, one that suppressed nothing is a finding, one naming a
+// nonexistent check is a finding regardless of which analyzers ran, and
+// so is one that suppresses but gives no reason.
 func TestStaleAllows(t *testing.T) {
 	mod := loadFixture(t, "allowaudit", "example.com/app")
 	if diags := mod.Lint(GlobalRand()); len(diags) != 0 {
-		t.Fatalf("fixture should lint clean (the one violation is allowed), got %v", diags)
+		t.Fatalf("fixture should lint clean (both violations are allowed), got %v", diags)
 	}
 	audit := mod.StaleAllows(GlobalRand())
-	if len(audit) != 2 {
-		t.Fatalf("StaleAllows = %v, want exactly the stale and the unknown-check findings", audit)
+	if len(audit) != 3 {
+		t.Fatalf("StaleAllows = %v, want exactly the stale, the unknown-check and the reasonless findings", audit)
 	}
 	if !strings.Contains(audit[0].Message, "stale") || !strings.Contains(audit[0].Message, "globalrand") {
 		t.Errorf("first audit finding = %q, want the stale globalrand allow", audit[0].Message)
@@ -87,16 +55,19 @@ func TestStaleAllows(t *testing.T) {
 	if !strings.Contains(audit[1].Message, "nosuchcheck") {
 		t.Errorf("second audit finding = %q, want the unknown-check allow", audit[1].Message)
 	}
+	if !strings.Contains(audit[2].Message, "no reason") || !strings.Contains(audit[2].Message, "globalrand") {
+		t.Errorf("third audit finding = %q, want the reasonless globalrand allow", audit[2].Message)
+	}
 }
 
-// An allow for a check outside the run set is not judged stale: a partial
-// -checks invocation must not condemn suppressions it never exercised.
+// An allow for a check outside the run set is not judged stale: a run of
+// one analyzer must not condemn suppressions it never exercised.
 func TestStaleAllowsScopedToRunSet(t *testing.T) {
 	mod := loadFixture(t, "allowaudit", "example.com/app")
 	mod.Lint(MapOrder()) // globalrand never runs
 	audit := mod.StaleAllows(MapOrder())
-	if len(audit) != 1 || !strings.Contains(audit[0].Message, "nosuchcheck") {
-		t.Fatalf("StaleAllows(maporder) = %v, want only the unknown-check finding", audit)
+	if len(audit) != 2 || !strings.Contains(audit[0].Message, "nosuchcheck") || !strings.Contains(audit[1].Message, "no reason") {
+		t.Fatalf("StaleAllows(maporder) = %v, want only the unknown-check and the reasonless findings", audit)
 	}
 }
 

@@ -3,14 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,13 +44,13 @@ type Module struct {
 
 // Load parses and type-checks every non-test package under root.
 //
-// modPath names the module; when empty it is read from root's go.mod. The
-// loader needs no GOPATH and no build cache: module-local imports resolve
-// against the tree being loaded, and standard-library imports are
-// type-checked from GOROOT source via go/importer's "source" compiler, so
-// the whole pipeline is pure stdlib. Directories named testdata or vendor,
-// and hidden/underscore directories, are skipped; _test.go files are never
-// loaded (test code is exempt from project invariants).
+// modPath names the module; when empty it is read from root's go.mod.
+// Module-local imports resolve against the tree being loaded, and
+// standard-library imports come from the toolchain's export data through
+// go/importer's "gc" importer, so the whole pipeline is pure stdlib.
+// Directories named testdata or vendor, and hidden/underscore directories,
+// are skipped; _test.go files are never loaded (test code is exempt from
+// project invariants).
 func Load(root, modPath string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -140,20 +139,23 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) 
 	name := ""
 	for _, e := range entries {
 		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") ||
-			strings.HasPrefix(fn, ".") || strings.HasPrefix(fn, "_") {
+		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
 			continue
 		}
-		if !fileNameMatches(fn) {
-			continue // _GOOS/_GOARCH suffix for another platform
+		// The files `go build` compiles on this platform: _GOOS/_GOARCH
+		// name suffixes and //go:build lines, as go/build evaluates them,
+		// so tag-guarded duplicate symbols never collide in type checking.
+		match, err := build.Default.MatchFile(dir, fn)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !match {
+			continue
 		}
 		path := filepath.Join(dir, fn)
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
-		}
-		if !buildTagsMatch(src) {
-			continue // //go:build constraint unsatisfied on this platform
 		}
 		af, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 		if err != nil {
@@ -174,96 +176,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) 
 		imp = modPath + "/" + filepath.ToSlash(rel)
 	}
 	return &Package{Path: imp, Name: name, Dir: dir, Files: files}, nil
-}
-
-// knownOS and knownArch are the GOOS/GOARCH values recognized in file
-// name suffixes, mirroring go/build's lists closely enough for this
-// module (and for fixtures that deliberately target imaginary platforms —
-// an unknown suffix is just part of the name, exactly as go/build treats
-// it).
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// fileNameMatches applies go/build's implicit file name constraints:
-// name_GOOS.go, name_GOARCH.go and name_GOOS_GOARCH.go only build on the
-// named platform. The loader analyzes the tree as the host platform sees
-// it — the same file set `go build` would compile here — so tag-guarded
-// duplicate symbols (arch-specific kernels, stubbed fallbacks) never
-// collide during type checking.
-func fileNameMatches(fn string) bool {
-	base := strings.TrimSuffix(fn, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 {
-			if os := parts[len(parts)-2]; knownOS[os] && os != runtime.GOOS {
-				return false
-			}
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// buildTagsMatch evaluates a file's //go:build (or legacy // +build)
-// constraint against the host platform: GOOS, GOARCH, the gc compiler and
-// the unix meta-tag are satisfied, minimum-go-version tags (go1.N) are
-// assumed satisfied by the current toolchain, and anything else (purego,
-// integration, imaginary platforms) is not. Files whose constraint is
-// unsatisfied are skipped, exactly as the go tool would skip them.
-func buildTagsMatch(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break // constraints must precede the package clause
-		}
-		if !constraint.IsGoBuild(trimmed) && !constraint.IsPlusBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			continue // malformed constraint: let the parser complain, not us
-		}
-		if !expr.Eval(buildTagSatisfied) {
-			return false
-		}
-	}
-	return true
-}
-
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly",
-			"solaris", "illumos", "aix", "android", "ios":
-			return true
-		}
-		return false
-	}
-	return strings.HasPrefix(tag, "go1.")
 }
 
 // localImports lists the module-internal import paths of a parsed package.
@@ -329,7 +241,7 @@ func (m *Module) sortByDeps() error {
 
 // moduleImporter resolves imports during type checking: module-local paths
 // from the packages already checked, everything else (the standard
-// library) from GOROOT source.
+// library) from the toolchain's export data.
 type moduleImporter struct {
 	m   *Module
 	std types.Importer
@@ -350,7 +262,7 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 
 // typeCheck runs go/types over every package in dependency order.
 func (m *Module) typeCheck() error {
-	imp := &moduleImporter{m: m, std: importer.ForCompiler(m.Fset, "source", nil)}
+	imp := &moduleImporter{m: m, std: importer.ForCompiler(m.Fset, "gc", nil)}
 	for _, p := range m.Pkgs {
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),

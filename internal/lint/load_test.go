@@ -1,19 +1,20 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// The loader fixture holds three files defining fast(): one behind
-// //go:build !integration (loaded), one behind //go:build integration
-// (skipped), and one with a _windows filename suffix (skipped off
-// windows). If the loader ignored constraints, type checking would fail
-// on the redeclaration — so a clean load IS the assertion. broken_test.go
-// in the same directory references an undefined symbol; loading it would
-// also fail, proving _test.go exclusion.
+// The loader fixture holds several files defining fast(): one behind
+// //go:build !integration (loaded), the others excluded by an unset tag
+// or a filename suffix for another platform (see TestFileNameMatches and
+// TestBuildTagsMatch). If the loader ignored constraints, type checking
+// would fail on the redeclaration — so a clean load IS the assertion.
+// broken_test.go in the same directory references an undefined symbol;
+// loading it would also fail, proving _test.go exclusion.
 func TestLoadRespectsBuildConstraints(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("fixture pins the _windows suffix as the excluded variant")
@@ -33,48 +34,51 @@ func TestLoadRespectsBuildConstraints(t *testing.T) {
 	}
 }
 
+// File name constraints: a _GOOS, _GOARCH or _GOOS_GOARCH suffix for
+// another platform keeps a file out; a name without one keeps it in.
 func TestFileNameMatches(t *testing.T) {
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"plain.go", true},
-		{"snake_case_name.go", true},
-		{"x_" + runtime.GOOS + ".go", true},
-		{"x_" + runtime.GOARCH + ".go", true},
-		{"x_" + runtime.GOOS + "_" + runtime.GOARCH + ".go", true},
-		{"x_plan9.go", false},
-		{"x_wasm.go", false},
-		{"x_plan9_386.go", false},
-		// An unknown suffix is just part of the name.
-		{"x_custom.go", true},
-	}
-	for _, c := range cases {
-		if got := fileNameMatches(c.name); got != c.want {
-			t.Errorf("fileNameMatches(%q) = %v, want %v", c.name, got, c.want)
-		}
-	}
+	checkLoaded(t, map[string]bool{
+		"lib.go":            true,
+		"fast_windows.go":   false,
+		"fast_plan9_386.go": false,
+	})
 }
 
+// //go:build lines: a satisfied constraint keeps a file in, an unset tag
+// (integration, purego) keeps it out, and the toolchain satisfies go1.N
+// release tags.
 func TestBuildTagsMatch(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"package p\n", true},
-		{"//go:build " + runtime.GOOS + "\npackage p\n", true},
-		{"//go:build !" + runtime.GOOS + "\npackage p\n", false},
-		{"//go:build integration\npackage p\n", false},
-		{"//go:build !integration\npackage p\n", true},
-		{"//go:build " + runtime.GOARCH + " && gc && !purego\npackage p\n", true},
-		{"//go:build purego\npackage p\n", false},
-		{"//go:build go1.21\npackage p\n", true},
-		// A constraint-looking line after the package clause is not one.
-		{"package p\n\n//go:build integration\n", true},
+	checkLoaded(t, map[string]bool{
+		"fast.go":        true,  // !integration
+		"slow.go":        false, // integration
+		"fast_purego.go": false, // purego
+		"fast_prego1.go": false, // !go1.1
+	})
+}
+
+// checkLoaded loads the loader fixture and checks, for each named file in
+// its directory, whether the loader kept it.
+func checkLoaded(t *testing.T, want map[string]bool) {
+	t.Helper()
+	if runtime.GOOS == "windows" || runtime.GOOS == "plan9" {
+		t.Skip("fixture pins the _windows and _plan9_386 suffixes as excluded variants")
 	}
-	for _, c := range cases {
-		if got := buildTagsMatch([]byte(c.src)); got != c.want {
-			t.Errorf("buildTagsMatch(%q) = %v, want %v", c.src, got, c.want)
+	mod := loadFixture(t, "loader", "example.com/lib")
+	pkg := mod.Package("example.com/lib")
+	if pkg == nil {
+		t.Fatal("fixture package not loaded")
+	}
+	loaded := make(map[string]bool)
+	for _, f := range pkg.Files {
+		loaded[filepath.Base(f.Path)] = true
+	}
+	for name, w := range want {
+		if _, err := os.Stat(filepath.Join("testdata", "src", "loader", name)); err != nil {
+			t.Errorf("fixture file %s: %v", name, err)
+			continue
+		}
+		if loaded[name] != w {
+			t.Errorf("%s loaded = %v, want %v", name, loaded[name], w)
 		}
 	}
 }

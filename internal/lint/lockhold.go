@@ -26,7 +26,6 @@ import (
 func LockHold() *Analyzer {
 	return &Analyzer{
 		Name: "lockhold",
-		Doc:  "no blocking work while a mutex is held",
 		Run:  runLockHold,
 	}
 }

@@ -22,7 +22,6 @@ var deterministicPkgs = []string{"sgns", "dist", "graph", "vocab", "corpus", "ch
 func MapOrder() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
-		Doc:  "map iteration accumulating into ordered output without a sort step",
 		Run:  runMapOrder,
 	}
 }

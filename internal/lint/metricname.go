@@ -18,7 +18,6 @@ var metricMethods = map[string]bool{"Counter": true, "Gauge": true, "GaugeFunc":
 func MetricName() *Analyzer {
 	return &Analyzer{
 		Name: "metricname",
-		Doc:  "metric registration with a non-constant name argument",
 		Run:  runMetricName,
 	}
 }

@@ -19,7 +19,6 @@ import (
 func NetDeadline() *Analyzer {
 	return &Analyzer{
 		Name: "netdeadline",
-		Doc:  "net.Conn read/write in transport code without a preceding deadline",
 		Run:  runNetDeadline,
 	}
 }
