@@ -18,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"sisg/internal/corpus"
-	"sisg/internal/emb"
 	"sisg/internal/eval"
 	"sisg/internal/experiments"
 	"sisg/internal/knn"
@@ -34,7 +32,7 @@ func main() {
 	log.SetPrefix("sisg-eval: ")
 	var (
 		corpusName = flag.String("corpus", "quick", "dataset config: Sim25K, Sim100K, Sim800K, quick, tiny")
-		modelPath  = flag.String("model", "model.emb", "embedding file from sisg-train")
+		modelPath  = flag.String("model", "model.emb", "model file from sisg-train -out")
 		variant    = flag.String("variant", "SISG-F-U-D", "variant the model was trained as (controls the scoring rule)")
 		testFrac   = flag.Float64("testfrac", 0.08, "held-out session fraction")
 		seed       = flag.Uint64("seed", 0, "override corpus seed (0 = config default)")
@@ -54,27 +52,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := emb.Load(f)
-	_ = f.Close() // read-only file; a short read surfaces through the Load error
-	if err != nil {
-		log.Fatalf("loading %s: %v", *modelPath, err)
-	}
-
 	log.Printf("generating %s ...", cfg.Name)
 	ds, err := corpus.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if m.Vocab() != ds.Dict.Len() {
-		log.Fatalf("model vocabulary %d does not match corpus vocabulary %d — wrong corpus or seed?",
-			m.Vocab(), ds.Dict.Len())
+	model, err := sisg.LoadModel(*modelPath, ds, v)
+	if err != nil {
+		log.Fatalf("loading %s: %v", *modelPath, err)
 	}
 	split := ds.SplitNextItem(*testFrac)
-	model := &sisg.Model{Variant: v, Dict: ds.Dict, Emb: m}
 
 	rec := eval.RecommenderFunc(func(tc corpus.TestCase, k int) []knn.Result {
 		rs, err := model.SimilarOne(context.Background(), tc.Query, knn.Options{K: k})

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"sisg/internal/corpus"
-	"sisg/internal/emb"
 	"sisg/internal/experiments"
 	"sisg/internal/metrics"
 	"sisg/internal/model"
@@ -62,7 +61,7 @@ func main() {
 	log.SetPrefix("sisg-server: ")
 	var (
 		corpusName = flag.String("corpus", "quick", "dataset config: Sim25K, Sim100K, quick, tiny")
-		modelPath  = flag.String("model", "", "embedding file from sisg-train (empty = train now)")
+		modelPath  = flag.String("model", "", "model file from sisg-train -out (empty = train now)")
 		variant    = flag.String("variant", "SISG-F-U-D", "model variant")
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		maxK       = flag.Int("maxk", 1000, "largest candidate set a request may ask for")
@@ -80,18 +79,7 @@ func main() {
 	if *pprofAddr != "" {
 		go func() {
 			log.Printf("pprof + metrics sidecar on http://%s/debug/pprof/ and /metrics", *pprofAddr)
-			// Same header deadline as the serving port below; the long
-			// write window is for pprof profile/trace streams, which hold
-			// the response open for their -seconds argument (30s default).
-			sidecar := &http.Server{
-				Addr:              *pprofAddr,
-				Handler:           metrics.DebugMux(reg),
-				ReadHeaderTimeout: 5 * time.Second,
-				ReadTimeout:       10 * time.Second,
-				WriteTimeout:      2 * time.Minute,
-				IdleTimeout:       2 * time.Minute,
-			}
-			log.Fatal(sidecar.ListenAndServe())
+			log.Fatal(metrics.ServeDebug(*pprofAddr, reg))
 		}()
 	}
 
@@ -130,19 +118,10 @@ func main() {
 
 	var mdl *sisg.Model
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
+		mdl, err = sisg.LoadModel(*modelPath, ds, v)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("loading %s: %v", *modelPath, err)
 		}
-		m, err := emb.Load(f)
-		_ = f.Close() // read-only file; a short read surfaces through the Load error
-		if err != nil {
-			log.Fatal(err)
-		}
-		if m.Vocab() != ds.Dict.Len() {
-			log.Fatalf("model vocab %d != corpus vocab %d", m.Vocab(), ds.Dict.Len())
-		}
-		mdl = &sisg.Model{Variant: v, Dict: ds.Dict, Emb: m}
 	} else {
 		log.Printf("training %s ...", v.Name)
 		mdl, err = sisg.Train(ds.Dict, ds.Sessions, v, sgns.Defaults())

@@ -14,6 +14,11 @@
 // chosen mode would ignore (a batch flag with -stream, -transport without
 // -workers, ...) is a fatal error.
 //
+// The model file (-out) is a checkpoint snapshot that holds only the
+// model, stamped with the corpus config and variant it was trained for:
+// sisg-eval -model, sisg-server -model and -warm-start refuse it under any
+// other, and refuse a torn or corrupt file.
+//
 // Crash recovery: with -checkpoint-dir the trainer snapshots model and
 // progress roughly every -checkpoint-every pairs; a killed run restarted
 // with the same flags plus -resume continues from the last snapshot.
@@ -93,7 +98,7 @@ func main() {
 		corpusName = flag.String("corpus", "quick", "dataset config: Sim25K, Sim100K, Sim800K, quick, tiny")
 		sessions   = flag.String("sessions", "", "optional session file from sisg-datagen (binary format)")
 		variant    = flag.String("variant", "SISG-F-U-D", "model variant: SGNS, SISG-F, SISG-U, SISG-F-U, SISG-F-U-D")
-		out        = flag.String("out", "model.emb", "output embedding file")
+		out        = flag.String("out", "model.emb", "output model file")
 		dim        = flag.Int("dim", 32, "embedding dimension")
 		window     = flag.Int("window", 5, "context window in items")
 		negatives  = flag.Int("negatives", 5, "negative samples per pair")
@@ -133,18 +138,7 @@ func main() {
 	if *pprofAddr != "" {
 		go func() {
 			log.Printf("pprof + metrics sidecar on http://%s/debug/pprof/ and /metrics", *pprofAddr)
-			// Same header deadline as the hardened serving port; the long
-			// write window is for pprof profile/trace streams, which hold
-			// the response open for their -seconds argument (30s default).
-			sidecar := &http.Server{
-				Addr:              *pprofAddr,
-				Handler:           metrics.DebugMux(reg),
-				ReadHeaderTimeout: 5 * time.Second,
-				ReadTimeout:       10 * time.Second,
-				WriteTimeout:      2 * time.Minute,
-				IdleTimeout:       2 * time.Minute,
-			}
-			log.Fatal(sidecar.ListenAndServe())
+			log.Fatal(metrics.ServeDebug(*pprofAddr, reg))
 		}()
 	}
 
@@ -190,7 +184,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		train, err = seqio.ReadBinary(f, ds.Dict.NumItems)
+		train, err = seqio.ReadBinary(f, ds.Dict.NumItems, len(ds.Pop.Types))
 		_ = f.Close() // read-only file; a short read surfaces through the ReadBinary error
 		if err != nil {
 			log.Fatalf("reading %s: %v", *sessions, err)
@@ -216,23 +210,17 @@ func main() {
 	var model *sisg.Model
 	switch {
 	case *warmStart != "":
-		f, err := os.Open(*warmStart)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prev, err := emb.Load(f)
-		_ = f.Close() // read-only file; a short read surfaces through the Load error
+		model, err = sisg.LoadModel(*warmStart, ds, v)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *warmStart, err)
 		}
 		seqs := sisg.Enrich(ds.Dict, train, v)
 		ropt := sisg.TrainOptions(opt, v, opt.Window)
-		st, err := sgns.Resume(prev, ds.Dict.Dict, seqs, ropt)
+		model.Stats, err = sgns.Resume(model.Emb, ds.Dict.Dict, seqs, ropt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("warm-started from %s: %d incremental pairs", *warmStart, st.Pairs)
-		model = &sisg.Model{Variant: v, Dict: ds.Dict, Emb: prev, Stats: st}
+		log.Printf("warm-started from %s: %d incremental pairs", *warmStart, model.Stats.Pairs)
 	case *workers > 0:
 		log.Printf("distributed training: %d workers, HBGP + ATNS, %s transport", *workers, *transport)
 		seqs := sisg.Enrich(ds.Dict, train, v)
@@ -270,15 +258,7 @@ func main() {
 	}
 	log.Printf("training took %v", time.Since(start).Round(time.Millisecond))
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	err = model.Emb.Save(f)
-	if err2 := f.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
+	if err := model.Save(*out, ds.Cfg); err != nil {
 		log.Fatalf("writing %s: %v", *out, err)
 	}
 	log.Printf("wrote %d×%d model (in+out) to %s", model.Emb.Vocab(), model.Emb.Dim(), *out)

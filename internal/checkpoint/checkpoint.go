@@ -3,18 +3,20 @@
 // daily retrain cut short — continues from its last snapshot instead of
 // losing hours of work. EGES (the paper's predecessor system) retrains
 // billions of embeddings daily; at that cadence restartability is an
-// operational requirement, not a convenience (ISSUE: fault-tolerant
-// training).
+// operational requirement, not a convenience.
 //
 // A Snapshot carries everything the trainers in internal/sgns and
 // internal/dist need to continue bit-compatibly: the model matrices, the
 // replicated hot store (distributed runs), epoch/block progress, arbitrary
 // named-by-position counters, the per-shard RNG states, and a hash of the
-// options the run was started with. Writes are atomic (temp file + rename
-// into place) so a crash mid-write can never destroy the previous good
-// snapshot, and the whole payload is covered by a CRC-32 that Load
-// verifies, so a torn or bit-rotted file is rejected rather than silently
-// resumed from.
+// options the run was started with. The model file that sisg-train -out
+// writes is the same file kind: a Snapshot holding only the model, whose
+// options hash names the corpus config and variant it was trained for
+// (internal/sisg writes and reads it). Writes are atomic (temp file +
+// fsync + rename into place) so a crash mid-write can never destroy the
+// previous good file, and the whole payload is covered by a CRC-32 that
+// Load verifies, so a torn or bit-rotted file is rejected rather than
+// silently used.
 //
 // Binary format (little-endian):
 //
@@ -95,10 +97,10 @@ func (s *Snapshot) CheckOptions(hash uint64) error {
 // Path returns the snapshot location inside dir.
 func Path(dir string) string { return filepath.Join(dir, FileName) }
 
-// Exists reports whether dir holds a snapshot file (it may still fail CRC
+// Exists reports whether path is a snapshot file (it may still fail CRC
 // validation on Load).
-func Exists(dir string) bool {
-	st, err := os.Stat(Path(dir))
+func Exists(path string) bool {
+	st, err := os.Stat(path)
 	return err == nil && st.Mode().IsRegular()
 }
 
@@ -126,22 +128,23 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Save writes the snapshot atomically into dir, creating it if needed:
-// the bytes go to a temp file in the same directory, are synced, and the
-// temp file is renamed over any previous snapshot. Readers therefore see
-// either the old complete snapshot or the new complete snapshot, never a
-// partial write.
-func Save(dir string, s *Snapshot) error {
+// Save writes the snapshot atomically to path, creating its directory if
+// needed: the bytes go to a temp file in the same directory, are synced,
+// and the temp file is renamed over any previous file at path. Readers
+// therefore see either the old complete snapshot or the new complete
+// snapshot, never a partial write.
+func Save(path string, s *Snapshot) error {
 	if s == nil || s.Model == nil {
 		return errors.New("checkpoint: nil snapshot or model")
 	}
 	if len(s.HotIn) != len(s.HotOut) {
 		return fmt.Errorf("checkpoint: hot store asymmetric: %d in, %d out", len(s.HotIn), len(s.HotOut))
 	}
+	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, FileName+".tmp-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -158,7 +161,7 @@ func Save(dir string, s *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmpName, Path(dir)); err != nil {
+	if err := os.Rename(tmpName, path); err != nil {
 		return err
 	}
 	return syncDir(dir)
@@ -261,11 +264,11 @@ func writeSnapshot(w io.Writer, s *Snapshot) error {
 	return bw.Flush()
 }
 
-// Load reads and validates the snapshot in dir. A missing file returns an
+// Load reads and validates the snapshot at path. A missing file returns an
 // error satisfying errors.Is(err, os.ErrNotExist); any structural or CRC
 // failure returns an error wrapping ErrCorrupt.
-func Load(dir string) (*Snapshot, error) {
-	f, err := os.Open(Path(dir))
+func Load(path string) (*Snapshot, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}

@@ -37,13 +37,13 @@ func sampleSnapshot(t *testing.T) *Snapshot {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleSnapshot(t)
-	if err := Save(dir, want); err != nil {
+	if err := Save(Path(dir), want); err != nil {
 		t.Fatal(err)
 	}
-	if !Exists(dir) {
+	if !Exists(Path(dir)) {
 		t.Fatal("Exists false after Save")
 	}
-	got, err := Load(dir)
+	got, err := Load(Path(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCheckOptions(t *testing.T) {
 // must be detected, either by structural validation or by the CRC.
 func TestCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, sampleSnapshot(t)); err != nil {
+	if err := Save(Path(dir), sampleSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := os.ReadFile(Path(dir))
@@ -114,7 +114,7 @@ func TestCorruptionRejected(t *testing.T) {
 		if err := os.WriteFile(Path(dir), bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+		if _, err := Load(Path(dir)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("byte %d flipped: Load returned %v, want ErrCorrupt", off, err)
 		}
 	}
@@ -122,13 +122,13 @@ func TestCorruptionRejected(t *testing.T) {
 	if err := os.WriteFile(Path(dir), orig[:len(orig)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+	if _, err := Load(Path(dir)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated file: Load returned %v, want ErrCorrupt", err)
 	}
 }
 
 func TestLoadMissing(t *testing.T) {
-	if _, err := Load(t.TempDir()); !errors.Is(err, os.ErrNotExist) {
+	if _, err := Load(Path(t.TempDir())); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing snapshot: %v, want ErrNotExist", err)
 	}
 }
@@ -140,16 +140,16 @@ func TestLoadMissing(t *testing.T) {
 func TestSaveAtomicOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	first := sampleSnapshot(t)
-	if err := Save(dir, first); err != nil {
+	if err := Save(Path(dir), first); err != nil {
 		t.Fatal(err)
 	}
 	second := sampleSnapshot(t)
 	second.Epoch = 9
 	second.Counters[0] = 999
-	if err := Save(dir, second); err != nil {
+	if err := Save(Path(dir), second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	got, err := Load(Path(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,10 @@ func TestSaveAtomicOverwrite(t *testing.T) {
 }
 
 func TestSaveRejectsNil(t *testing.T) {
-	if err := Save(t.TempDir(), nil); err == nil {
+	if err := Save(Path(t.TempDir()), nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if err := Save(t.TempDir(), &Snapshot{}); err == nil {
+	if err := Save(Path(t.TempDir()), &Snapshot{}); err == nil {
 		t.Fatal("nil model accepted")
 	}
 }
@@ -191,10 +191,10 @@ func TestHashOptionsDistinguishes(t *testing.T) {
 
 func TestSaveCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "ckpt")
-	if err := Save(dir, sampleSnapshot(t)); err != nil {
+	if err := Save(Path(dir), sampleSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err != nil {
+	if _, err := Load(Path(dir)); err != nil {
 		t.Fatal(err)
 	}
 }

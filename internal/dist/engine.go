@@ -255,9 +255,9 @@ func newEngine(dict *vocab.Dict, seqs [][]int32, part *graph.Partition, opt Opti
 	}
 
 	var snap *checkpoint.Snapshot
-	if opt.Resume && opt.CheckpointDir != "" && checkpoint.Exists(opt.CheckpointDir) {
+	if opt.Resume && opt.CheckpointDir != "" && checkpoint.Exists(checkpoint.Path(opt.CheckpointDir)) {
 		var err error
-		snap, err = checkpoint.Load(opt.CheckpointDir)
+		snap, err = checkpoint.Load(checkpoint.Path(opt.CheckpointDir))
 		if err != nil {
 			return nil, fmt.Errorf("dist: resume: %w", err)
 		}
@@ -659,7 +659,7 @@ func (e *engine) saveCheckpoint(k int) error {
 		counters = append(counters, wk.saveCounters()...)
 		rngs[i] = wk.r.State()
 	}
-	return checkpoint.Save(e.opt.CheckpointDir, &checkpoint.Snapshot{
+	return checkpoint.Save(checkpoint.Path(e.opt.CheckpointDir), &checkpoint.Snapshot{
 		OptionsHash: e.fp,
 		Epoch:       k / e.numBlocks,
 		Block:       k % e.numBlocks,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -296,13 +297,43 @@ func TestDistCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		aborts++
 		return aborts == 1
 	}
-	_, _, err = Train(ds.Dict.Dict, seqs, part, opt)
+	interrupted, err := newEngine(ds.Dict.Dict, seqs, part, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = interrupted.run()
 	checkpointAbortHook = nil
 	if !errors.Is(err, errAbortHook) {
 		t.Fatalf("expected injected abort, got %v", err)
 	}
 
+	// The snapshot stores the hot store by position, not by token id: the
+	// resumed engine puts each row back on the right token only if it
+	// selects the same hot ids in the same order.
+	snap, err := checkpoint.Load(checkpoint.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.Resume = true
+	resumed, err := newEngine(ds.Dict.Dict, seqs, part, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resumed.tr.Close() // chan transport: nothing to tear down
+	if len(interrupted.hotIDs) == 0 {
+		t.Fatal("no hot set to restore")
+	}
+	if !slices.Equal(resumed.hotIDs, interrupted.hotIDs) {
+		t.Fatalf("resumed hot ids %v, interrupted run's %v", resumed.hotIDs, interrupted.hotIDs)
+	}
+	for _, wk := range resumed.workers {
+		for i, id := range resumed.hotIDs {
+			if !slices.Equal(wk.hotIn[i], snap.HotIn[i]) || !slices.Equal(wk.hotOut[i], snap.HotOut[i]) {
+				t.Fatalf("worker %d: restored replica of hot token %d differs from the snapshot's row", wk.id, id)
+			}
+		}
+	}
+
 	_, resStats, err := Train(ds.Dict.Dict, seqs, part, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -340,13 +371,13 @@ func TestResumeRefusesOldCounterLayout(t *testing.T) {
 	if _, _, err := Train(ds.Dict.Dict, seqs, part, opt); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Load(opt.CheckpointDir)
+	snap, err := checkpoint.Load(checkpoint.Path(opt.CheckpointDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const oldSlots = 16
 	snap.Counters = make([]uint64, 1+oldSlots*opt.Workers)
-	if err := checkpoint.Save(opt.CheckpointDir, snap); err != nil {
+	if err := checkpoint.Save(checkpoint.Path(opt.CheckpointDir), snap); err != nil {
 		t.Fatal(err)
 	}
 	opt.Resume = true

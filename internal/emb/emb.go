@@ -9,16 +9,13 @@
 // Matrices are single contiguous float32 slices (V×d row-major): one
 // allocation, GC-friendly, and the layout every kernel in internal/vecmath
 // assumes.
+//
+// The package has no binary codec: a model file is a checkpoint.Snapshot
+// that holds only the model, written and read by internal/sisg. The one
+// format here is the word2vec text export (SaveWord2VecText).
 package emb
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"math"
-
 	"sisg/internal/rng"
 	"sisg/internal/vecmath"
 )
@@ -48,8 +45,8 @@ func (m *Matrix) View(lo, hi int) *Matrix {
 	return &Matrix{Dim: m.Dim, data: m.data[lo*m.Dim : hi*m.Dim : hi*m.Dim]}
 }
 
-// Data exposes the backing slice (used by persistence and the distributed
-// engine's shard transfers).
+// Data exposes the backing slice (used by internal/checkpoint and the
+// distributed engine's shard transfers).
 func (m *Matrix) Data() []float32 { return m.data }
 
 // Model is the pair of matrices produced by training.
@@ -87,107 +84,6 @@ func (m *Model) ScoreDirected(a, b int32) float32 {
 // similarity", §IV-A).
 func (m *Model) ScoreCosine(a, b int32) float32 {
 	return vecmath.Cosine(m.In.Row(a), m.In.Row(b))
-}
-
-// ---- Persistence ----
-//
-// Binary format (little-endian):
-//
-//	magic   [8]byte  "SISGEMB1"
-//	vocab   uint32
-//	dim     uint32
-//	in      vocab*dim float32
-//	out     vocab*dim float32
-
-var magic = [8]byte{'S', 'I', 'S', 'G', 'E', 'M', 'B', '1'}
-
-// ErrBadFormat reports a corrupt or foreign embedding file.
-var ErrBadFormat = errors.New("emb: bad file format")
-
-// Save writes the model in the binary format above.
-func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(m.Vocab()))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Dim()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, m.In.data); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, m.Out.data); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("emb: reading magic: %w", err)
-	}
-	if got != magic {
-		return nil, ErrBadFormat
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("emb: reading header: %w", err)
-	}
-	v := int(binary.LittleEndian.Uint32(hdr[0:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if v < 0 || dim <= 0 || dim > 1<<16 {
-		return nil, ErrBadFormat
-	}
-	m := &Model{In: NewMatrix(v, dim), Out: NewMatrix(v, dim)}
-	if err := readFloats(br, m.In.data); err != nil {
-		return nil, err
-	}
-	if err := readFloats(br, m.Out.data); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func writeFloats(w io.Writer, fs []float32) error {
-	buf := make([]byte, 4096)
-	for len(fs) > 0 {
-		n := len(buf) / 4
-		if n > len(fs) {
-			n = len(fs)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(fs[i]))
-		}
-		if _, err := w.Write(buf[:n*4]); err != nil {
-			return err
-		}
-		fs = fs[n:]
-	}
-	return nil
-}
-
-func readFloats(r io.Reader, fs []float32) error {
-	buf := make([]byte, 4096)
-	for len(fs) > 0 {
-		n := len(buf) / 4
-		if n > len(fs) {
-			n = len(fs)
-		}
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return fmt.Errorf("emb: reading floats: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		fs = fs[n:]
-	}
-	return nil
 }
 
 // NormalizedCopy returns a row-normalized copy of the given matrix, used by

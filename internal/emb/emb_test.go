@@ -1,11 +1,8 @@
 package emb
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"sisg/internal/rng"
 	"sisg/internal/vecmath"
@@ -87,77 +84,6 @@ func TestScores(t *testing.T) {
 	want := float32(1 / math.Sqrt2)
 	if got := m.ScoreCosine(0, 1); math.Abs(float64(got-want)) > 1e-6 {
 		t.Fatalf("ScoreCosine = %v, want %v", got, want)
-	}
-}
-
-func TestSaveLoadRoundtrip(t *testing.T) {
-	m := NewModel(17, 5, rng.New(9))
-	for i := range m.Out.Data() {
-		m.Out.Data()[i] = float32(i) * 0.1
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Vocab() != 17 || got.Dim() != 5 {
-		t.Fatalf("loaded shape %dx%d", got.Vocab(), got.Dim())
-	}
-	for i := range m.In.Data() {
-		if m.In.Data()[i] != got.In.Data()[i] {
-			t.Fatal("input data mismatch")
-		}
-		if m.Out.Data()[i] != got.Out.Data()[i] {
-			t.Fatal("output data mismatch")
-		}
-	}
-}
-
-func TestSaveLoadProperty(t *testing.T) {
-	f := func(vocab, dim uint8, seed uint64) bool {
-		v := int(vocab%20) + 1
-		d := int(dim%16) + 1
-		m := NewModel(v, d, rng.New(seed))
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return false
-		}
-		got, err := Load(&buf)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(f32bytes(m.In.Data()), f32bytes(got.In.Data()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func f32bytes(fs []float32) []byte {
-	out := make([]byte, 0, len(fs)*4)
-	for _, f := range fs {
-		b := math.Float32bits(f)
-		out = append(out, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
-	}
-	return out
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(strings.NewReader("WRONGMAG")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Truncated body.
-	m := NewModel(4, 4, rng.New(1))
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := Load(bytes.NewReader(data[:20])); err == nil {
-		t.Fatal("truncated file accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // DebugMux returns the sidecar observability mux both binaries mount on
@@ -23,4 +24,20 @@ func DebugMux(reg *Registry) *http.ServeMux {
 		mux.Handle("/metrics", reg.Handler())
 	}
 	return mux
+}
+
+// ServeDebug serves DebugMux(reg) on addr until the listener fails. It has
+// the serving port's header deadline; the long write window is for pprof
+// profile and trace streams, which hold the response open for their
+// -seconds argument (30s default).
+func ServeDebug(addr string, reg *Registry) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           DebugMux(reg),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	return srv.ListenAndServe()
 }

@@ -155,9 +155,10 @@ func WriteBinary(w io.Writer, sessions []corpus.Session) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads sessions written by WriteBinary. maxItems, when
-// positive, bounds item IDs (corruption and mismatched-catalog detection).
-func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
+// ReadBinary reads sessions written by WriteBinary. maxItems and
+// maxUserTypes, when positive, bound item IDs and user types (corruption
+// and mismatched-catalog detection).
+func ReadBinary(r io.Reader, maxItems, maxUserTypes int) ([]corpus.Session, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -185,6 +186,9 @@ func ReadBinary(r io.Reader, maxItems int) ([]corpus.Session, error) {
 		ut, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("seqio: session %d: %w", i, err)
+		}
+		if maxUserTypes > 0 && int(ut) >= maxUserTypes {
+			return nil, fmt.Errorf("seqio: session %d: user type %d out of range (population has %d)", i, ut, maxUserTypes)
 		}
 		n, err := get()
 		if err != nil {

@@ -87,7 +87,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 	if err := WriteBinary(&buf, sessions); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf, ds.Cfg.NumItems)
+	got, err := ReadBinary(&buf, ds.Cfg.NumItems, len(ds.Pop.Types))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBinaryRoundtripProperty(t *testing.T) {
 		if err := WriteBinary(&buf, sessions); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf, 0)
+		got, err := ReadBinary(&buf, 0, 0)
 		if err != nil {
 			return false
 		}
@@ -128,7 +128,7 @@ func TestBinaryRoundtripProperty(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTMAGIC....."), 0); err == nil {
+	if _, err := ReadBinary(strings.NewReader("NOTMAGIC....."), 0, 0); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -140,19 +140,25 @@ func TestBinaryTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)/2]), 0); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(data[:len(data)/2]), 0, 0); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 }
 
+// An item id the catalog or a user type the population cannot index is
+// refused, not handed to the trainer.
 func TestBinaryOutOfRangeItem(t *testing.T) {
-	sessions := []corpus.Session{{UserType: 0, Items: []int32{0, 99999}}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sessions); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary(&buf, 100); err == nil {
-		t.Fatal("out-of-range item accepted")
+	for _, s := range []corpus.Session{
+		{UserType: 0, Items: []int32{0, 99999}},
+		{UserType: 1_000_000, Items: []int32{0, 1}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, []corpus.Session{s}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf, 100, 10); err == nil {
+			t.Fatalf("session %+v accepted", s)
+		}
 	}
 }
 
@@ -161,7 +167,7 @@ func TestEmptySessions(t *testing.T) {
 	if err := WriteBinary(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf, 0)
+	got, err := ReadBinary(&buf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

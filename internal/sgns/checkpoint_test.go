@@ -137,7 +137,7 @@ func TestCheckpointResumeRefusesOldKernelVersion(t *testing.T) {
 	if _, _, err := Train(dict, seqs, opt); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Load(dir)
+	snap, err := checkpoint.Load(checkpoint.Path(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCheckpointResumeRefusesOldKernelVersion(t *testing.T) {
 		t.Fatal("fingerprint does not depend on the kernel version")
 	}
 	snap.OptionsHash = old
-	if err := checkpoint.Save(dir, snap); err != nil {
+	if err := checkpoint.Save(checkpoint.Path(dir), snap); err != nil {
 		t.Fatal(err)
 	}
 	resume := opt

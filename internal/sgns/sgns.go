@@ -276,8 +276,8 @@ func trainInto(model *emb.Model, dict *vocab.Dict, seqs [][]int32, opt Options) 
 	fp := opt.Fingerprint(dict.Len(), len(seqs), workers)
 	startEpoch, startBlock := 0, 0
 	var lastCkptPairs uint64
-	if opt.Resume && opt.CheckpointDir != "" && checkpoint.Exists(opt.CheckpointDir) {
-		snap, err := checkpoint.Load(opt.CheckpointDir)
+	if opt.Resume && opt.CheckpointDir != "" && checkpoint.Exists(checkpoint.Path(opt.CheckpointDir)) {
+		snap, err := checkpoint.Load(checkpoint.Path(opt.CheckpointDir))
 		if err != nil {
 			return Stats{}, fmt.Errorf("sgns: resume: %w", err)
 		}
@@ -410,7 +410,7 @@ func saveCheckpoint(dir string, fp uint64, epoch, block int, states []*workerSta
 	for i, ws := range states {
 		rngs[i] = ws.r.State()
 	}
-	return checkpoint.Save(dir, &checkpoint.Snapshot{
+	return checkpoint.Save(checkpoint.Path(dir), &checkpoint.Snapshot{
 		OptionsHash: fp,
 		Epoch:       epoch,
 		Block:       block,

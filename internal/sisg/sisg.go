@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sisg/internal/checkpoint"
 	"sisg/internal/corpus"
 	"sisg/internal/emb"
 	"sisg/internal/knn"
@@ -166,6 +167,42 @@ func Train(d *corpus.Dict, sessions []corpus.Session, v Variant, base sgns.Optio
 		return nil, fmt.Errorf("sisg: training %s: %w", v.Name, err)
 	}
 	return &Model{Variant: v, Dict: d, Emb: m, Stats: st}, nil
+}
+
+// Save writes the model file (sisg-train -out): a checkpoint.Snapshot that
+// holds only the matrices, written atomically and CRC'd like a trainer
+// checkpoint, whose options hash names cfg — the corpus config the model's
+// dictionary was generated from — and the model's variant.
+func (m *Model) Save(path string, cfg corpus.Config) error {
+	return checkpoint.Save(path, &checkpoint.Snapshot{
+		OptionsHash: modelIdentity(cfg, m.Variant),
+		Model:       m.Emb,
+	})
+}
+
+// LoadModel reads a model file written by Save and binds it to ds and v.
+// It refuses a torn or corrupt file and a file of another format
+// (checkpoint.ErrCorrupt), and a model trained for another corpus config or
+// variant, a trainer checkpoint included (checkpoint.ErrOptionsMismatch).
+func LoadModel(path string, ds *corpus.Dataset, v Variant) (*Model, error) {
+	s, err := checkpoint.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.CheckOptions(modelIdentity(ds.Cfg, v)); err != nil {
+		return nil, fmt.Errorf("sisg: %s is not a %s model of corpus %s seed %d: %w", path, v.Name, ds.Cfg.Name, ds.Cfg.Seed, err)
+	}
+	// The config names the dictionary; a generator that changed under the
+	// same config would still leave rows the dictionary cannot index.
+	if s.Model.Vocab() != ds.Dict.Len() {
+		return nil, fmt.Errorf("sisg: model has %d rows, dictionary %d tokens", s.Model.Vocab(), ds.Dict.Len())
+	}
+	return &Model{Variant: v, Dict: ds.Dict, Emb: s.Model}, nil
+}
+
+// modelIdentity is the options hash of a model file.
+func modelIdentity(cfg corpus.Config, v Variant) uint64 {
+	return checkpoint.HashOptions(cfg, v.Name)
 }
 
 // snapshot returns (building on first use) the model as a one-generation
