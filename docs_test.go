@@ -35,7 +35,8 @@ var (
 	runPatternRE = regexp.MustCompile("-run(?:=|\\s+)(?:'([^']*)'|\"([^\"]*)\"|([^\\s`]+))")
 )
 
-// The documents whose Test… names must name real tests.
+// The documents whose Test… names must name real tests, besides every
+// package's doc.go.
 var testCitingFiles = []string{
 	"DESIGN.md",
 	"README.md",
@@ -48,7 +49,11 @@ var testCitingFiles = []string{
 // expression: it has to match at least one test.
 func TestDocumentedTestNamesExist(t *testing.T) {
 	defined := testFuncs(t)
-	for _, doc := range testCitingFiles {
+	pkgDocs, err := filepath.Glob("internal/*/doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(pkgDocs, testCitingFiles...) {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -264,6 +264,7 @@ func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int
 	}
 	eachRowBlock(rows, workers, func(lo, hi int) {
 		scores := make([]float32, iv.nlist)
+		tmp := make([]int8, dim)
 		for r := lo; r < hi; r++ {
 			row := data[r*dim : (r+1)*dim]
 			vecmath.DotRows(scores, iv.centroids, row)
@@ -275,7 +276,7 @@ func (iv *ivfIndex) assignRows(assign []int32, data []float32, rows, workers int
 			}
 			assign[r] = best
 			if fill != nil {
-				fill.fill(r, row)
+				fill.fill(r, row, tmp)
 			}
 		}
 	})

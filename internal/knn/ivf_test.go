@@ -392,11 +392,16 @@ func TestWarmBuildIsAssignMeanQuantize(t *testing.T) {
 				}
 				mir := ix.mirror.Load()
 				code := make([]int8, m.Dim)
+				blocks, bl := make([]int8, len(mir.codes)), vecmath.BlockLen(m.Dim)
 				for r := 0; r < ix.rows; r++ {
 					scale := vecmath.QuantizeRow(code, view.Row(int32(r)))
-					if scale != mir.scales[r] || !slices.Equal(code, mir.codes[r*m.Dim:(r+1)*m.Dim]) {
+					blk := blocks[r/vecmath.BlockRows*bl : (r/vecmath.BlockRows+1)*bl]
+					if sum := vecmath.PutBlockRow(blk, r%vecmath.BlockRows, code); scale != mir.scales[r] || sum != mir.sums[r] {
 						t.Fatalf("%s: row %d code differs from QuantizeRow", tag, r)
 					}
+				}
+				if !slices.Equal(blocks, mir.codes) {
+					t.Fatalf("%s: the codes differ from QuantizeRow's", tag)
 				}
 			}
 		}

@@ -18,12 +18,11 @@
 //   - Index "ivf": a sub-linear approximate scan, the shape production
 //     systems put in front of a 25M–800M item corpus. Rows are clustered
 //     under deterministic k-means coarse centroids (see ivf.go); a query
-//     probes the Options.NProbe most promising clusters, optionally scores
-//     the shortlist with int8 quantized dot products (4x less memory
-//     traffic), and re-ranks the candidates with the exact float32 kernel —
-//     so served scores are always exact floats, only membership of the
-//     candidate set is approximate. NProbe >= the cluster count degenerates
-//     to an exhaustive scan that is bit-identical to "flat".
+//     probes the Options.NProbe most promising clusters and scores their
+//     rows with the exact float32 kernel — so served scores are always
+//     exact floats, only membership of the candidate set is approximate.
+//     NProbe >= the cluster count degenerates to an exhaustive scan that
+//     is bit-identical to "flat".
 //
 // Determinism guarantee: for a given matrix, query and Options, results
 // are bit-identical across shard count, worker count, batching, and
@@ -220,10 +219,15 @@ func NewIndexSharded(mat *emb.Matrix, rows int, normalize bool, shards int) *Ind
 		shards = 1
 	}
 	ix := &Index{mat: mat, rows: rows, shards: make([]span, 0, shards)}
+	// Shards start on a block of the int8 mirror, so that every tile does.
+	cut := func(s int) int {
+		if s == shards {
+			return rows
+		}
+		return rows * s / shards / vecmath.BlockRows * vecmath.BlockRows
+	}
 	for s := 0; s < shards; s++ {
-		lo := rows * s / shards
-		hi := rows * (s + 1) / shards
-		if lo < hi {
+		if lo, hi := cut(s), cut(s+1); lo < hi {
 			ix.shards = append(ix.shards, span{lo, hi})
 		}
 	}
@@ -382,19 +386,19 @@ func (ix *Index) queryFlat(ctx context.Context, qs [][]float32, opts Options, ou
 // batch finds it in cache. The context is checked once per tile —
 // cancellation abandons the shard within one tile of work.
 func (ix *Index) scanShard(ctx context.Context, sc *scratch, mir *quantMirror, sp span, opts Options) error {
-	dim := ix.mat.Dim
 	for b := sp.lo; b < sp.hi; b += blockRows {
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
 		n := min(blockRows, sp.hi-b)
+		codes, sums, scales := mir.tile(b, n)
 		for qi := range sc.qs {
 			st := &sc.qs[qi]
 			if !st.bounded {
 				ix.scanTileFloat(sc, st, b, n, opts)
 				continue
 			}
-			st.prune(sc.dots[:n], sc.mask[:(n+63)/64], mir.codes[b*dim:(b+n)*dim], mir.scales[b:b+n], int32(b), opts.K, opts.Skip)
+			st.prune(sc.dots[:n], sc.mask[:(n+63)/64], codes, sums, scales, int32(b), opts.K, opts.Skip)
 		}
 		ix.tiles.Add(uint64(len(sc.qs)))
 	}

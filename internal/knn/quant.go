@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,25 +28,46 @@ const (
 )
 
 // quantMirror is the int8 mirror of an index's rows: vecmath.QuantizeRow
-// codes and per-row scales. A NaN scale marks a row the pruning bound does
-// not cover (non-finite, or outside [minMag, maxMag]).
+// codes in vecmath's block layout, with each row's code sum, and per-row
+// scales. A NaN scale marks a row the pruning bound does not cover
+// (non-finite, or outside [minMag, maxMag]). Sums and scales run on to the
+// end of the last block, zero past the last row.
 type quantMirror struct {
-	codes  []int8    // rows × dim
+	dim    int
+	codes  []int8    // blocks of vecmath.BlockRows rows
+	sums   []int32   // per row, the sum of its codes
 	scales []float32 // per row
 }
 
 func newQuantMirror(rows, dim int) *quantMirror {
-	return &quantMirror{codes: make([]int8, rows*dim), scales: make([]float32, rows)}
+	blocks := (rows + vecmath.BlockRows - 1) / vecmath.BlockRows
+	return &quantMirror{
+		dim:    dim,
+		codes:  make([]int8, blocks*vecmath.BlockLen(dim)),
+		sums:   make([]int32, blocks*vecmath.BlockRows),
+		scales: make([]float32, blocks*vecmath.BlockRows),
+	}
 }
 
-// fill quantises row r.
-func (m *quantMirror) fill(r int, row []float32) {
-	dim := len(row)
-	s, nan := vecmath.QuantizeRowNaN(m.codes[r*dim:(r+1)*dim], row)
+// fill quantises row r, through tmp (len(row) codes of scratch).
+func (m *quantMirror) fill(r int, row []float32, tmp []int8) {
+	s, nan := vecmath.QuantizeRowNaN(tmp, row)
 	if nan || !(s == 0 || (s >= minMag && s <= maxMag)) {
 		s = float32(math.NaN())
 	}
+	bl := vecmath.BlockLen(m.dim)
+	b := r / vecmath.BlockRows
+	m.sums[r] = vecmath.PutBlockRow(m.codes[b*bl:(b+1)*bl], r%vecmath.BlockRows, tmp)
 	m.scales[r] = s
+}
+
+// tile returns the codes, sums and scales of the n rows from row lo on, lo
+// being the first row of a block: the slices DotRowsI8Mask reads, which
+// run on to the end of the last block.
+func (m *quantMirror) tile(lo, n int) ([]int8, []int32, []float32) {
+	hi := (lo + n + vecmath.BlockRows - 1) / vecmath.BlockRows * vecmath.BlockRows
+	bl := vecmath.BlockLen(m.dim) / vecmath.BlockRows
+	return m.codes[lo*bl : hi*bl], m.sums[lo:hi], m.scales[lo:hi]
 }
 
 // BuildQuantized builds the index's int8 mirror now, on every CPU, instead
@@ -70,8 +90,9 @@ func (ix *Index) quantized() *quantMirror {
 		data := ix.mat.Data()
 		m := newQuantMirror(ix.rows, dim)
 		eachRowBlock(ix.rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
+			tmp := make([]int8, dim)
 			for r := lo; r < hi; r++ {
-				m.fill(r, data[r*dim:(r+1)*dim])
+				m.fill(r, data[r*dim:(r+1)*dim], tmp)
 			}
 		})
 		ix.mirror.Store(m)
@@ -141,7 +162,7 @@ type scan struct {
 	// row of scale s scores within s·(t·D ± b) of its exact float32 score,
 	// D being its integer dot product with u. See prune.
 	bounded bool
-	u       []int16
+	u       vecmath.QueryI16
 	t, b    float64
 
 	floor float64   // τ: the K-th largest lower bound seen, -Inf before K rows have one
@@ -176,8 +197,7 @@ func (st *scan) begin(q []float32, normalize bool) {
 	st.bounded = l1 == 0 || (l1 < math.Inf(1) && peak >= minMag && peak <= maxMag)
 	if st.bounded {
 		dim := float64(len(st.q))
-		st.u = slices.Grow(st.u[:0], len(st.q))[:len(st.q)]
-		st.t = vecmath.QuantizeQueryI16(st.u, st.q)
+		st.t = st.u.Quantize(st.q)
 		st.b = (l1*(0.5+254*dim*0x1p-23) + st.t*127*dim/2) * (1 + 0x1p-20)
 	}
 	st.floor = math.Inf(-1)
@@ -185,7 +205,7 @@ func (st *scan) begin(q []float32, normalize bool) {
 }
 
 // prune is the int8-first step of the exact scan over one tile: rows base,
-// base+1, …, with their codes and scales. It keeps as candidates only the
+// base+1, …, with their codes, sums and scales (quantMirror.tile). It keeps as candidates only the
 // rows that can still be in the top-K.
 //
 // The bound. A row x is stored as codes c and a scale s with
@@ -225,9 +245,9 @@ func (st *scan) begin(q []float32, normalize bool) {
 // against the current τ. τ only rises within a tile, so a row the kernel
 // leaves out is one the loop would drop anyway: the candidates, their ups
 // and τ are exactly those of applying rule (1) to every row in turn.
-func (st *scan) prune(dots []int32, mask []uint64, codes []int8, scales []float32, base int32, k int, skip func(int32) bool) {
+func (st *scan) prune(dots []int32, mask []uint64, codes []int8, sums []int32, scales []float32, base int32, k int, skip func(int32) bool) {
 	t, b, tau := st.t, st.b, st.floor
-	vecmath.DotRowsI8Mask(dots, mask, codes, st.u, scales, t, b, tau)
+	vecmath.DotRowsI8Mask(dots, mask, codes, sums, &st.u, scales, t, b, tau)
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)

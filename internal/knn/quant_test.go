@@ -172,7 +172,7 @@ func TestScoreIntervalHoldsWhereTight(t *testing.T) {
 			q[i] = side * sign * float32(math.Abs(r.NormFloat64())+0.1)
 		}
 		mir := newQuantMirror(1, dim)
-		mir.fill(0, row)
+		mir.fill(0, row, make([]int8, dim))
 		if mir.scales[0] != step {
 			t.Fatalf("trial %d: scale %g, want %g", trial, mir.scales[0], step)
 		}
@@ -183,7 +183,8 @@ func TestScoreIntervalHoldsWhereTight(t *testing.T) {
 		}
 		var d [1]int32
 		var score [1]float32
-		vecmath.DotRowsI8(d[:], mir.codes, st.u)
+		codes, sums, scales := mir.tile(0, 1)
+		vecmath.DotRowsI8MaskRef(d[:], make([]uint64, 1), codes, sums, &st.u, scales, st.t, st.b, 0)
 		vecmath.DotRows(score[:], row, st.q)
 		s, mid := float64(step), st.t*float64(d[0])
 		lo, up := s*(mid-st.b), s*(mid+st.b)
@@ -304,10 +305,10 @@ func TestKernelPruneMatchesPerRowSpec(t *testing.T) {
 				sc := new(scratch)
 				for b := 0; b < rows; b += blockRows {
 					n := min(blockRows, rows-b)
-					codes, scales := mir.codes[b*dim:(b+n)*dim], mir.scales[b:b+n]
-					got.prune(sc.dots[:n], sc.mask[:(n+63)/64], codes, scales, int32(b), k, skip)
+					codes, sums, scales := mir.tile(b, n)
+					got.prune(sc.dots[:n], sc.mask[:(n+63)/64], codes, sums, scales, int32(b), k, skip)
 					dots := make([]int32, n)
-					vecmath.DotRowsI8Ref(dots, codes, want.u)
+					vecmath.DotRowsI8MaskRef(dots, make([]uint64, (n+63)/64), codes, sums, &want.u, scales, 0, 0, 0)
 					pruneSpec(&want, dots, scales, int32(b), k, skip, vecmath.ScoreInterval, ruleOne)
 					if !sameState(&got, &want) {
 						t.Fatalf("%s trial=%d q=%d k=%d tile at %d: the scan holds %d candidates (floor %g), the per-row spec %d (floor %g)",
@@ -416,7 +417,7 @@ func TestQuantizedMirrorIsSharedAndBuiltOnce(t *testing.T) {
 	}
 	for _, other := range []*Index{second, third} {
 		o := other.quantized()
-		if !slices.Equal(o.codes, mir.codes) {
+		if !slices.Equal(o.codes, mir.codes) || !slices.Equal(o.sums, mir.sums) {
 			t.Fatal("mirrors built by different passes differ in codes")
 		}
 		for i := range mir.scales {

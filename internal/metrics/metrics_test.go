@@ -108,6 +108,42 @@ func TestHistogramConcurrentConservation(t *testing.T) {
 	}
 }
 
+// Value reads the counter while writers add to it: every read is a count
+// some prefix of the adds reached, so reads never go down, and the last one
+// sees them all. Under -race this also fails if Value stops reading
+// atomically, which no other test here would notice.
+func TestCounterValueReadBesideWriters(t *testing.T) {
+	const writers, perW = 4, 5000
+	var c Counter
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last, running := uint64(0), true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		v := c.Value()
+		if v < last {
+			t.Fatalf("Value went from %d to %d", last, v)
+		}
+		last = v
+	}
+	if got := c.Value(); got != writers*perW {
+		t.Fatalf("Value = %d, want %d", got, writers*perW)
+	}
+}
+
 func TestHistogramEmptyAndValidation(t *testing.T) {
 	h := newHistogram(defBuckets)
 	if v := h.Quantile(0.5); v != 0 {

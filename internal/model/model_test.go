@@ -72,6 +72,37 @@ func TestHolderPinsAcrossPublish(t *testing.T) {
 	}
 }
 
+// Generation is read while Publish runs — what the model_generation gauge
+// does beside a streamer. Reads never go down and the last one names the
+// last publish. Under -race this also fails if Generation stops loading the
+// stamp atomically.
+func TestHolderGenerationReadBesidePublish(t *testing.T) {
+	const gens = 2000
+	h := NewHolder(&stub{gen: 1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for g := uint64(2); g <= gens; g++ {
+			h.Publish(&stub{gen: g})
+		}
+	}()
+	for last, running := uint64(1), true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		g := h.Generation()
+		if g < last {
+			t.Fatalf("Generation went from %d to %d", last, g)
+		}
+		last = g
+	}
+	if g := h.Generation(); g != gens {
+		t.Fatalf("Generation = %d after the last publish, want %d", g, gens)
+	}
+}
+
 func TestHolderRetiresDisplacedUnpinnedSnapshot(t *testing.T) {
 	var retired []uint64
 	h := NewHolder(&stub{gen: 1})

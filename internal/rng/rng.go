@@ -69,8 +69,8 @@ func (r *RNG) Uint64() uint64 {
 // Uint32 returns the high 32 bits of the next value.
 func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
-// Lemire's multiply-shift rejection method avoids modulo bias.
+// Intn returns a uniform integer in [0, n). It panics if n <= 0. See
+// Uint64n for the method.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")
@@ -78,7 +78,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform value in [0, n). It panics if n == 0.
+// Uint64n returns a uniform value in [0, n). It panics if n == 0. A power
+// of two keeps the low bits of one draw; any other n takes v % n of the
+// first draw v at or above 2^64 mod n (-n % n), which leaves a whole
+// number of copies of [0, n) and so no modulo bias.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -143,6 +144,41 @@ func TestMetricsEndpointParses(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("series %d reordered between scrapes: %q vs %q", i, a[i], b[i])
 		}
+	}
+}
+
+// The http_inflight gauge is read while requests run, as a scrape does:
+// it never reads negative or above the number of requests in flight, and
+// reads 0 once they are done. Under -race this also fails if the gauge
+// stops loading the count atomically.
+func TestInflightGaugeReadBesideRequests(t *testing.T) {
+	s, _ := testServer(t)
+	h := s.Handler()
+	const clients, perC = 4, 200
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perC; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if v, ok := s.Registry().Value("http_inflight"); !ok || v < 0 || v > clients {
+			t.Fatalf("http_inflight = %v (registered %v), want 0..%d", v, ok, clients)
+		}
+	}
+	if v, _ := s.Registry().Value("http_inflight"); v != 0 {
+		t.Fatalf("http_inflight = %v after every request returned, want 0", v)
 	}
 }
 

@@ -1,9 +1,10 @@
-// Int8 quantization kernels for the retrieval scans. internal/knn reads
-// the int8 mirror of the indexed rows first — 4x less memory traffic than
-// float32 — and scores the rows that survive with the exact float32
-// kernel: the flat scan prunes with a proven error bound and stays exact,
-// the IVF pre-screen keeps a fixed-size shortlist. Either way quantization
-// decides which rows get the exact kernel, never a served score.
+// Int8 quantization and the int8 kernel of the retrieval scans. internal/knn
+// keeps an int8 mirror of the indexed rows, stored in the block layout (see
+// the package doc), and the exact flat scan reads it first — 4x less memory
+// traffic than float32 — then scores the rows that survive with the exact
+// float32 kernel. The scan prunes with a proven error bound and stays
+// exact: quantization decides which rows get the exact kernel, never a
+// served score.
 //
 // The format is symmetric per-row max-abs scaling: a row x is stored as
 // int8 codes c[i] = round(x[i]/scale) with scale = max|x|/127, so
@@ -13,15 +14,16 @@
 // no float error accumulates inside the loop, which is what makes the
 // quantized-dot error bound provable (see quant_test.go).
 //
-// A query is quantized finer than a row, to int16 (QuantizeQueryI16), and
-// scored against a block of code rows by DotRowsI8: AVX2 on amd64, a
-// pure-Go reference elsewhere. Integer sums have no rounding, so the two
-// agree on every input without a fixed accumulation schedule. The flat
-// scan calls it as DotRowsI8Mask, which also makes the scan's prune
-// decision per row in float64 steps both implementations round alike.
+// A query is quantized finer than a row, to int16 (QueryI16), and scored
+// against a block-layout run of code rows by DotRowsI8Mask, which in the
+// same pass makes the scan's prune decision per row in float64 steps every
+// implementation rounds alike.
 package vecmath
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // maxAbs returns the largest magnitude in x, skipping NaNs (0 for an empty
 // or all-NaN slice), and whether x holds a NaN. |v| clears the sign bit: a
@@ -95,8 +97,8 @@ func DequantizeRow(dst []float32, codes []int8, scale float32) {
 }
 
 // DotInt8 returns the integer inner product of two int8 code vectors: the
-// scalar reference for int8 x int8 scoring. The scans in internal/knn use
-// DotRowsI8, which takes the query as int16 and a block of rows. The
+// scalar reference for int8 x int8 scoring. The scan in internal/knn uses
+// DotRowsI8Mask, which takes the query as int16 and a block of rows. The
 // accumulation is exact: |a[i]*b[i]| <= 127² = 16129, so int32 holds the
 // sum without overflow for any dimension up to ~133k — far beyond any
 // embedding this repository trains. The float similarity is recovered as
@@ -124,8 +126,8 @@ func DotInt8(a, b []int8) int32 {
 
 // queryLimitI16 is the largest code magnitude QuantizeQueryI16 uses for a
 // query of dim elements: 32767 up to dim 516, and beyond that the largest
-// u with 127*u*dim < 2^31, so that DotRowsI8 cannot overflow its int32
-// sums against any int8 codes.
+// u with 127*u*dim < 2^31, so that a row's integer score against any int8
+// codes fits in int32.
 func queryLimitI16(dim int) int {
 	if dim <= 516 {
 		return math.MaxInt16
@@ -162,49 +164,100 @@ func QuantizeQueryI16(dst []int16, src []float32) float64 {
 	return float64(maxAbs) / limit
 }
 
-// DotRowsI8 computes dst[r] = sum_i codes[r*dim+i] * q[i] for every r in
-// [0, len(dst)), where dim = len(q): the integer scores of one int16 query
-// against a contiguous block of int8 code rows. codes must hold exactly
-// len(dst)*len(q) values. The sums are exact for any q that
-// QuantizeQueryI16 produced (127*max|q|*dim < 2^31). Uses the AVX2 kernel
-// when the platform has one; always equal to DotRowsI8Ref.
-func DotRowsI8(dst []int32, codes []int8, q []int16) {
-	if len(codes) != len(dst)*len(q) {
-		panic("vecmath: DotRowsI8 shape mismatch")
+// BlockRows is the number of rows one block of the int8 layout holds.
+const BlockRows = 16
+
+// BlockLen returns the number of codes one block of rows of dim elements
+// takes: BlockRows rows of dim codes, dim rounded up to a whole quad.
+func BlockLen(dim int) int { return BlockRows * quads(dim) * 4 }
+
+func quads(dim int) int { return (dim + 3) / 4 }
+
+// PutBlockRow stores codes, one row, as row j of blk, a block of
+// BlockLen(len(codes)) codes, and returns the sum of the codes: quad k of
+// the row (codes 4k … 4k+3) goes to blk[64k+4j : 64k+4j+4]. The codes of a
+// partial last quad are followed by zeros, which PutBlockRow leaves alone:
+// a block starts out zeroed.
+func PutBlockRow(blk []int8, j int, codes []int8) (sum int32) {
+	if len(blk) != BlockLen(len(codes)) || j < 0 || j >= BlockRows {
+		panic("vecmath: PutBlockRow shape mismatch")
 	}
-	if dotRowsI8Asm == nil {
-		DotRowsI8Ref(dst, codes, q)
-		return
+	i := 0
+	for ; i+4 <= len(codes); i += 4 {
+		c := codes[i : i+4 : i+4]
+		d := blk[i*16+j*4 : i*16+j*4+4 : i*16+j*4+4]
+		d[0], d[1], d[2], d[3] = c[0], c[1], c[2], c[3]
+		sum += int32(c[0]) + int32(c[1]) + int32(c[2]) + int32(c[3])
 	}
-	if len(dst) > 0 {
-		dotRowsI8Asm(dst, nil, codes, q, nil, 0, 0, 0)
+	for ; i < len(codes); i++ {
+		blk[i>>2*64+j*4+i&3] = codes[i]
+		sum += int32(codes[i])
+	}
+	return sum
+}
+
+// QueryI16 is a query quantized for DotRowsI8Mask: QuantizeQueryI16's codes
+// u followed by zeros to a whole quad, and the byte planes of u + 32768
+// that the VNNI kernel multiplies (see the package doc).
+type QueryI16 struct {
+	u      []int16
+	planes []uint8 // per quad: the low bytes of its four u+32768, then their high bytes
+}
+
+// Quantize sets x to q quantized by QuantizeQueryI16 and returns the step.
+func (x *QueryI16) Quantize(q []float32) float64 {
+	n := quads(len(q)) * 4
+	x.u = slices.Grow(x.u[:0], n)[:n]
+	t := QuantizeQueryI16(x.u[:len(q)], q)
+	clear(x.u[len(q):])
+	x.setPlanes()
+	return t
+}
+
+// setPlanes derives the byte planes from x.u.
+func (x *QueryI16) setPlanes() {
+	x.planes = slices.Grow(x.planes[:0], 2*len(x.u))[:2*len(x.u)]
+	for i, v := range x.u {
+		w := uint16(v) ^ 0x8000 // v + 32768
+		x.planes[i>>2*8+i&3] = uint8(w)
+		x.planes[i>>2*8+4+i&3] = uint8(w >> 8)
 	}
 }
 
-// DotRowsI8Mask is DotRowsI8 that also makes the flat scan's prune
-// decision for every row in the same pass: it sets bit r%64 of mask[r/64]
-// exactly when
+// DotRowsI8Mask scores rows [0, len(dst)) of a block-layout run of code
+// rows against the query, dst[r] = Σ_i c_r[i]·u[i], and makes the flat
+// scan's prune decision for every row in the same pass: it sets bit r%64
+// of mask[r/64] exactly when
 //
 //	!(up <= tau), where _, up = ScoreInterval(scales[r], dst[r], t, b),
 //
 // and clears every other bit of mask. The compare is unordered: a row whose
-// up is NaN is flagged. mask must hold (len(dst)+63)/64 words and scales
-// len(dst) values. Uses the AVX2 kernel when the platform has one; always
-// equal to DotRowsI8MaskRef.
-func DotRowsI8Mask(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64) {
-	checkMaskShape(dst, mask, codes, q, scales)
+// up is NaN is flagged. codes holds the (len(dst)+15)/16 blocks the rows
+// span, sums and scales one value per row of those blocks (the rows past
+// len(dst) included), sums[r] being the sum of row r's codes (as
+// PutBlockRow returns it), and mask (len(dst)+63)/64 words. The scores are
+// exact for any query QueryI16.Quantize produced. Runs the fastest kernel
+// the platform has; always equal to DotRowsI8MaskRef.
+func DotRowsI8Mask(dst []int32, mask []uint64, codes []int8, sums []int32, q *QueryI16, scales []float32, t, b, tau float64) {
 	if dotRowsI8Asm == nil {
-		DotRowsI8MaskRef(dst, mask, codes, q, scales, t, b, tau)
+		DotRowsI8MaskRef(dst, mask, codes, sums, q, scales, t, b, tau)
 		return
 	}
+	dotRowsI8MaskWith(dotRowsI8Asm, dst, mask, codes, sums, q, scales, t, b, tau)
+}
+
+// dotRowsI8MaskWith is DotRowsI8Mask on the platform kernel fn.
+func dotRowsI8MaskWith(fn i8Func, dst []int32, mask []uint64, codes []int8, sums []int32, q *QueryI16, scales []float32, t, b, tau float64) {
+	checkMaskShape(dst, mask, codes, sums, q, scales)
 	clear(mask)
 	if len(dst) > 0 {
-		dotRowsI8Asm(dst, mask, codes, q, scales, t, b, tau)
+		fn(dst, mask, codes, sums, q.u, q.planes, scales, t, b, tau)
 	}
 }
 
-func checkMaskShape(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32) {
-	if len(codes) != len(dst)*len(q) || len(mask) != (len(dst)+63)/64 || len(scales) != len(dst) {
+func checkMaskShape(dst []int32, mask []uint64, codes []int8, sums []int32, q *QueryI16, scales []float32) {
+	rows := (len(dst) + BlockRows - 1) / BlockRows * BlockRows
+	if len(codes) != rows*len(q.u) || len(sums) != rows || len(scales) != rows || len(mask) != (len(dst)+63)/64 {
 		panic("vecmath: DotRowsI8Mask shape mismatch")
 	}
 }
@@ -214,44 +267,51 @@ func checkMaskShape(dst []int32, mask []uint64, codes []int8, q []int16, scales 
 // from the row's scale s, its integer score d, the query's step t and the
 // half-width b. Each product is converted explicitly, the Go spec's fusion
 // barrier, so that no platform contracts one into a fused multiply-add:
-// DotRowsI8Mask's kernel rounds every step, and the scan re-tests the rows
-// it flags with this function.
+// DotRowsI8Mask's kernels round every step, and the scan re-tests the rows
+// they flag with this function.
 func ScoreInterval(s float32, d int32, t, b float64) (lo, up float64) {
 	w := float64(s)
 	a := float64(t * float64(d))
 	return float64(w * (a - b)), float64(w * (a + b))
 }
 
-// dotRowsI8Asm, when non-nil, is the platform SIMD kernel behind DotRowsI8
-// and DotRowsI8Mask: it writes the integer scores, and with a non-nil mask
-// (cleared by the caller) ORs in the bits DotRowsI8Mask defines. It may
-// assume matching shapes and len(dst) > 0. Installed from an arch-specific
-// init (see quant_amd64.go).
-var dotRowsI8Asm func(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64)
+// i8Func is a platform kernel behind DotRowsI8Mask: it writes the integer
+// scores and ORs in the bits DotRowsI8Mask defines into a mask the caller
+// cleared. It may assume matching shapes and len(dst) > 0.
+type i8Func func(dst []int32, mask []uint64, codes []int8, sums []int32, u []int16, planes []uint8, scales []float32, t, b, tau float64)
 
-// DotRowsI8Ref is the portable reference for DotRowsI8: same shapes, same
-// results.
-func DotRowsI8Ref(dst []int32, codes []int8, q []int16) {
-	dim := len(q)
-	if len(codes) != len(dst)*dim {
-		panic("vecmath: DotRowsI8Ref shape mismatch")
-	}
+// i8Kernel is a kernel compiled for this platform, and whether this host
+// can run it.
+type i8Kernel struct {
+	name string
+	fn   i8Func
+	ok   bool
+}
+
+// i8Kernels lists the kernels compiled for this platform, fastest first
+// (see quant_amd64.go); dotRowsI8Asm is the first one the host runs, or nil.
+var (
+	i8Kernels    []i8Kernel
+	dotRowsI8Asm i8Func
+)
+
+// DotRowsI8MaskRef is the portable reference for DotRowsI8Mask: the integer
+// scores row by row from the block layout, then the predicate row by row.
+// It reads neither sums nor the byte planes.
+func DotRowsI8MaskRef(dst []int32, mask []uint64, codes []int8, sums []int32, q *QueryI16, scales []float32, t, b, tau float64) {
+	checkMaskShape(dst, mask, codes, sums, q, scales)
+	u := q.u
+	bl := BlockRows * len(u)
 	for r := range dst {
-		row := codes[r*dim : (r+1)*dim : (r+1)*dim]
-		qq := q[:len(row)]
+		row := codes[r/BlockRows*bl+r%BlockRows*4:]
 		var s int32
-		for i, c := range row {
-			s += int32(c) * int32(qq[i])
+		for k := 0; k < len(u); k += 4 {
+			c := row[k*BlockRows : k*BlockRows+4 : k*BlockRows+4]
+			uu := u[k : k+4 : k+4]
+			s += int32(c[0])*int32(uu[0]) + int32(c[1])*int32(uu[1]) + int32(c[2])*int32(uu[2]) + int32(c[3])*int32(uu[3])
 		}
 		dst[r] = s
 	}
-}
-
-// DotRowsI8MaskRef is the portable reference for DotRowsI8Mask: the scores
-// of DotRowsI8Ref, then the predicate row by row.
-func DotRowsI8MaskRef(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64) {
-	checkMaskShape(dst, mask, codes, q, scales)
-	DotRowsI8Ref(dst, codes, q)
 	clear(mask)
 	for r, d := range dst {
 		if _, up := ScoreInterval(scales[r], d, t, b); !(up <= tau) {

@@ -3,8 +3,15 @@
 package vecmath
 
 func init() {
-	if useAVX && hasAVX2() {
-		dotRowsI8Asm = dotRowsI8AVX2
+	i8Kernels = []i8Kernel{
+		{"vnni", dotRowsI8VNNI, hasAVX512VNNI()},
+		{"avx2", dotRowsI8AVX2, useAVX && hasAVX2()},
+	}
+	for _, k := range i8Kernels {
+		if k.ok {
+			dotRowsI8Asm = k.fn
+			break
+		}
 	}
 }
 
@@ -13,14 +20,29 @@ func init() {
 // quant_amd64.s.
 func hasAVX2() bool
 
-// dotRowsI8AVX2 computes, for every row r, the integer dot product of
-// codes[r*dim:(r+1)*dim] and q, four rows per iteration: VPMOVSXBW widens 16
-// codes, VPMADDWD multiplies them with 16 query values and adds adjacent
-// products, VPADDD accumulates; elements past len(q)&^15 are added one at a
-// time. With a non-nil mask it also sets DotRowsI8Mask's bits, formed from
-// the folded dots of each group of four rows. Requires the shapes
-// DotRowsI8Mask checks, len(dst) > 0 and a zeroed mask (enforced by the
-// wrappers). Implemented in quant_amd64.s.
+// hasAVX512VNNI reports CPU and OS support for AVX-512 F and VNNI: CPUID
+// leaf 1 ECX bit 27 (OSXSAVE), leaf 7 EBX bit 16 (AVX512F) and ECX bit 11
+// (AVX512_VNNI), then XCR0 bits 1, 2, 5, 6 and 7 (SSE, AVX, opmask and both
+// halves of the ZMM state). Implemented in quant_amd64.s.
+func hasAVX512VNNI() bool
+
+// dotRowsI8AVX2 is DotRowsI8Mask on AVX2, a block of 16 rows at a time:
+// per quad, VPBROADCASTQ spreads the query's four int16 values over a YMM,
+// and for each group of four rows VPMOVSXBW widens their 16 codes,
+// VPMADDWD multiplies and adds adjacent products, VPADDD accumulates — two
+// partial sums per row, folded once per block by VPHADDD. Requires the
+// shapes DotRowsI8Mask checks, len(dst) > 0 and a zeroed mask (enforced
+// by the wrapper). Implemented in quant_amd64.s.
 //
 //go:noescape
-func dotRowsI8AVX2(dst []int32, mask []uint64, codes []int8, q []int16, scales []float32, t, b, tau float64)
+func dotRowsI8AVX2(dst []int32, mask []uint64, codes []int8, sums []int32, u []int16, planes []uint8, scales []float32, t, b, tau float64)
+
+// dotRowsI8VNNI is DotRowsI8Mask on AVX-512 VNNI, a block of 16 rows at a
+// time: per quad, two VPDPBUSD multiply the 64 code bytes with the
+// broadcast low and high query planes, each scoring four dims of all 16
+// rows into one lane per row, so no row needs a horizontal sum; at the end
+// of the block D = 256·H + L − 32768·Σc. Same requirements as
+// dotRowsI8AVX2. Implemented in quant_amd64.s.
+//
+//go:noescape
+func dotRowsI8VNNI(dst []int32, mask []uint64, codes []int8, sums []int32, u []int16, planes []uint8, scales []float32, t, b, tau float64)

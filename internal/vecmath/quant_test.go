@@ -122,8 +122,8 @@ func TestQuantizeQueryI16ErrorBound(t *testing.T) {
 
 // The two quantisers as PR 21 wrote them, frozen: a sign branch in the
 // max-abs pass and math.Round. The branch-free ones must not move a code, a
-// scale or a step — the mirror, the IVF pre-screen's shortlist and every
-// pinned model downstream depend on the bytes.
+// scale or a step — the mirror and every pinned model downstream depend on
+// the bytes.
 func maxAbsFrozen(x []float32) float32 {
 	var m float32
 	for _, v := range x {
@@ -261,76 +261,80 @@ func TestQuantizersMatchFrozenCopies(t *testing.T) {
 	}
 }
 
-// DotRowsI8 (the AVX2 kernel where there is one), its reference and a
-// plain int64 sum agree on every shape — dims on both sides of the 16-wide
-// body, row counts on both sides of the four-row groups — including the
-// extreme input: every code ±127 against every query value ±limit, where
-// the sum comes closest to the int32 range.
-func TestDotRowsI8MatchesRef(t *testing.T) {
-	r := rng.New(43)
-	for dim := 1; dim <= 200; dim++ {
-		limit := queryLimitI16(dim)
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 65} {
-			for _, extreme := range []bool{false, true} {
-				codes := make([]int8, n*dim)
-				q := make([]int16, dim)
-				for i := range q {
-					q[i] = int16(r.Intn(2*limit+1) - limit)
-					if extreme {
-						q[i] = int16(limit * (1 - 2*r.Intn(2)))
-					}
-				}
-				for i := range codes {
-					codes[i] = int8(r.Intn(255) - 127)
-					if extreme {
-						codes[i] = int8(127 * (1 - 2*r.Intn(2)))
-						if n > 1 && i < dim { // one row with every product positive
-							codes[i] = 127
-							if q[i] < 0 {
-								codes[i] = -127
-							}
-						}
-					}
-				}
-				got := make([]int32, n)
-				ref := make([]int32, n)
-				DotRowsI8(got, codes, q)
-				DotRowsI8Ref(ref, codes, q)
-				for row := 0; row < n; row++ {
-					var want int64
-					for i := 0; i < dim; i++ {
-						want += int64(codes[row*dim+i]) * int64(q[i])
-					}
-					if int64(got[row]) != want || int64(ref[row]) != want {
-						t.Fatalf("dim=%d n=%d row=%d extreme=%v: DotRowsI8 %d, DotRowsI8Ref %d, want %d",
-							dim, n, row, extreme, got[row], ref[row], want)
-					}
-				}
-			}
-		}
+// blockRows packs row-major codes (n rows of dim) into the block layout
+// and returns the blocks and the rows' code sums, padded to whole blocks.
+func blockRows(codes []int8, n, dim int) ([]int8, []int32) {
+	blocks := (n + BlockRows - 1) / BlockRows
+	out := make([]int8, blocks*BlockLen(dim))
+	sums := make([]int32, blocks*BlockRows)
+	for r := 0; r < n; r++ {
+		blk := out[r/BlockRows*BlockLen(dim) : (r/BlockRows+1)*BlockLen(dim)]
+		sums[r] = PutBlockRow(blk, r%BlockRows, codes[r*dim:(r+1)*dim])
 	}
+	return out, sums
 }
 
-// DotRowsI8Mask (the fused kernel where there is one) against its
-// reference, and both against the predicate written out row by row: the
-// same dots and the same mask on every shape — dims on both sides of the
-// 16-wide body, row counts on both sides of the four-row groups and the
-// 64-row words — for the scales the scan meets (0, NaN, the ends 2^-64 and
-// 2^40 of the range the bound covers, ordinary ones), τ from -Inf through
-// ±0 to +Inf, a zero step, and dots at the edge of the int32 range.
+// queryOf is a QueryI16 holding the codes u, as Quantize would leave them.
+func queryOf(u []int16) *QueryI16 {
+	q := &QueryI16{u: make([]int16, quads(len(u))*4)}
+	copy(q.u, u)
+	q.setPlanes()
+	return q
+}
+
+// maskKernel is one implementation of DotRowsI8Mask under test.
+type maskKernel struct {
+	name string
+	fn   func([]int32, []uint64, []int8, []int32, *QueryI16, []float32, float64, float64, float64)
+}
+
+// maskKernels returns DotRowsI8Mask, its reference and every platform
+// kernel this host runs, each behind DotRowsI8Mask's shape check and mask
+// clearing, and the names of the kernels the host cannot run.
+func maskKernels() (run []maskKernel, skipped []string) {
+	run = []maskKernel{{"DotRowsI8Mask", DotRowsI8Mask}, {"DotRowsI8MaskRef", DotRowsI8MaskRef}}
+	for _, k := range i8Kernels {
+		if !k.ok {
+			skipped = append(skipped, k.name)
+			continue
+		}
+		run = append(run, maskKernel{k.name, func(dst []int32, mask []uint64, codes []int8, sums []int32, q *QueryI16, scales []float32, t, b, tau float64) {
+			dotRowsI8MaskWith(k.fn, dst, mask, codes, sums, q, scales, t, b, tau)
+		}})
+	}
+	return run, skipped
+}
+
+// Every kernel behind DotRowsI8Mask — each platform kernel the host runs,
+// not only the dispatched one — and the reference, against the predicate
+// written out row by row on row-major codes: the same dots and the same
+// mask on every shape — dims on both sides of a whole quad, row counts on
+// both sides of the 16-row blocks and the 64-row words, the padding rows of
+// a partial last block carrying NaN scales that must not leak into the
+// mask — for the scales the scan meets (0, NaN, the ends 2^-64 and 2^40 of
+// the range the bound covers, ordinary ones), τ from -Inf through ±0 to
+// +Inf, a zero step, and dots at the edge of the int32 range, where the
+// VNNI kernel's 256·H and 32768·Σc wrap and only the sum modulo 2^32 is
+// right. The log names the kernels checked and those skipped.
 func TestDotRowsI8MaskMatchesRef(t *testing.T) {
+	kernels, skipped := maskKernels()
+	var names []string
+	for _, k := range kernels {
+		names = append(names, k.name)
+	}
+	t.Logf("int8 kernels checked: %v; skipped (host lacks them): %v", names, skipped)
 	r := rng.New(44)
-	counts := []int{0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 66, 127, 128, 131, 255, 256, 257, 300}
+	counts := []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 63, 64, 65, 66, 127, 128, 131, 255, 256, 257, 300}
 	special := []float32{0, float32(math.NaN()), 0x1p-64, 0x1p40}
 	cases := 0
 	check := func(dim, n int, extreme bool) {
 		limit := queryLimitI16(dim)
 		codes := make([]int8, n*dim)
-		q := make([]int16, dim)
-		for i := range q {
-			q[i] = int16(r.Intn(2*limit+1) - limit)
+		u := make([]int16, dim)
+		for i := range u {
+			u[i] = int16(r.Intn(2*limit+1) - limit)
 			if extreme {
-				q[i] = int16(limit * (1 - 2*r.Intn(2)))
+				u[i] = int16(limit * (1 - 2*r.Intn(2)))
 			}
 		}
 		for i := range codes {
@@ -338,15 +342,16 @@ func TestDotRowsI8MaskMatchesRef(t *testing.T) {
 			if extreme { // every product of a row the same sign: |D| = 127·limit·dim
 				sign := int8(1 - 2*((i/dim)%2))
 				codes[i] = 127 * sign
-				if q[i%dim] < 0 {
+				if u[i%dim] < 0 {
 					codes[i] = -codes[i]
 				}
 			}
 		}
-		scales := make([]float32, n)
+		blocks, sums := blockRows(codes, n, dim)
+		scales := make([]float32, len(sums))
 		for i := range scales {
 			scales[i] = float32(math.Ldexp(1+r.Float64(), r.Intn(40)-30))
-			if r.Intn(3) == 0 {
+			if r.Intn(3) == 0 || i >= n {
 				scales[i] = special[r.Intn(len(special))]
 			}
 		}
@@ -363,7 +368,7 @@ func TestDotRowsI8MaskMatchesRef(t *testing.T) {
 		for row := range want {
 			var d int64
 			for i := 0; i < dim; i++ {
-				d += int64(codes[row*dim+i]) * int64(q[i])
+				d += int64(codes[row*dim+i]) * int64(u[i])
 			}
 			if d < math.MinInt32 || d > math.MaxInt32 {
 				t.Fatalf("dim=%d: the test built a dot %d outside int32", dim, d)
@@ -375,6 +380,7 @@ func TestDotRowsI8MaskMatchesRef(t *testing.T) {
 		if len(ups) > 0 { // ties with one row's up exactly, and one ulp below another's
 			taus = append(taus, ups[r.Intn(len(ups))], math.Nextafter(ups[r.Intn(len(ups))], math.Inf(-1)))
 		}
+		q := queryOf(u)
 		for _, tau := range taus {
 			wantMask := make([]uint64, (n+63)/64)
 			for row, up := range ups {
@@ -382,16 +388,13 @@ func TestDotRowsI8MaskMatchesRef(t *testing.T) {
 					wantMask[row/64] |= 1 << (row % 64)
 				}
 			}
-			for _, f := range []struct {
-				name string
-				fn   func([]int32, []uint64, []int8, []int16, []float32, float64, float64, float64)
-			}{{"DotRowsI8Mask", DotRowsI8Mask}, {"DotRowsI8MaskRef", DotRowsI8MaskRef}} {
+			for _, f := range kernels {
 				got := make([]int32, n)
 				mask := make([]uint64, len(wantMask))
 				for i := range mask {
 					mask[i] = ^uint64(0) // every bit must be rewritten
 				}
-				f.fn(got, mask, codes, q, scales, step, half, tau)
+				f.fn(got, mask, blocks, sums, q, scales, step, half, tau)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s dim=%d n=%d extreme=%v: dots %v, want %v", f.name, dim, n, extreme, got, want)
 				}
@@ -409,30 +412,85 @@ func TestDotRowsI8MaskMatchesRef(t *testing.T) {
 	}
 	for _, dim := range []int{516, 517, 1000} { // |D| within a hair of 2^31
 		check(dim, 9, true)
+		check(dim, 40, true)
+	}
+}
+
+// The block layout as PutBlockRow writes it: quad k of row j at byte
+// 64k+4j of its block, a partial last quad padded with zeros, and the
+// returned sum the sum of the codes.
+func TestPutBlockRowLayout(t *testing.T) {
+	r := rng.New(47)
+	for dim := 1; dim <= 13; dim++ {
+		blk := make([]int8, BlockLen(dim))
+		if len(blk) != BlockRows*4*((dim+3)/4) {
+			t.Fatalf("dim %d: BlockLen %d", dim, len(blk))
+		}
+		rows := make([][]int8, BlockRows)
+		for j := range rows {
+			rows[j] = make([]int8, dim)
+			var want int32
+			for i := range rows[j] {
+				rows[j][i] = int8(r.Intn(255) - 127)
+				want += int32(rows[j][i])
+			}
+			if got := PutBlockRow(blk, j, rows[j]); got != want {
+				t.Fatalf("dim %d row %d: sum %d, want %d", dim, j, got, want)
+			}
+		}
+		for k := 0; k < len(blk)/64; k++ {
+			for j := 0; j < BlockRows; j++ {
+				for l := 0; l < 4; l++ {
+					want := int8(0)
+					if i := 4*k + l; i < dim {
+						want = rows[j][i]
+					}
+					if got := blk[64*k+4*j+l]; got != want {
+						t.Fatalf("dim %d: byte %d = %d, want row %d dim %d = %d", dim, 64*k+4*j+l, got, j, 4*k+l, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Quantize pads the codes to a whole quad with zeros, and the planes
+// satisfy 256·h' + l' = u + 32768 for every element, padding included.
+func TestQueryI16Planes(t *testing.T) {
+	r := rng.New(48)
+	var x QueryI16
+	for dim := 1; dim <= 40; dim++ {
+		q := randomRow(r, dim, 3)
+		step := x.Quantize(q)
+		u := make([]int16, dim)
+		if want := QuantizeQueryI16(u, q); math.Float64bits(step) != math.Float64bits(want) {
+			t.Fatalf("dim %d: step %g, want %g", dim, step, want)
+		}
+		if len(x.u) != (dim+3)/4*4 || !slices.Equal(x.u[:dim], u) || slices.ContainsFunc(x.u[dim:], func(v int16) bool { return v != 0 }) {
+			t.Fatalf("dim %d: codes %v, want %v and zeros to a quad", dim, x.u, u)
+		}
+		for i, v := range x.u {
+			lo, hi := int(x.planes[i/4*8+i%4]), int(x.planes[i/4*8+4+i%4])
+			if 256*hi+lo != int(v)+32768 {
+				t.Fatalf("dim %d element %d: planes %d, %d for code %d", dim, i, hi, lo, v)
+			}
+		}
 	}
 }
 
 func TestDotRowsI8MaskShapeMismatchPanics(t *testing.T) {
-	for _, tc := range []struct{ rows, words, scales int }{{65, 1, 65}, {65, 3, 65}, {3, 1, 2}} {
+	for _, tc := range []struct{ rows, words, scales int }{{65, 1, 80}, {65, 3, 80}, {3, 1, 3}, {3, 1, 15}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%+v: no panic on shape mismatch", tc)
 				}
 			}()
-			DotRowsI8Mask(make([]int32, tc.rows), make([]uint64, tc.words), make([]int8, tc.rows*4),
-				make([]int16, 4), make([]float32, tc.scales), 1, 1, 0)
+			blocks := (tc.rows + 15) / 16
+			DotRowsI8Mask(make([]int32, tc.rows), make([]uint64, tc.words), make([]int8, blocks*BlockLen(4)),
+				make([]int32, blocks*16), queryOf(make([]int16, 4)), make([]float32, tc.scales), 1, 1, 0)
 		}()
 	}
-}
-
-func TestDotRowsI8ShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on shape mismatch")
-		}
-	}()
-	DotRowsI8(make([]int32, 3), make([]int8, 10), make([]int16, 4))
 }
 
 func TestQuantizeZeroRow(t *testing.T) {
@@ -523,56 +581,48 @@ func BenchmarkDotInt8Dim64(b *testing.B) {
 
 var sinkInt32 int32
 
-func benchDotRowsI8(b *testing.B, kernel func(dst []int32, codes []int8, q []int16)) {
-	const rows, dim = 50000, 64
-	r := rng.New(13)
-	codes := make([]int8, rows*dim)
-	q := make([]int16, dim)
-	for i := range codes {
-		codes[i] = int8(r.Intn(255) - 127)
-	}
-	for i := range q {
-		q[i] = int16(r.Intn(65535) - 32767)
-	}
-	dst := make([]int32, rows)
-	b.SetBytes(int64(rows * dim))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernel(dst, codes, q)
-	}
-}
-
-func BenchmarkDotRowsI8Scan50k(b *testing.B)    { benchDotRowsI8(b, DotRowsI8) }
-func BenchmarkDotRowsI8RefScan50k(b *testing.B) { benchDotRowsI8(b, DotRowsI8Ref) }
-
-// The flat scan's kernel call: 256-row tiles with their scales and masks,
-// τ = 0 so that about half of the random rows are flagged.
-func benchDotRowsI8Mask(b *testing.B, kernel func([]int32, []uint64, []int8, []int16, []float32, float64, float64, float64)) {
+// The flat scan's kernel call: 256-row tiles with their sums, scales and
+// masks, τ = 0 so that about half of the random rows are flagged. One
+// sub-benchmark per platform kernel; those the host lacks are skipped.
+func benchDotRowsI8Mask(b *testing.B, kernel func([]int32, []uint64, []int8, []int32, *QueryI16, []float32, float64, float64, float64)) {
 	const rows, dim, tile = 50000, 64, 256
 	r := rng.New(13)
 	codes := make([]int8, rows*dim)
-	q := make([]int16, dim)
-	scales := make([]float32, rows)
+	u := make([]int16, dim)
 	for i := range codes {
 		codes[i] = int8(r.Intn(255) - 127)
 	}
-	for i := range q {
-		q[i] = int16(r.Intn(65535) - 32767)
+	for i := range u {
+		u[i] = int16(r.Intn(65535) - 32767)
 	}
+	blocks, sums := blockRows(codes, rows, dim)
+	scales := make([]float32, len(sums))
 	for i := range scales {
 		scales[i] = float32(r.Float64())
 	}
+	q := queryOf(u)
 	dst := make([]int32, tile)
 	mask := make([]uint64, tile/64)
+	bl := BlockLen(dim) / BlockRows
 	b.SetBytes(int64(rows * dim))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for lo := 0; lo < rows; lo += tile {
 			n := min(tile, rows-lo)
-			kernel(dst[:n], mask[:(n+63)/64], codes[lo*dim:(lo+n)*dim], q, scales[lo:lo+n], 1e-6, 1, 0)
+			hi := (lo + n + 15) &^ 15
+			kernel(dst[:n], mask[:(n+63)/64], blocks[lo*bl:hi*bl], sums[lo:hi], q, scales[lo:hi], 1e-6, 1, 0)
 		}
 	}
 }
 
-func BenchmarkDotRowsI8MaskScan50k(b *testing.B)    { benchDotRowsI8Mask(b, DotRowsI8Mask) }
+func BenchmarkDotRowsI8MaskScan50k(b *testing.B) {
+	kernels, skipped := maskKernels()
+	for _, k := range kernels[2:] {
+		b.Run(k.name, func(b *testing.B) { benchDotRowsI8Mask(b, k.fn) })
+	}
+	for _, name := range skipped {
+		b.Run(name, func(b *testing.B) { b.Skip("host lacks the " + name + " kernel") })
+	}
+}
+
 func BenchmarkDotRowsI8MaskRefScan50k(b *testing.B) { benchDotRowsI8Mask(b, DotRowsI8MaskRef) }
