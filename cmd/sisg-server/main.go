@@ -16,13 +16,11 @@
 // {"error":{"code":"...","message":"..."}}. With -cache N, repeated
 // /v1/similar queries are served from a bounded LRU of result sets.
 //
-// Overload behavior: retrievals are admitted by predicted scan cost
-// against a budget of -max-inflight full flat scans; excess load is shed
-// 503 with a load-derived Retry-After, identical in-flight /v1/similar
-// scans are coalesced, and under sustained pressure default scans brown
-// out from exact flat to IVF (responses then carry "X-Degraded: ivf" until
-// pressure recedes). Clients that disconnect mid-scan cancel their scan at
-// the next tile boundary.
+// Overload behavior: at most -max-inflight retrievals run at once; excess
+// load is shed 503 with a load-derived Retry-After, and identical in-flight
+// /v1/similar scans are coalesced. Every default /v1/similar answer is an
+// exact scan, under load too. Clients that disconnect mid-scan cancel their
+// scan at the next tile boundary.
 //
 // The listener binds immediately: while the corpus generates and the model
 // trains or loads, /healthz already answers 200 (the process is alive) and
@@ -66,7 +64,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		maxK       = flag.Int("maxk", 1000, "largest candidate set a request may ask for")
 		seed       = flag.Uint64("seed", 0, "override corpus seed")
-		maxInFly   = flag.Int("max-inflight", 256, "admission budget in full-flat-scan units (cheap scans pack many per unit)")
+		maxInFly   = flag.Int("max-inflight", 256, "concurrent retrievals admitted; excess is shed 503 with Retry-After")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handling deadline (cancels the scan at the next tile)")
 		cacheSize  = flag.Int("cache", 0, "LRU cache entries for repeated /v1/similar queries (0 = off)")
 		warmIVF    = flag.Bool("warm-ivf", false, "build the IVF ANN layer before reporting ready (first index=ivf request otherwise pays the k-means build)")

@@ -350,44 +350,6 @@ func (ix *Index) queryBatchIVF(ctx context.Context, qs [][]float32, opts Options
 	return out, nil
 }
 
-// PredictedCost estimates the scan work one Query with opts will perform,
-// in multiply-accumulate units (rows × dims touched). It is the admission
-// currency of the serving tier: a flat scan costs rows·dim; an IVF probe
-// costs the centroid pass plus the expected fraction of rows its probe
-// width reaches. The estimate is derived from index geometry only and never forces the IVF build. A
-// flat scan is deliberately still priced at rows·dim although it now moves
-// about a quarter of those bytes: the server's MaxInFlight budget and its
-// brownout thresholds are denominated in "one flat scan", and re-weighting
-// flat against IVF is a change to admission policy, not to the scan.
-func (ix *Index) PredictedCost(opts Options) int64 {
-	if opts.K <= 0 || ix.rows == 0 {
-		return 0
-	}
-	rows, dim := int64(ix.rows), int64(ix.mat.Dim)
-	flat := rows * dim
-	if !opts.wantIVF() {
-		return flat
-	}
-	nlist := int64(ivfClusters(ix.rows))
-	np := int64(opts.NProbe)
-	if np <= 0 {
-		np = int64(defaultNProbe(int(nlist)))
-	}
-	if np > nlist {
-		np = nlist
-	}
-	// Expected candidates under a uniform cluster-size model.
-	cand := rows * np / nlist
-	cost := nlist*dim + cand*dim // centroid scoring + exact candidates
-	if cost > flat {
-		cost = flat
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
-}
-
 // candidates returns the posting lists of the nprobe most promising
 // non-empty clusters (centroid dot product desc, centroid id asc — the
 // MIPS probe rule; for a normalized index this is cosine). Lists are

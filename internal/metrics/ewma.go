@@ -6,10 +6,10 @@ import (
 )
 
 // EWMA is a lock-free exponentially weighted moving average. It is the
-// primitive behind load-aware serving decisions (brownout entry, derived
-// Retry-After): cheap enough to update on every request, and biased toward
-// the recent past, which is the only past an overload controller cares
-// about. The zero value is unusable; construct with NewEWMA.
+// primitive behind the server's load-derived Retry-After: cheap enough to
+// update on every request, and biased toward the recent past, which is the
+// only past an overload controller cares about. The zero value is
+// unusable; construct with NewEWMA.
 type EWMA struct {
 	alpha float64
 	bits  atomic.Uint64 // float64 bits of the average; 0 means no samples yet

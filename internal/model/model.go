@@ -51,8 +51,8 @@ type Snapshot interface {
 	// Servable reports whether the item can be retrieved by Similar (it
 	// has an embedding row in this snapshot).
 	Servable(item int32) bool
-	// Index exposes the retrieval index, for cost prediction (admission
-	// control) and warm-up; retrieval itself goes through Similar.
+	// Index exposes the retrieval index, for warm-up and measurement;
+	// retrieval itself goes through Similar.
 	Index() *knn.Index
 
 	// Similar is the unified matching-stage read path: top-opts.K

@@ -10,40 +10,35 @@ import (
 // load-derived Retry-After.
 var errShed = errors.New("server: admission budget exhausted")
 
-// admission is the cost-based concurrency limiter of the read path. Where
-// a flat request counter treats a k=5 IVF probe and a k=1000 exact scan
-// over 25M rows as equal load, admission charges each request its
-// *predicted* scan cost (knn.Index.PredictedCost: rows×dims touched) and
-// bounds the total outstanding cost. Excess load is shed immediately —
-// queueing under overload only converts shed into timeout.
+// admission is the concurrency limiter of the read path: it admits at most
+// budget retrievals at once, each charged one unit whatever its shape. On
+// the served model a cold-start scan costs about one exact scan and an
+// explicit IVF probe several, so no finer price would be closer to the
+// truth. Excess load is shed immediately — queueing under overload only
+// converts shed into timeout.
 type admission struct {
-	budget   int64
-	inflight atomic.Int64 // predicted cost currently admitted
+	budget   int64        // retrievals admitted at once, >= 1
+	inflight atomic.Int64 // retrievals currently admitted
 }
 
-// tryAcquire admits cost units of work, or reports false to shed. An idle
-// controller always admits one request even when its cost alone exceeds
-// the budget — otherwise a single over-budget query could never run and
-// would starve forever rather than merely serialize.
-func (a *admission) tryAcquire(cost int64) bool {
+// tryAcquire admits one retrieval, or reports false to shed.
+func (a *admission) tryAcquire() bool {
 	for {
 		cur := a.inflight.Load()
-		if cur+cost > a.budget && cur != 0 {
+		if cur >= a.budget {
 			return false
 		}
-		if a.inflight.CompareAndSwap(cur, cur+cost) {
+		if a.inflight.CompareAndSwap(cur, cur+1) {
 			return true
 		}
 	}
 }
 
-// release returns admitted cost. Callers must pass the exact cost they
-// acquired.
-func (a *admission) release(cost int64) { a.inflight.Add(-cost) }
+// release hands back one admitted retrieval.
+func (a *admission) release() { a.inflight.Add(-1) }
 
-// pressure is the admitted fraction of the budget (may exceed 1 when an
-// over-budget query was admitted while idle). It is the signal brownout
-// and Retry-After derivation key on.
+// pressure is the admitted fraction of the limit, which scales the
+// advertised Retry-After.
 func (a *admission) pressure() float64 {
 	return float64(a.inflight.Load()) / float64(a.budget)
 }

@@ -42,7 +42,7 @@ func TestPanicRecovery(t *testing.T) {
 // budget are shed with 503 + Retry-After while the admitted scan proceeds.
 func TestConcurrencyLimiterSheds(t *testing.T) {
 	s, ts := testServer(t)
-	s.adm = &admission{budget: testFlatCost(s)} // room for exactly one flat scan
+	s.adm = &admission{budget: 1} // room for exactly one retrieval
 
 	inside := make(chan struct{})
 	release := make(chan struct{})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"sisg/internal/knn"
-	"sisg/internal/metrics"
 	"sisg/internal/model"
 	"sisg/internal/rng"
 )
@@ -71,7 +71,7 @@ func TestSingleFlightCoalescesIdenticalSeeds(t *testing.T) {
 	}
 	// Provably parked: the flight reports all three followers waiting.
 	waitFor(t, "followers to park on the flight", func() bool {
-		return s.flights[0].waiting(key) == followers
+		return s.flights.waiting(key) == followers
 	})
 	close(gate)
 
@@ -101,7 +101,7 @@ func TestSingleFlightCoalescesIdenticalSeeds(t *testing.T) {
 // against a budget of exactly one scan.
 func TestClientDisconnectFreesAdmissionBudget(t *testing.T) {
 	s, ts := testServer(t)
-	s.adm = &admission{budget: testFlatCost(s)} // room for exactly one scan
+	s.adm = &admission{budget: 1} // room for exactly one scan
 
 	started := make(chan struct{}, 1)
 	var blocking atomic.Bool
@@ -202,7 +202,7 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 		}{code, string(body)}
 	}()
 	waitFor(t, "the follower to park on the flight", func() bool {
-		return s.flights[0].waiting(key) == 1
+		return s.flights.waiting(key) == 1
 	})
 
 	cancelLeader()
@@ -268,156 +268,55 @@ func TestRetryAfterDerivation(t *testing.T) {
 	}
 }
 
-// The brownout state machine needs BOTH level hysteresis (enter and exit
-// thresholds far apart, with a sticky dead band between) and time
-// hysteresis (conditions must persist for a full hold) — a spike or a dip
-// shorter than the hold must not flip the serving contract.
-func TestBrownoutHysteresis(t *testing.T) {
-	reg := metrics.NewRegistry()
-	b := &brownout{
-		highWater: 0.75, lowWater: 0.25, latHigh: 1.0, hold: time.Second,
-		entered: reg.Counter("test_brownout_entered_total", "test"),
-		exited:  reg.Counter("test_brownout_exited_total", "test"),
-	}
-	t0 := time.Unix(1000, 0)
-	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-
-	b.observe(at(0), 0.9, 0) // hot, pending starts
-	if b.active() {
-		t.Fatal("entered brownout with no hold elapsed")
-	}
-	b.observe(at(500), 0.9, 0)
-	if b.active() {
-		t.Fatal("entered brownout before the hold elapsed")
-	}
-	b.observe(at(999), 0.1, 0) // dips to cool: the pending enter disarms
-	b.observe(at(1100), 0.9, 0)
-	b.observe(at(1500), 0.9, 0)
-	if b.active() {
-		t.Fatal("a cool-interrupted spike must not enter brownout")
-	}
-	b.observe(at(1800), 0.5, 0) // dead-band trough (an admission-wave gap): stays armed
-	b.observe(at(2200), 0.9, 0) // hot at both ends of an 1100ms window, no cool inside: enter
-	if !b.active() {
-		t.Fatal("sustained hot pressure did not enter brownout")
+// Admission charges every retrieval one unit, a cheap explicit IVF probe
+// as much as an exact flat scan: MaxInFlight retrievals of either kind are
+// admitted, the next one of either kind sheds, and a released unit admits
+// again.
+func TestAdmissionAllowsCheapScansUnderFlatBudget(t *testing.T) {
+	s, ts := testServerWith(t, Config{MaxK: 100, MaxInFlight: 2})
+	inside := make(chan struct{}, 2)
+	release := make(chan struct{})
+	real := s.retrieve
+	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
+		if item < 2 {
+			inside <- struct{}{}
+			<-release
+		}
+		return real(ctx, snap, item, opts)
 	}
 
-	b.observe(at(2300), 0.5, 0) // dead band is sticky while degraded
-	if !b.active() {
-		t.Fatal("dead-band pressure must keep brownout, not exit it")
+	held := make(chan int, 2)
+	for _, url := range []string{"/v1/similar?item=0&k=5", "/v1/similar?item=1&k=5&index=ivf"} {
+		go func(url string) {
+			resp, err := http.Get(ts.URL + url)
+			if err != nil {
+				held <- 0
+				return
+			}
+			resp.Body.Close()
+			held <- resp.StatusCode
+		}(url)
 	}
-	b.observe(at(2400), 0.1, 0) // cool, pending exit starts
-	b.observe(at(2600), 0.9, 0) // hot again: the pending exit disarms
-	b.observe(at(2700), 0.1, 0) // cool, pending exit restarts
-	b.observe(at(3200), 0.1, 0)
-	if !b.active() {
-		t.Fatal("exited before the hold elapsed")
-	}
-	b.observe(at(3900), 0.1, 0) // cool held 1200ms: exit
-	if b.active() {
-		t.Fatal("sustained cool pressure did not exit brownout")
-	}
-
-	// Latency alone is an enter condition: a server can be slow without
-	// being full (e.g. budget raised beyond what the cores can serve).
-	b.observe(at(4000), 0.0, 2.0)
-	b.observe(at(5100), 0.0, 2.0)
-	if !b.active() {
-		t.Fatal("sustained high latency did not enter brownout")
-	}
-
-	if e, x := b.entered.Value(), b.exited.Value(); e != 2 || x != 1 {
-		t.Fatalf("transition counters entered=%d exited=%d, want 2/1", e, x)
-	}
-}
-
-// While degraded, default /v1/similar answers come from the IVF index and
-// say so via X-Degraded; an explicit index= request still gets exactly the
-// strategy it asked for, and recovery drops the header again.
-func TestBrownoutDegradedServing(t *testing.T) {
-	s, ts := testServer(t)
-	s.brown.degraded.Store(true)
-
-	resp, err := http.Get(ts.URL + "/v1/similar?item=5&k=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cands []Candidate
-	if err := json.NewDecoder(resp.Body).Decode(&cands); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(cands) != 7 {
-		t.Fatalf("degraded similar: %d with %d candidates", resp.StatusCode, len(cands))
-	}
-	if got := resp.Header.Get("X-Degraded"); got != "ivf" {
-		t.Fatalf("X-Degraded = %q, want ivf", got)
-	}
-	for i := 1; i < len(cands); i++ {
-		if cands[i].Score > cands[i-1].Score {
-			t.Fatal("degraded candidates not sorted")
+	<-inside
+	<-inside // a flat scan and an IVF probe fill the limit of two
+	for _, url := range []string{"/v1/similar?item=2&k=5&index=ivf", "/v1/similar?item=3&k=5"} {
+		if code, body := fetchBody(t, ts.URL+url); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s over a full limit: %d %s, want 503", url, code, body)
 		}
 	}
-	if !s.Stats().Degraded {
-		t.Fatal("/v1/stats must report degraded=true during brownout")
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("admitted retrieval answered %d", code)
+		}
 	}
-
-	// The client asked for a flat scan by name; brownout must not rewrite
-	// an explicit strategy.
-	resp, err = http.Get(ts.URL + "/v1/similar?item=5&k=7&index=flat")
-	if err != nil {
-		t.Fatal(err)
+	waitFor(t, "both units to be released", func() bool { return s.adm.inflight.Load() == 0 })
+	if code, body := fetchBody(t, ts.URL+"/v1/similar?item=2&k=5&index=ivf"); code != http.StatusOK {
+		t.Fatalf("IVF probe on an idle limit: %d %s", code, body)
 	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Degraded"); got != "" {
-		t.Fatalf("explicit index=flat carried X-Degraded %q", got)
+	if st := s.Stats(); st.Shed != 2 || st.Similar != 3 {
+		t.Fatalf("shed=%d similar=%d, want 2 and 3", st.Shed, st.Similar)
 	}
-
-	s.brown.degraded.Store(false)
-	resp, err = http.Get(ts.URL + "/v1/similar?item=5&k=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Degraded"); got != "" {
-		t.Fatalf("recovered server still advertises X-Degraded %q", got)
-	}
-	if s.Stats().Degraded {
-		t.Fatal("stats still degraded after recovery")
-	}
-}
-
-// Cost-based admission, end to end: with a budget sized for one flat scan,
-// cheap explicit IVF probes pack many-at-a-time into the same budget a
-// single flat scan would exhaust.
-func TestAdmissionAllowsCheapScansUnderFlatBudget(t *testing.T) {
-	s, _ := testServer(t)
-	flat := testFlatCost(s)
-	snap, releaseSnap := s.models.Acquire()
-	ivf := snap.Index().PredictedCost(knn.Options{K: 5, Index: knn.IndexIVF})
-	releaseSnap()
-	if ivf >= flat {
-		t.Fatalf("IVF probe cost %d not cheaper than flat %d on this corpus", ivf, flat)
-	}
-	s.adm = &admission{budget: flat}
-
-	if !s.adm.tryAcquire(ivf) || !s.adm.tryAcquire(ivf) {
-		t.Fatal("two cheap probes must fit where one flat scan fills the budget")
-	}
-	if s.adm.tryAcquire(flat) {
-		t.Fatal("a flat scan admitted over a partially used budget")
-	}
-	s.adm.release(ivf)
-	s.adm.release(ivf)
-	if !s.adm.tryAcquire(flat) {
-		t.Fatal("flat scan refused on an idle controller")
-	}
-	// Admit-when-idle: a single over-budget request serializes, never starves.
-	s.adm.release(flat)
-	if !s.adm.tryAcquire(flat * 100) {
-		t.Fatal("idle controller refused an over-budget query outright")
-	}
-	s.adm.release(flat * 100)
 }
 
 // The overload policy end to end, over real HTTP: about a second of
@@ -432,7 +331,7 @@ func TestOverloadOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a second of real-time load")
 	}
-	s, ts := testServerWith(t, Config{MaxInFlight: 4, BrownoutHold: 500 * time.Millisecond})
+	s, ts := testServerWith(t, Config{MaxInFlight: 4})
 	real := s.retrieve
 	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
 		scan := time.NewTimer(8 * time.Millisecond)
@@ -537,5 +436,160 @@ func TestOverloadOverHTTP(t *testing.T) {
 	// A hung-up client's handler may still be unwinding when its Do returns.
 	waitFor(t, "every admitted scan to hand its cost back", func() bool {
 		return s.adm.inflight.Load() == 0
+	})
+}
+
+// Overload and hot-swap compose: TestOverloadOverHTTP's open-loop 2× load
+// (Zipf seeds, 5 % hang-ups, cancellable 8 ms scans) runs while a
+// publisher swaps swapSnapshot generations through the holder for the
+// whole run. Every 200 must name a published generation and carry only
+// that generation's scores, nothing may blame the server, shedding and
+// coalescing must both engage, and afterwards the admitted count, the
+// pinned readers and the live generations must drain to 0, 0 and 1.
+func TestOverloadAcrossPublishes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a second of real-time load")
+	}
+	const (
+		items    = 64
+		dim      = 8
+		requests = 1000
+		gap      = time.Millisecond // 1000 arrivals/s, 2× the scan capacity
+		hangup   = 2 * time.Millisecond
+	)
+	ds := testDataset(t)
+	holder := model.NewHolder(newSwapSnapshot(1, items, dim))
+	s := NewWithHolder(ds, holder, Config{MaxK: 100, MaxInFlight: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	real := s.retrieve
+	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
+		scan := time.NewTimer(8 * time.Millisecond)
+		defer scan.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: %w", knn.ErrCanceled, ctx.Err())
+		case <-scan.C:
+			return real(ctx, snap, item, opts)
+		}
+	}
+
+	var published atomic.Uint64
+	published.Store(1)
+	stop := make(chan struct{})
+	pubDone := make(chan struct{})
+	go func() {
+		defer close(pubDone)
+		for g := uint64(2); ; g++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			holder.Publish(newSwapSnapshot(g, items, dim))
+			published.Store(g)
+		}
+	}()
+
+	client := &http.Client{
+		Timeout:   5 * time.Second,
+		Transport: &http.Transport{MaxIdleConnsPerHost: requests},
+	}
+	defer client.CloseIdleConnections()
+
+	// fire issues one request and returns what is wrong with its answer,
+	// "" when nothing is, and the generation a 200 was served from.
+	fire := func(url string, hangsUp bool) (string, uint64) {
+		ctx := context.Background()
+		if hangsUp {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, hangup)
+			defer cancel()
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			return err.Error(), 0
+		}
+		resp, err := client.Do(req)
+		var body []byte
+		if err == nil {
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil {
+			if hangsUp {
+				return "", 0
+			}
+			return err.Error(), 0
+		}
+		if resp.StatusCode == http.StatusOK {
+			gen, err := strconv.ParseUint(resp.Header.Get("X-Model-Generation"), 10, 64)
+			if err != nil || gen < 1 || gen > published.Load() {
+				return fmt.Sprintf("200 from unpublished generation %q", resp.Header.Get("X-Model-Generation")), 0
+			}
+			var cands []Candidate
+			if err := json.Unmarshal(body, &cands); err != nil || len(cands) == 0 {
+				return fmt.Sprintf("200 without a candidate set: %s", body), 0
+			}
+			for _, c := range cands {
+				if c.Score != float32(gen) {
+					return fmt.Sprintf("torn read: generation %d, score %v", gen, c.Score), 0
+				}
+			}
+			return "", gen
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Message == "" {
+			return fmt.Sprintf("%d without the error envelope: %s", resp.StatusCode, body), 0
+		}
+		want := map[string]int{"overloaded": 503, "timeout": 503, "canceled": statusClientClosedRequest}
+		if resp.StatusCode != want[env.Error.Code] {
+			return fmt.Sprintf("status %d with error code %q: %s", resp.StatusCode, env.Error.Code, body), 0
+		}
+		return "", 0
+	}
+
+	r := rng.New(43)
+	seeds := rng.NewZipf(r.Split(), items, 1.1)
+	problems := make([]string, requests)
+	gens := make([]uint64, requests)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < requests; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * gap)))
+		url := fmt.Sprintf("%s/v1/similar?item=%d&k=10", ts.URL, seeds.Sample())
+		hangsUp := r.Float64() < 0.05
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			problems[i], gens[i] = fire(url, hangsUp)
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-pubDone
+
+	served := map[uint64]bool{}
+	for i, p := range problems {
+		if p != "" {
+			t.Errorf("request %d: %s", i, p)
+		}
+		if gens[i] != 0 {
+			served[gens[i]] = true
+		}
+	}
+	if len(served) < 2 {
+		t.Errorf("200s came from %d generation(s); publishes did not land under load", len(served))
+	}
+	st := s.Stats()
+	t.Logf("served=%d shed=%d coalesced=%d across %d generations", st.Similar, st.Shed, st.Coalesced, len(served))
+	if st.Shed < 1 || st.Coalesced < 1 || st.Panics != 0 {
+		t.Errorf("shed=%d coalesced=%d panics=%d, want shed and coalesced engaged and no panic", st.Shed, st.Coalesced, st.Panics)
+	}
+	waitFor(t, "every admitted retrieval to be released", func() bool {
+		return s.adm.inflight.Load() == 0
+	})
+	waitFor(t, "the holder to drain to one live generation", func() bool {
+		return holder.Readers() == 0 && holder.LiveGenerations() == 1
 	})
 }

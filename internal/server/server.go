@@ -1,22 +1,3 @@
-// Package server implements the matching-stage HTTP service: the
-// production surface that hands candidate sets to the ranking stage. It
-// covers the paper's three retrieval paths — item-to-item similarity (§II),
-// cold-start items via Eq. 6 (§IV-C2) and cold-start users via user-type
-// averaging (§IV-C1) — plus liveness (/healthz), readiness (/readyz,
-// 503 while warming up or draining), serving statistics and a Prometheus
-// /metrics exposition.
-//
-// Cold-start endpoints accept both GET (catalog items / demographic query
-// parameters) and POST (a JSON body naming raw SI tokens or demographics),
-// because the production cold-start case is precisely an item or user the
-// catalog does not know yet.
-//
-// The retrieval API is versioned: /v1/similar, /v1/coldstart/item,
-// /v1/coldstart/user and /v1/stats. Every error — bad input, shed load,
-// timeout, recovered panic — is answered with one JSON shape:
-// {"error":{"code":"...","message":"..."}}.
-//
-// The package is the testable core behind cmd/sisg-server.
 package server
 
 import (
@@ -70,12 +51,9 @@ type Stats struct {
 	ModelGeneration    uint64  `json:"model_generation"`
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
 	VocabSize          int     `json:"vocab_size"`
-	// Degraded reports whether /v1/similar is currently in brownout
-	// (default scans downgraded from exact flat to IVF).
-	Degraded bool `json:"degraded"`
-	// BrownoutEntered/Exited count brownout transitions in each direction.
-	BrownoutEntered uint64 `json:"brownout_entered"`
-	BrownoutExited  uint64 `json:"brownout_exited"`
+	// Deprecated: always 0; the server never downgrades a scan under load.
+	// Kept only because the benchmark reads it (benchmark/probes.go:186).
+	BrownoutEntered uint64 `json:"-"`
 }
 
 // Config tunes the hardening envelope around the handlers. The zero value
@@ -84,25 +62,18 @@ type Config struct {
 	// MaxK bounds the candidate-set size a single request may ask for
 	// (<=0 means 1000).
 	MaxK int
-	// MaxInFlight sizes the admission budget: MaxInFlight concurrent full
-	// flat scans' worth of predicted cost (rows×dims scan units,
-	// knn.Index.PredictedCost; <=0 means 256). Cheap requests (IVF probes,
-	// small corpora) pack many-per-scan into the same budget; excess is
-	// shed with 503 + Retry-After.
+	// MaxInFlight bounds the retrievals admitted at once (<=0 means 256);
+	// excess is shed with 503 + Retry-After.
 	MaxInFlight int
 	// RequestTimeout bounds one request's handling time; a request that
 	// exceeds it is answered 503 and its retrieval scan is cancelled at
-	// the next tile boundary (<=0 means 10s). A retrieval-latency EWMA at
-	// or above RequestTimeout/4 counts as brownout pressure.
+	// the next tile boundary (<=0 means 10s).
 	RequestTimeout time.Duration
 	// RetryAfter floors the back-off advertised on shed responses. The
 	// advertised value is derived per shed from the latency EWMA and
 	// admission pressure, with deterministic per-request jitter, and never
 	// falls below this (<=0 means 1s).
 	RetryAfter time.Duration
-	// BrownoutHold is how long an enter/exit condition must persist before
-	// the transition fires (<=0 means 1s).
-	BrownoutHold time.Duration
 	// Metrics is the registry the server instruments itself on. Nil means
 	// a private registry; pass a shared one to co-locate serving and
 	// training series in a single /metrics page.
@@ -112,15 +83,6 @@ type Config struct {
 	// large fraction of full-matrix scans. <=0 disables caching.
 	CacheSize int
 }
-
-// The brownout thresholds, as fractions of the admission budget: pressure
-// at or above brownoutHighWater is hot, at or below brownoutLowWater cool.
-// The wide gap is the hysteresis in level that keeps the machine from
-// flapping.
-const (
-	brownoutHighWater = 0.75
-	brownoutLowWater  = 0.25
-)
 
 func (c Config) withDefaults() Config {
 	if c.MaxK <= 0 {
@@ -134,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.BrownoutHold <= 0 {
-		c.BrownoutHold = time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -163,11 +122,9 @@ type Server struct {
 	maxK   int
 	cfg    Config
 
-	adm     *admission     // cost-based concurrency limiter
-	flights [2]flightGroup // single-flight groups: [0] exact, [1] degraded
-	brown   *brownout
+	adm     *admission    // concurrency limiter of the retrieval paths
+	flights flightGroup   // single-flight group of the default exact scan
 	lat     *metrics.EWMA // retrieval latency EWMA, seconds
-	press   *metrics.EWMA // admission pressure EWMA, 0..~1
 
 	// retrieve is the seam overload tests hook: it defaults to the pinned
 	// snapshot's Similar and is only ever replaced inside this package's
@@ -194,8 +151,6 @@ type Server struct {
 	coalesced    *metrics.Counter
 	canceled     *metrics.Counter
 	timeouts     *metrics.Counter
-	brownEntered *metrics.Counter
-	brownExited  *metrics.Counter
 
 	endpoints map[string]*endpointMetrics
 
@@ -271,28 +226,11 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		coalesced:    reg.Counter("retrieval_coalesced_total", "requests answered by sharing an identical in-flight retrieval"),
 		canceled:     reg.Counter("http_canceled_total", "retrievals abandoned because the client went away (answered 499)"),
 		timeouts:     reg.Counter("http_request_timeouts_total", "retrievals cancelled by the per-request deadline"),
-		brownEntered: reg.Counter("brownout_transitions_total", "brownout state transitions, by direction", metrics.L("to", "degraded")),
-		brownExited:  reg.Counter("brownout_transitions_total", "brownout state transitions, by direction", metrics.L("to", "exact")),
+
+		adm: &admission{budget: int64(cfg.MaxInFlight)},
+		lat: metrics.NewEWMA(0.1),
 
 		endpoints: make(map[string]*endpointMetrics, len(knownPaths)+1),
-	}
-	snap, release := models.Acquire()
-	flat := flatCost(snap)
-	release()
-	budget := int64(cfg.MaxInFlight) * flat
-	if budget < flat {
-		budget = flat // overflow or degenerate config: one scan at a time
-	}
-	s.adm = &admission{budget: budget}
-	s.lat = metrics.NewEWMA(0.1)
-	s.press = metrics.NewEWMA(0.1)
-	s.brown = &brownout{
-		highWater: brownoutHighWater,
-		lowWater:  brownoutLowWater,
-		latHigh:   (cfg.RequestTimeout / 4).Seconds(),
-		hold:      cfg.BrownoutHold,
-		entered:   s.brownEntered,
-		exited:    s.brownExited,
 	}
 	s.retrieve = func(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
 		rs, err := snap.Similar(ctx, []int32{item}, opts)
@@ -324,20 +262,8 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 	reg.GaugeFunc("model_snapshot_readers", "requests currently pinning a snapshot", func() float64 {
 		return float64(s.models.Readers())
 	})
-	reg.GaugeFunc("admission_cost_inflight", "predicted retrieval cost currently admitted (rows×dims units)", func() float64 {
+	reg.GaugeFunc("admission_inflight", "retrievals currently admitted", func() float64 {
 		return float64(s.adm.inflight.Load())
-	})
-	reg.GaugeFunc("admission_cost_budget", "admission budget (rows×dims units)", func() float64 {
-		return float64(s.adm.budget)
-	})
-	reg.GaugeFunc("admission_pressure", "EWMA of admitted cost / budget — the signal driving brownout", func() float64 {
-		return s.press.Value()
-	})
-	reg.GaugeFunc("serving_degraded", "1 while /v1/similar is in brownout (default scans downgraded to IVF)", func() float64 {
-		if s.brown.active() {
-			return 1
-		}
-		return 0
 	})
 	s.scanSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", metrics.L("source", "scan"))
 	s.cacheSeconds = reg.Histogram("retrieval_seconds", "similar-item retrieval latency, by source", metrics.L("source", "cache"))
@@ -352,17 +278,6 @@ func NewWithHolder(ds *corpus.Dataset, models *model.Holder, cfg Config) *Server
 		})
 	}
 	return s
-}
-
-// flatCost is the predicted cost of one full flat scan over a snapshot's
-// item index — the admission unit MaxInFlight is denominated in, and the
-// cost charged for cold-start retrievals (always exact vector scans).
-func flatCost(snap model.Snapshot) int64 {
-	c := snap.Index().PredictedCost(knn.Options{K: 1})
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // Registry returns the metrics registry the server reports on.
@@ -391,10 +306,10 @@ func (s *Server) Handler() http.Handler {
 // panicking requests are all measured), and a per-request deadline (one
 // stuck request cannot hold a connection forever — and, because the
 // deadline rides the request context into the scan, the worker actually
-// stops). Load shedding is no longer a uniform middleware: the retrieval
-// handlers admit by predicted scan cost (see admission.go), while
-// operational endpoints (/healthz, /readyz, /metrics, /v1/stats) stay
-// unmetered — an overloaded server must still answer its load balancer.
+// stops). Load shedding is not a middleware: only the retrieval handlers
+// are admitted (see admission.go), while operational endpoints (/healthz,
+// /readyz, /metrics, /v1/stats) stay unmetered — an overloaded server must
+// still answer its load balancer.
 func (s *Server) harden(h http.Handler) http.Handler {
 	return s.withRecovery(s.instrument(http.TimeoutHandler(h, s.cfg.RequestTimeout, timeoutBody)))
 }
@@ -505,10 +420,7 @@ func (s *Server) withRecovery(h http.Handler) http.Handler {
 const statusClientClosedRequest = 499
 
 // writeShed answers one shed request: 503 overloaded plus a Retry-After
-// derived from current load. The shed request's pressure sample was
-// already taken at arrival (loadSample before tryAcquire), which is what
-// pushes the brownout machine toward degrading — a server shedding at
-// full pressure should be migrating its default scans to the cheap index.
+// derived from current load.
 func (s *Server) writeShed(w http.ResponseWriter) {
 	s.shed.Inc()
 	w.Header().Set("Retry-After", s.retryAfterSeconds())
@@ -539,30 +451,21 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(n)
 }
 
-// finishRetrieval records one completed (or failed) retrieval: latency
-// into the EWMA (which must be measured at completion), a brownout
-// evaluation against the current smoothed load, then the budget release.
-// It does NOT sample pressure: a completion-time sample always includes
-// the finishing request itself, so with a budget of one flat scan every
-// sample would read 1.0 even on a server that sits idle between
-// requests (seen in the wild as brownout flapping at trivial load).
-func (s *Server) finishRetrieval(start time.Time, cost int64) {
-	s.lat.Observe(time.Since(start).Seconds())
-	s.brown.observe(time.Now(), s.press.Value(), s.lat.Value())
-	s.adm.release(cost)
-}
-
-// loadSample records the admission pressure one arriving retrieval finds
-// (taken BEFORE it acquires budget) and re-evaluates the brownout
-// machine. Sampling at arrival matters twice over: Poisson arrivals see
-// time averages (an idle server's arrivals observe 0, so the EWMA decays
-// when load is light), and the raw instantaneous ratio is bimodal under
-// saturation — admission admits scans in waves, and wave-tail samples
-// read near-empty even while the server is saturated — so the brownout
-// sees the EWMA, never the raw sample.
-func (s *Server) loadSample() {
-	s.press.Observe(s.adm.pressure())
-	s.brown.observe(time.Now(), s.press.Value(), s.lat.Value())
+// admitted runs one retrieval under the admission controller: it takes
+// one unit of the limit (or sheds with errShed), runs fn, then feeds the
+// retrieval's latency into the EWMA that Retry-After reads and releases
+// the unit — also when fn fails or is cancelled, so a client that hangs
+// up frees its share at once.
+func (s *Server) admitted(fn func() ([]knn.Result, error)) ([]knn.Result, error) {
+	if !s.adm.tryAcquire() {
+		return nil, errShed
+	}
+	start := time.Now()
+	defer func() {
+		s.lat.Observe(time.Since(start).Seconds())
+		s.adm.release()
+	}()
+	return fn()
 }
 
 // retrievalError maps a failed retrieval onto the error envelope:
@@ -600,17 +503,14 @@ func (s *Server) Stats() Stats {
 		SnapshotAgeSeconds: time.Since(snap.PublishedAt()).Seconds(),
 		VocabSize:          snap.VocabSize(),
 
-		Similar:         s.similar.Value(),
-		ColdItem:        s.coldItem.Value(),
-		ColdUser:        s.coldUser.Value(),
-		ClientErrors:    s.clientErrors.Value(),
-		Panics:          s.panics.Value(),
-		Shed:            s.shed.Value(),
-		Coalesced:       s.coalesced.Value(),
-		Canceled:        s.canceled.Value(),
-		Degraded:        s.brown.active(),
-		BrownoutEntered: s.brownEntered.Value(),
-		BrownoutExited:  s.brownExited.Value(),
+		Similar:      s.similar.Value(),
+		ColdItem:     s.coldItem.Value(),
+		ColdUser:     s.coldUser.Value(),
+		ClientErrors: s.clientErrors.Value(),
+		Panics:       s.panics.Value(),
+		Shed:         s.shed.Value(),
+		Coalesced:    s.coalesced.Value(),
+		Canceled:     s.canceled.Value(),
 	}
 }
 
@@ -667,12 +567,13 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	scan := func() ([]knn.Result, error) { return s.retrieve(r.Context(), snap, item, opts) }
 
-	// An explicit strategy (index=... in the query) bypasses cache,
-	// brownout and coalescing — the client asked for one specific scan —
-	// but is still admitted by cost and cancelled with the request.
+	// An explicit strategy (index=... in the query) bypasses cache and
+	// coalescing — the client asked for one specific scan — but is still
+	// admitted and cancelled with the request.
 	if opts.Index != "" {
-		recs, err := s.admittedRetrieve(r.Context(), snap, item, opts)
+		recs, err := s.admitted(scan)
 		if err != nil {
 			s.retrievalError(w, err)
 			return
@@ -689,9 +590,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	// never coalesce or shadow one another across a swap. Only the exact
 	// default scan is cached: ANN answers depend on index and nprobe,
 	// and folding those into the key would let approximate results shadow
-	// exact ones (and vice versa). Cached results are served even during
-	// brownout — they are exact and cost nothing, which is the whole point
-	// of keeping them.
+	// exact ones (and vice versa).
 	key := flightKey{gen: snap.Generation(), item: item, k: int32(k)}
 	cache := s.cacheFor(snap.Generation())
 	if cache != nil {
@@ -704,28 +603,17 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Brownout is decided once per request; degraded and exact flights
-	// coalesce in separate groups so the two answer shapes never mix.
-	degraded := s.brown.active()
-	scanOpts := opts
-	if degraded {
-		scanOpts = knn.Options{K: k, Index: knn.IndexIVF}
-	}
-	group := &s.flights[0]
-	if degraded {
-		group = &s.flights[1]
-	}
 	var (
 		recs   []knn.Result
 		shared bool
 		err    error
 	)
 	for attempt := 0; ; attempt++ {
-		recs, shared, err = group.do(r.Context(), key, func() ([]knn.Result, error) {
+		recs, shared, err = s.flights.do(r.Context(), key, func() ([]knn.Result, error) {
 			if cache != nil {
 				s.cacheMisses.Inc()
 			}
-			return s.admittedRetrieve(r.Context(), snap, item, scanOpts)
+			return s.admitted(scan)
 		})
 		// A follower handed its leader's cancellation while this client is
 		// still here retries once as the new leader: the leader's client
@@ -743,34 +631,12 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.coalesced.Inc()
 	}
 	s.similar.Inc()
-	if degraded {
-		// The accuracy contract changed; say so in-band.
-		w.Header().Set("X-Degraded", "ivf")
-	} else if cache != nil && !shared {
-		// Only the leader fills the cache, and only with exact results.
+	if cache != nil && !shared {
+		// Only the leader fills the cache.
 		cache.Put(key.cacheKey(), recs)
 	}
 	s.scanSeconds.ObserveSince(start)
 	s.writeCandidates(w, recs)
-}
-
-// admittedRetrieve runs one retrieval under the admission controller: the
-// predicted cost of the scan is acquired (or the call sheds with errShed),
-// the scan runs on the request context against the pinned snapshot, and
-// completion feeds the latency EWMA and brownout machine before the cost
-// is released. opts.K carries the candidate-set size.
-func (s *Server) admittedRetrieve(ctx context.Context, snap model.Snapshot, item int32, opts knn.Options) ([]knn.Result, error) {
-	cost := snap.Index().PredictedCost(opts)
-	if cost < 1 {
-		cost = 1
-	}
-	s.loadSample()
-	if !s.adm.tryAcquire(cost) {
-		return nil, errShed
-	}
-	start := time.Now()
-	defer s.finishRetrieval(start, cost)
-	return s.retrieve(ctx, snap, item, opts)
 }
 
 // annOptions parses the retrieval-strategy query parameters (index,
@@ -823,7 +689,7 @@ func (s *Server) handleColdItem(w http.ResponseWriter, r *http.Request) {
 			s.clientError(w, "%v", err)
 			return
 		}
-		recs, err := s.admittedVectorRetrieve(r.Context(), snap, qv, k, nil)
+		recs, err := s.admitted(func() ([]knn.Result, error) { return snap.SimilarToVector(r.Context(), qv, k, nil) })
 		if err != nil {
 			s.retrievalError(w, err)
 			return
@@ -841,26 +707,15 @@ func (s *Server) handleColdItem(w http.ResponseWriter, r *http.Request) {
 		s.retrievalError(w, err)
 		return
 	}
-	recs, err := s.admittedVectorRetrieve(r.Context(), snap, qv, k, func(id int32) bool { return id == item })
+	recs, err := s.admitted(func() ([]knn.Result, error) {
+		return snap.SimilarToVector(r.Context(), qv, k, func(id int32) bool { return id == item })
+	})
 	if err != nil {
 		s.retrievalError(w, err)
 		return
 	}
 	s.coldItem.Inc()
 	s.writeCandidates(w, recs)
-}
-
-// admittedVectorRetrieve is admittedRetrieve for the cold-start paths:
-// always an exact vector scan, so always charged one flat-scan cost.
-func (s *Server) admittedVectorRetrieve(ctx context.Context, snap model.Snapshot, qv []float32, k int, skip func(int32) bool) ([]knn.Result, error) {
-	cost := flatCost(snap)
-	s.loadSample()
-	if !s.adm.tryAcquire(cost) {
-		return nil, errShed
-	}
-	start := time.Now()
-	defer s.finishRetrieval(start, cost)
-	return snap.SimilarToVector(ctx, qv, k, skip)
 }
 
 // coldUserRequest is the POST body of /v1/coldstart/user. Age and Power are
@@ -919,17 +774,7 @@ func (s *Server) handleColdUser(w http.ResponseWriter, r *http.Request) {
 	snap, release := s.models.Acquire()
 	defer release()
 	w.Header().Set("X-Model-Generation", strconv.FormatUint(snap.Generation(), 10))
-	cost := flatCost(snap)
-	s.loadSample()
-	if !s.adm.tryAcquire(cost) {
-		s.writeShed(w)
-		return
-	}
-	start := time.Now()
-	recs, err := func() ([]knn.Result, error) {
-		defer s.finishRetrieval(start, cost)
-		return snap.RecommendForColdUser(r.Context(), types, k)
-	}()
+	recs, err := s.admitted(func() ([]knn.Result, error) { return snap.RecommendForColdUser(r.Context(), types, k) })
 	if err != nil {
 		s.retrievalError(w, err)
 		return

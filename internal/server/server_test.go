@@ -47,14 +47,6 @@ func testServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// testFlatCost is the predicted cost of one flat scan over the server's
-// current snapshot, for sizing admission budgets in tests.
-func testFlatCost(s *Server) int64 {
-	snap, release := s.models.Acquire()
-	defer release()
-	return flatCost(snap)
-}
-
 func getJSON(t *testing.T, url string, v interface{}) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -239,8 +239,8 @@ func (st *Streamer) Pairs() uint64 { return st.live.Pairs() }
 // the item id list is shared, since both only ever grow at their ends. The
 // index's IVF layer is built here — one assignment pass over the item rows,
 // warm-started from the previous generation's centroids — so a published
-// snapshot never runs k-means under a request: the server's brownout can
-// switch a fresh generation from flat to IVF at no cost. The streamer keeps
+// snapshot never runs k-means under a request: an explicit index=ivf read
+// of a fresh generation finds its IVF layer built. The streamer keeps
 // training; the snapshot never changes.
 func (st *Streamer) Publish() *Snapshot {
 	st.gen++
