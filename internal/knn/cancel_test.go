@@ -171,3 +171,51 @@ func TestUncancelledQueryBitIdenticalToReference(t *testing.T) {
 		sameResults(t, "batch uncancelled", batch[i], referenceScan(ix.mat, rows, q, Options{K: 25}))
 	}
 }
+
+// A context cancelled during the re-rank stops it within one chunk of
+// blockRows candidates: on a corpus that leaves thousands of survivors,
+// each check that passed admits one chunk, counted on TilesScanned, so a
+// cancellation at the c-th re-rank check leaves the count at exactly the
+// scan's tiles plus c−1 chunks — for the flat re-rank and for IVF lists.
+func TestQueryCancelMidRerankStopsWithinAChunk(t *testing.T) {
+	const rows, dim = 12000, 24
+	ix := NewIndexSharded(tiedMatrix(rows, dim, 8), 0, false, 1)
+	q := make([]float32, dim)
+	gaussianRow(rng.New(9), q, 1)
+	scanTiles := uint64((rows + blockRows - 1) / blockRows)
+
+	for _, opts := range []Options{
+		{K: 10, Parallelism: 1},
+		{K: 10, Parallelism: 1, Index: IndexIVF, NProbe: ix.IVFClusters()},
+	} {
+		// One entry check, then for the flat scan one per tile, and one per
+		// re-rank chunk.
+		before := ix.TilesScanned()
+		if _, err := ix.Query(context.Background(), q, opts); err != nil {
+			t.Fatal(err)
+		}
+		full := ix.TilesScanned() - before
+		entry := int64(1)
+		if opts.Index != IndexIVF {
+			entry += int64(scanTiles)
+		}
+		chunks := uint64(survivorsOf(ix, q, opts)+blockRows-1) / blockRows
+		if opts.Index == IndexIVF {
+			chunks = scanTiles // every row is a candidate when every list is probed
+		}
+		if chunks < 8 {
+			t.Fatalf("%+v: %d re-rank chunks, want a re-rank of thousands of rows", opts, chunks)
+		}
+		for _, c := range []int64{1, 2, 5} {
+			before := ix.TilesScanned()
+			_, err := ix.Query(&countdownCtx{n: entry + c}, q, opts)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%+v cancelled at re-rank check %d: err = %v, want ErrCanceled", opts, c+1, err)
+			}
+			if got, want := ix.TilesScanned()-before, full-chunks+uint64(c); got != want {
+				t.Fatalf("%+v cancelled at re-rank check %d: %d tile units, want %d (%d of %d chunks)",
+					opts, c+1, got, want, c, chunks)
+			}
+		}
+	}
+}

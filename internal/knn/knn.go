@@ -1,49 +1,3 @@
-// Package knn is the retrieval engine of the matching stage ("the K most
-// similar items", §IV-A). It offers two execution strategies behind one
-// Options API:
-//
-//   - Index "flat" (the default): an exact top-K scan that reads int8
-//     first. The matrix is split into row shards and every query fans out
-//     across shards on a bounded worker pool. A worker scores each 256-row
-//     tile of the index's int8 mirror with the integer SIMD kernel in
-//     internal/vecmath, which in the same pass turns every integer score
-//     into an interval that provably contains the row's float32 score and
-//     flags only the rows whose interval does not lie below K intervals
-//     already seen (see scan.prune for the bound and the two pruning
-//     rules). The few survivors are scored with the float32 kernel on the
-//     float rows and selected under the total order (score desc, id asc),
-//     so the answer is exactly the full float scan's — ids, scores and
-//     tie-breaks — for a quarter of the bytes.
-//
-//   - Index "ivf": a sub-linear approximate scan, the shape production
-//     systems put in front of a 25M–800M item corpus. Rows are clustered
-//     under deterministic k-means coarse centroids (see ivf.go); a query
-//     probes the Options.NProbe most promising clusters and scores their
-//     rows with the exact float32 kernel — so served scores are always
-//     exact floats, only membership of the candidate set is approximate.
-//     NProbe >= the cluster count degenerates to an exhaustive scan that
-//     is bit-identical to "flat".
-//
-// Determinism guarantee: for a given matrix, query and Options, results
-// are bit-identical across shard count, worker count, batching, and
-// platform. Three facts carry this: served scores come from one fixed
-// accumulation schedule (vecmath.DotRows == vecmath.DotRowsRef, bit-exact);
-// top-k selection is performed entirely under the total order (score desc,
-// id asc) — including tie-breaks at the heap boundary — so it has exactly
-// one answer no matter how the scan is partitioned or which candidates an
-// IVF probe surfaces; and the flat scan's int8 pass only ever discards a
-// row that K other rows provably beat under that order.
-//
-// Cancellation: Query and QueryBatch take a context.Context, checked at
-// tile and shard boundaries (one tile is 256 rows), so a serving timeout
-// or a client disconnect stops the scan within one tile of work instead of
-// burning CPU on an answer nobody will read. A cancelled call returns an
-// error wrapping both ErrCanceled and the context's own error; a call that
-// completes is bit-identical to an uncancellable one — the checks only
-// ever decide whether to keep going, never what a kept result contains.
-//
-// The only entry points are Query and QueryBatch, both taking a context
-// and Options — every read path is cancellable by construction.
 package knn
 
 import (
@@ -415,30 +369,35 @@ func (ix *Index) scanTileFloat(sc *scratch, st *scan, b, n int, opts Options) {
 	sift(&st.top, scores, int32(b), opts.K, opts.Skip)
 }
 
-// rerank scores the rows of ids exactly into st.top, each with one DotRows
-// call on the row in place — the schedule is per-row, so the score is
-// bit-identical to what a tiled call over the whole matrix computes for
-// the same row — selecting under the canonical total order. No gather
-// copy. The context is checked once per blockRows candidates (a tile unit
-// of work, counted on ix.tiles); st.seen carries the count from one list
-// to the next.
+// rerank scores the rows of ids exactly into st.top, selecting under the
+// canonical total order. The rows are scored in place, a chunk of at most
+// blockRows ids per vecmath.DotRowsAt call — its schedule is per-row, so a
+// score is bit-identical to what a tiled call over the whole matrix
+// computes for the same row — and folded in the order of ids. A chunk
+// ends where st.seen reaches a multiple of blockRows: there the context is
+// checked and a tile unit of work is counted on ix.tiles, once per
+// blockRows candidates; st.seen carries the count from one list to the
+// next.
 func (ix *Index) rerank(ctx context.Context, sc *scratch, st *scan, ids []int32, k int, skip func(int32) bool) error {
-	dim := ix.mat.Dim
 	data := ix.mat.Data()
-	score := sc.scores[:1]
-	for _, id := range ids {
+	for len(ids) > 0 {
 		if st.seen%blockRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return canceledErr(err)
 			}
 			ix.tiles.Add(1)
 		}
-		st.seen++
-		if skip != nil && skip(id) {
-			continue
+		n := min(len(ids), blockRows-st.seen%blockRows)
+		chunk, scores := ids[:n], sc.scores[:n]
+		vecmath.DotRowsAt(scores, data, chunk, st.q)
+		for i, id := range chunk {
+			if skip != nil && skip(id) {
+				continue
+			}
+			pushBounded(&st.top, Result{ID: id, Score: scores[i]}, k)
 		}
-		vecmath.DotRows(score, data[int(id)*dim:(int(id)+1)*dim], st.q)
-		pushBounded(&st.top, Result{ID: id, Score: score[0]}, k)
+		st.seen += n
+		ids = ids[n:]
 	}
 	return nil
 }

@@ -126,7 +126,7 @@ func eachRowBlock(rows, workers int, work func(lo, hi int)) {
 type scratch struct {
 	dots   [blockRows]int32       // integer scores of one tile
 	mask   [blockRows / 64]uint64 // the tile's candidate bits, 64 rows a word
-	scores [blockRows]float32     // float scores of one tile, or of one re-ranked row
+	scores [blockRows]float32     // float scores of one tile, or of one re-ranked chunk
 	qs     []scan
 }
 

@@ -455,3 +455,53 @@ func TestFlatQueryAllocationsAreConstant(t *testing.T) {
 		t.Fatalf("a flat query allocates %.0f objects on 50000 rows and %.0f on 2000, want a constant handful", large, small)
 	}
 }
+
+// tiedMatrix is a corpus the int8 pass cannot thin: every row copies one of
+// four base rows, exactly or with one element moved by 1e-5, so rows of one
+// base tie or nearly tie and each base's rows all survive together — the
+// re-rank sees thousands of candidates per query.
+func tiedMatrix(rows, dim int, seed uint64) *emb.Matrix {
+	r := rng.New(seed)
+	m := emb.NewMatrix(rows, dim)
+	base := emb.NewMatrix(4, dim)
+	gaussianRow(r, base.Data(), 1)
+	for i := 0; i < rows; i++ {
+		row := m.Row(int32(i))
+		copy(row, base.Row(int32(r.Intn(4))))
+		if r.Intn(2) == 0 {
+			row[r.Intn(dim)] += 1e-5
+		}
+	}
+	return m
+}
+
+// Where survivors are many, the re-rank's chunks and their fold stay exact:
+// flat answers at 1 and 2 workers and IVF answers probing every list equal
+// the DotRowsRef top-K under (score desc, id asc), ids and score bits, with
+// and without a skip, on queries that leave thousands of rows to re-rank.
+func TestManySurvivorsBitIdenticalToReference(t *testing.T) {
+	const rows, dim = 12000, 24
+	m := tiedMatrix(rows, dim, 8)
+	ix := NewIndexSharded(m, 0, false, 4)
+	r := rng.New(9)
+	skip := func(id int32) bool { return id%7 == 3 }
+	for trial := 0; trial < 6; trial++ {
+		q := make([]float32, dim)
+		gaussianRow(r, q, 1)
+		for _, k := range []int{1, 10, 300} {
+			opts := Options{K: k}
+			if n := survivorsOf(ix, q, opts); n < 2000 {
+				t.Fatalf("trial %d k=%d: %d rows survive the int8 pass, want thousands", trial, k, n)
+			}
+			for _, sk := range []func(int32) bool{nil, skip} {
+				want := referenceScan(m, rows, q, Options{K: k, Skip: sk})
+				for _, par := range []int{1, 2} {
+					tag := fmt.Sprintf("trial %d k=%d skip=%v par=%d", trial, k, sk != nil, par)
+					sameResults(t, tag+" flat", queryT(ix, q, Options{K: k, Skip: sk, Parallelism: par}), want)
+					sameResults(t, tag+" ivf", queryT(ix, q, Options{K: k, Skip: sk, Parallelism: par,
+						Index: IndexIVF, NProbe: ix.IVFClusters()}), want)
+				}
+			}
+		}
+	}
+}

@@ -10,13 +10,34 @@
 //
 // The two hot kernels, PairStep and DotRows, each have an AVX
 // implementation on amd64 and a pure-Go reference (PairStepRef,
-// DotRowsRef) that is bit-identical to it on every input: one fixed
-// accumulation order, every product and sum rounded separately. The
+// DotRowsRef) that is bit-identical to it on every input (up to the payload
+// of a NaN result, see Gathered rows): one fixed accumulation order, every
+// product and sum rounded separately. The
 // reference is the specification the assembly is property-tested against
 // and what every other platform (and the purego build tag) runs, so models
 // and retrieval results do not depend on the machine. The helpers (Dot,
 // Axpy, ...) are plain 4-way unrolled Go and promise no particular
 // rounding order.
+//
+// # Gathered rows
+//
+// DotRowsAt scores scattered rows of a matrix, named by their ids, in one
+// call: the exact re-rank's shape, where a few hundred survivors lie
+// anywhere in a 50k-row matrix. Each score is DotRows' 16-lane schedule on
+// that row, so it is bit-identical to DotRowsRef of the row on every
+// non-NaN result and equal to DotRows of the row on every result
+// (TestDotRowsAtBitIdentical, which runs every kernel the host has, over
+// dims 1–200, 516, 517 and 1000, id lists of 0–300 with repeats, and NaN,
+// ±Inf, ±0 and subnormal elements; a NaN may carry another payload than
+// the compiled reference gives it, since Go leaves payloads unspecified).
+// One DotRows call per row waits on each row's cache and TLB miss in turn;
+// the AVX kernel instead issues PREFETCHT0 for every line of the row eight
+// ids ahead, so several misses are in flight while a row is scored.
+// BenchmarkDotRowsAtCold50k times both on 800 sorted ids whose rows come
+// from outside the core's L2. The wrapper checks every id against the
+// matrix before the kernel runs, because the kernel has no bounds checks
+// (TestDotRowsAtPanicsOnBadShape); platforms without it and the purego tag
+// loop dotSched16 over the ids.
 //
 // # The int8 block layout
 //

@@ -1,8 +1,9 @@
 // Retrieval scoring kernels: batch dot products of one query against a
-// block of contiguous matrix rows. This is the hot loop of the matching
-// stage — a top-k scan touches every item row — so it has an arch-specific
-// SIMD implementation, with a pure-Go reference kept bit-compatible for
-// every other platform.
+// block of contiguous matrix rows (DotRows), or against rows gathered by id
+// (DotRowsAt). This is the hot loop of the matching stage — a top-k scan
+// touches every item row, and its exact re-rank scattered survivors — so it
+// has an arch-specific SIMD implementation, with a pure-Go reference kept
+// bit-compatible for every other platform.
 //
 // Both implementations follow one fixed accumulation schedule (the
 // "16-lane schedule"): lane j accumulates elements i ≡ j (mod 16), lanes
@@ -34,6 +35,48 @@ func DotRows(dst, rows, q []float32) {
 		return
 	}
 	DotRowsRef(dst, rows, q)
+}
+
+// DotRowsAt computes dst[i] = <mat[ids[i]*dim : (ids[i]+1)*dim], q> for
+// every i, where dim = len(q) > 0: the scattered rows ids of the row-major
+// matrix mat, scored in one call with DotRows' 16-lane schedule, so each
+// score is bit-identical to DotRows of that row, and to DotRowsRef of it
+// up to the payload of a NaN. ids may repeat and come in any order. The ids are checked here, before the SIMD kernel runs: it
+// has no bounds checks of its own, and it prefetches rows a few ids ahead
+// so that several cache misses are in flight at once.
+func DotRowsAt(dst, mat []float32, ids []int32, q []float32) {
+	if len(q) == 0 || len(mat)%len(q) != 0 || len(dst) != len(ids) {
+		panic("vecmath: DotRowsAt shape mismatch")
+	}
+	rows := uint(len(mat) / len(q))
+	for _, id := range ids {
+		if uint(int(id)) >= rows {
+			panic("vecmath: DotRowsAt row id out of range")
+		}
+	}
+	if len(ids) == 0 {
+		return
+	}
+	if dotRowsAtAsm != nil {
+		dotRowsAtAsm(dst, mat, ids, q)
+		return
+	}
+	dotRowsAtRef(dst, mat, ids, q)
+}
+
+// dotRowsAtAsm, when non-nil, is the platform SIMD kernel for DotRowsAt,
+// installed beside dotRowsAsm and under the same contract; it may assume
+// the shapes and ids DotRowsAt checks and len(ids) > 0.
+var dotRowsAtAsm func(dst, mat []float32, ids []int32, q []float32)
+
+// dotRowsAtRef is DotRowsAt on the pure-Go schedule, what every platform
+// without a kernel (and the purego build tag) runs.
+func dotRowsAtRef(dst, mat []float32, ids []int32, q []float32) {
+	dim := len(q)
+	for i, id := range ids {
+		o := int(id) * dim
+		dst[i] = dotSched16(mat[o:o+dim:o+dim], q)
+	}
 }
 
 // dotRowsAsm, when non-nil, is the platform SIMD kernel for DotRows. It is

@@ -10,6 +10,7 @@ var useAVX = hasAVX()
 func init() {
 	if useAVX {
 		dotRowsAsm = dotRowsAVX
+		dotRowsAtAsm = dotRowsAtAVX
 	}
 }
 
@@ -24,3 +25,13 @@ func hasAVX() bool
 //
 //go:noescape
 func dotRowsAVX(dst, rows, q []float32)
+
+// dotRowsAtAVX is DotRowsAt on AVX: per id, the row's body runs exactly as
+// in dotRowsAVX, and before it the kernel issues PREFETCHT0 for every cache
+// line of the row prefetchDist ids ahead, so the scattered rows' misses
+// overlap instead of each stalling its own dot product. Requires the
+// shapes and ids DotRowsAt checks and len(ids) > 0. Implemented in
+// dotrows_amd64.s.
+//
+//go:noescape
+func dotRowsAtAVX(dst, mat []float32, ids []int32, q []float32)
